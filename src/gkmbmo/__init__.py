@@ -12,26 +12,22 @@ from .bmo import (BmoConfig, TrainReport, Trajectory, envelope_shape, evaluate_p
 from .errors import (CapabilityError, ContractError, DivergenceError, FormatError,
                      NumericsError)
 from .hypergrad import (LossDescriptor, Tape, estimate_L_ell, fd_hypergradient,
-                        hypergradient, inner_loop, km_iterate, loss_value_and_grad)
+                        hypergradient, inner_loop, km_iterate)
 from .metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm, h_project,
                      min_eigen_estimate, spectral_norm_estimate)
 from .operators import (AlmOperator, CompositeOperator, DladmmOperator, GkmConfig,
                         HyperParams, NetOperator, OmegaBox, ParamSlice, PgOperator,
-                        apply_alm, apply_composite, apply_dladmm, apply_net, apply_pg,
-                        apply_T, make_hyperparams, metric_of, normalize_net,
-                        soft_threshold)
+                        apply_T, make_hyperparams, normalize_net, soft_threshold)
 
 __all__ = [
     "AlmOperator", "BmoConfig", "CapabilityError", "CompositeOperator",
     "ContractError", "DivergenceError", "DladmmOperator", "DomainDescriptor",
     "FormatError", "GkmConfig", "HyperParams", "LossDescriptor", "MetricMatrix",
     "NetOperator", "NumericsError", "OmegaBox", "ParamSlice", "PgOperator",
-    "Tape", "TrainReport", "Trajectory", "apply_T", "apply_alm", "apply_composite",
-    "apply_dladmm", "apply_net", "apply_pg", "envelope_shape", "estimate_L_ell",
+    "Tape", "TrainReport", "Trajectory", "apply_T", "envelope_shape", "estimate_L_ell",
     "evaluate_phiK", "fd_hypergradient", "h_inner", "h_norm", "h_project",
-    "hypergradient", "inner_loop", "km_iterate", "loss_value_and_grad",
-    "make_hyperparams",
-    "metric_of", "min_eigen_estimate", "normalize_net", "residual_envelope_check",
+    "hypergradient", "inner_loop", "km_iterate", "make_hyperparams",
+    "min_eigen_estimate", "normalize_net", "residual_envelope_check",
     "soft_threshold", "spectral_norm_estimate", "stationarity_probe", "train",
 ]
 

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .hypergrad import hypergradient, inner_loop
+from .hypergrad import DIVERGENCE_LIMIT, hypergradient, inner_loop
 from .metric import DomainDescriptor, MetricMatrix
 from .operators import HyperParams, OmegaBox, renormalize_for
-
-DIVERGENCE_LIMIT = 1e12
 
 TRAJECTORY_HEADER = "phase,t,k,residual_hlb_sq,rel_step,loss,grad_norm"
 
@@ -51,12 +48,14 @@ class BmoConfig:
     domain: Optional[DomainDescriptor] = None
     h_lb: Optional[MetricMatrix] = None
     u0: Optional[np.ndarray] = None
-    warm_start: bool = False
     grad_through_metric: bool = True
     optimizer: str = "gd"
     record_inner: bool = True
 
     def validate(self):
+        for name in ("alpha", "mu", "s", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ContractError("alpha must lie in (0, 1)")
         if not (0.0 < self.mu < 1.0):
@@ -128,7 +127,6 @@ class TrainReport:
     uK_final: np.ndarray
     trajectory: Trajectory
     envelope_C: Optional[float]
-    wall_clock: dict
 
     def to_text(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -140,8 +138,6 @@ class TrainReport:
                 fh.write("final_omega_hash = %s\n" % whash)
             fh.write("envelope_C = %s\n" %
                      ("" if self.envelope_C is None else repr(self.envelope_C)))
-            for phase, sec in sorted(self.wall_clock.items()):
-                fh.write("wall_clock.%s = %.6f\n" % (phase, sec))
             fh.write("omega = %s\n" % ",".join(repr(float(v)) for v in self.omega_final.values))
 
 
@@ -176,47 +172,37 @@ def train(op, loss, omega0, cfg):
         raise ContractError("omega0 violates the configured box bounds")
     op.validate_omega(omega)
     traj = Trajectory()
-    clocks = {"inner": 0.0, "hypergrad": 0.0, "outer": 0.0}
     adam = _Adam(omega.dim) if cfg.optimizer == "adam" else None
     uK = np.zeros(op.dim) if cfg.u0 is None else np.array(cfg.u0, dtype=float)
     last_records = []
-    u_start = None if cfg.u0 is None else np.array(cfg.u0, dtype=float)
     for t in range(cfg.T):
-        t0 = time.perf_counter()
-        u_init = uK if (cfg.warm_start and t > 0) else u_start
         try:
-            uK, tape, records = inner_loop(op, loss, omega, cfg, u0=u_init,
+            uK, tape, records = inner_loop(op, loss, omega, cfg, u0=cfg.u0,
                                            record=cfg.record_inner)
         except DivergenceError as err:
             err.outer_step = t
             raise
-        clocks["inner"] += time.perf_counter() - t0
         phi = tape.loss_value
         if not math.isfinite(phi) or abs(phi) > DIVERGENCE_LIMIT:
             raise DivergenceError(f"phi_K diverged at outer step {t}", outer_step=t)
-        t1 = time.perf_counter()
         grad = hypergradient(tape)
-        clocks["hypergrad"] += time.perf_counter() - t1
         gnorm = float(np.linalg.norm(grad))
         if cfg.record_inner:
             traj.add_inner(t, records)
             last_records = records
         traj.add_outer(t, phi, gnorm, omega)
-        t2 = time.perf_counter()
         lr = cfg.lr_at(t)
         delta = adam.step(grad, lr) if adam is not None else lr * grad
         values = omega.values - delta
         if cfg.omega_bounds is not None:
             values = cfg.omega_bounds.clamp(values)
-        omega = omega.with_values(values)
-        omega = renormalize_for(op, omega)
+        omega = renormalize_for(op, omega.with_values(values))
         op.validate_omega(omega)
-        clocks["outer"] += time.perf_counter() - t2
     env_C = None
     if len(last_records) >= 16:
         env_C, _ = residual_envelope_check(
             [(r.k, r.residual_hlb_sq) for r in last_records])
-    return TrainReport(omega, uK, traj, env_C, clocks)
+    return TrainReport(omega, uK, traj, env_C)
 
 
 def evaluate_phiK(op, loss, omega, cfg):

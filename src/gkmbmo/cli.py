@@ -24,9 +24,9 @@ import numpy as np
 from .bmo import (TRAJECTORY_HEADER, BmoConfig, residual_envelope_check, train)
 from .errors import ContractError, DivergenceError, FormatError
 from .hypergrad import (LossDescriptor, fd_hypergradient, hypergradient,
-                        inner_loop)
-from .metric import min_eigen_estimate
-from .operators import NetOperator, OmegaBox, make_hyperparams
+                        inner_loop, km_iterate)
+from .metric import min_eigen_estimate, spectral_norm_estimate
+from .operators import GkmConfig, NetOperator, OmegaBox, make_hyperparams
 from .tasks import (TaskBundle, build_deconv_operator, build_separation_operator,
                     build_sparse_coding_operator, gen_deconv, gen_separation,
                     gen_sparse_coding, load_instance, psnr, save_instance, ssim,
@@ -51,14 +51,14 @@ _DEFAULTS = {
     "bmo.alpha": 0.9, "bmo.mu": 0.5, "bmo.s": "auto", "bmo.s_fraction": 0.5,
     "bmo.K": 15, "bmo.T": 100, "bmo.gamma_lr": 0.0002,
     "bmo.lr_schedule": "expdecay:0.5:30", "bmo.optimizer": "gd",
-    "bmo.grad_through_metric": True, "bmo.warm_start": False,
+    "bmo.grad_through_metric": True,
     "diag.k_list": "5,10,15", "diag.rollout_factor": 2, "diag.ablation": True,
     "fdcheck.instances": 20, "fdcheck.tolerance": 1e-4, "fdcheck.corrupt": False,
     "toy.weight": 0.5, "toy.bias": 0.0,
 }
 
-_BOOL_KEYS = {"op.identity_net", "bmo.grad_through_metric", "bmo.warm_start",
-              "diag.ablation", "fdcheck.corrupt"}
+_BOOL_KEYS = {"op.identity_net", "bmo.grad_through_metric", "diag.ablation",
+              "fdcheck.corrupt"}
 _INT_KEYS = {"seed", "gen.m", "gen.n", "gen.batch", "gen.kernel_width",
              "gen.njumps", "gen.nspikes", "bmo.K", "bmo.T",
              "diag.rollout_factor", "fdcheck.instances"}
@@ -108,10 +108,7 @@ def _coerce(key, raw, line_no):
 def parse_config(path=None, overrides=None):
     cfg = ExperimentConfig()
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise
+        text = Path(path).read_text(encoding="utf-8")
         for i, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -148,12 +145,16 @@ def toy_bundle(cfg):
     return TaskBundle(op, omega0, bounds, loss, u0=np.zeros(1))
 
 
+def _require_instance(task, inst):
+    if inst is None and task != "toy":
+        raise FormatError(f"task {task!r} needs an instance file")
+
+
 def build_bundle(cfg, inst):
     task = cfg.task
+    _require_instance(task, inst)
     if task == "toy":
         return toy_bundle(cfg)
-    if inst is None:
-        raise FormatError(f"task {task!r} needs an instance file")
     if task == "sparse_coding":
         return build_sparse_coding_operator(inst, learnable=cfg.get("op.learnable"),
                                             beta=cfg.get("op.beta"),
@@ -190,15 +191,11 @@ def bmo_config(cfg, bundle, K=None, T=None):
                      omega_bounds=bundle.bounds, seed=int(cfg.get("seed")),
                      lr_schedule=schedule, u0=bundle.u0, h_lb=h_lb,
                      optimizer=cfg.get("bmo.optimizer"),
-                     grad_through_metric=cfg.get("bmo.grad_through_metric"),
-                     warm_start=cfg.get("bmo.warm_start"))
+                     grad_through_metric=cfg.get("bmo.grad_through_metric"))
 
 
 def _load_omega(report_path, omega_template):
-    try:
-        text = Path(report_path).read_text()
-    except FileNotFoundError:
-        raise
+    text = Path(report_path).read_text()
     for line in text.splitlines():
         if line.startswith("omega = "):
             vals = np.array([float(x) for x in line[len("omega = "):].split(",")])
@@ -237,10 +234,16 @@ def cmd_gen(cfg, out):
     return EXIT_OK
 
 
-def cmd_train(cfg, out, instance_path):
+def _load(cfg, instance_path):
+    """The instance at ``instance_path`` (None if not given), checked against the task."""
     inst = load_instance(instance_path) if instance_path else None
     if inst is not None and inst.task != cfg.task:
         raise FormatError(f"instance task {inst.task!r} does not match config task {cfg.task!r}")
+    return inst
+
+
+def cmd_train(cfg, out, instance_path):
+    inst = _load(cfg, instance_path)
     bundle = build_bundle(cfg, inst)
     run_cfg = bmo_config(cfg, bundle)
     report = train(bundle.op, bundle.loss, bundle.omega0, run_cfg)
@@ -256,8 +259,9 @@ def cmd_train(cfg, out, instance_path):
 def cmd_eval(cfg, out, instance_path, report_path, baseline_report=None):
     if report_path is None or not Path(report_path).exists():
         raise FileNotFoundError(report_path or "report.txt")
-    inst = load_instance(instance_path) if instance_path else None
+    inst = _load(cfg, instance_path)
     task = cfg.task
+    _require_instance(task, inst)
     rows = []
     if task == "sparse_coding":
         for method, learnable, rpt in (("bmo", "all", report_path),
@@ -308,28 +312,19 @@ def _expansive_ablation_records(cfg, dim=8, K=40):
     """Rollout of a raw sigma_max = 2 network with normalization disabled."""
     rng = task_rng(int(cfg.get("seed")), stream=9)
     W = rng.standard_normal((dim, dim))
-    from .metric import spectral_norm_estimate
-
     W *= 2.0 / spectral_norm_estimate(W)
     omega = make_hyperparams([("W0", W, "layer-matrix"),
                               ("b0", np.zeros(dim), "layer-bias")])
     op = NetOperator(dim=dim, weight_names=("W0",), bias_names=("b0",),
                      widths=(dim, dim), enforce_certificate=False)
-    from .hypergrad import km_iterate
-
-    cfg_km = BmoConfig(alpha=0.9, mu=0.5, s=1e-3)
     try:
-        _, recs = km_iterate(op, omega, cfg_km, rng.standard_normal(dim), K)
-        diverged = False
-    except DivergenceError as err:
-        recs = []
-        diverged = True
-    return recs, diverged
+        return km_iterate(op, omega, GkmConfig(0.9), rng.standard_normal(dim), K)[1], False
+    except DivergenceError:
+        return [], True
 
 
 def cmd_diagnose(cfg, out, instance_path, report_path=None):
-    inst = load_instance(instance_path) if instance_path else None
-    bundle = build_bundle(cfg, inst)
+    bundle = build_bundle(cfg, _load(cfg, instance_path))
     omega = bundle.omega0
     if report_path is not None:
         if not Path(report_path).exists():

@@ -25,7 +25,7 @@ from .errors import ContractError, DivergenceError
 from .metric import (DomainDescriptor, MetricMatrix, h_norm, h_project,
                      min_eigen_estimate, projection_jacobian_diag,
                      spectral_norm_estimate)
-from .operators import HyperParams
+from .operators import HyperParams, apply_T
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -131,9 +131,6 @@ class LossDescriptor:
             g = g + (self.q[:, None] if u.ndim > 1 else self.q)
         return g
 
-    def grad_omega(self, u, omega):
-        return np.zeros(omega.dim)
-
     def hess_vec(self, u, v):
         v = np.asarray(v, dtype=float)
         if self.kind == "squared_error":
@@ -153,15 +150,6 @@ class LossDescriptor:
 
     def smoothness(self):
         return estimate_L_ell(self)
-
-
-def loss_value_and_grad(loss, u, omega=None):
-    """(value, dl/du, dl/domega) for the supported quadratic family."""
-    if omega is None:
-        gom = np.zeros(0)
-    else:
-        gom = loss.grad_omega(u, omega)
-    return loss.value(u, omega), loss.grad_u(u, omega), gom
 
 
 def estimate_L_ell(loss):
@@ -184,15 +172,19 @@ def estimate_L_ell(loss):
 
 @dataclass
 class TapeStep:
+    """What the reverse sweep reads of inner step k.
+
+    u_prev is u^{k-1} and hinv_grad is H(omega)^{-1} grad l(u^{k-1}); u^k is
+    the next step's u_prev (the tape's uK after the last step).  pre_proj,
+    the point handed to the projection, is kept only when the domain is
+    not the full space.
+    """
+
     k: int
     s_k: float
     u_prev: np.ndarray
-    grad: np.ndarray
     hinv_grad: np.ndarray
-    v_l: np.ndarray
-    v_u: np.ndarray
-    pre_proj: np.ndarray
-    u_next: np.ndarray
+    pre_proj: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -212,8 +204,6 @@ class Tape:
     omega: HyperParams
     alpha: float
     mu: float
-    s: float
-    K: int
     domain: DomainDescriptor
     metric: MetricMatrix
     grad_through_metric: bool
@@ -223,13 +213,11 @@ class Tape:
     loss_value: float
 
     def replay(self):
-        u = self.u0.copy()
+        # the tape carries alpha and mu, so it stands in for the step's cfg
+        u = self.u0
         for st in self.steps:
-            du = self.op.apply(u, self.omega)
-            v_l = u + self.alpha * (du - u)
-            g = self.loss.grad_u(u, self.omega)
-            v_u = u - st.s_k * self.metric.solve(g)
-            u = h_project(self.metric, self.domain, self.mu * v_u + (1.0 - self.mu) * v_l)
+            u = _gkm_step(self.op, self.loss, self.omega, self, self.metric, self.domain,
+                          st.s_k, u)[3]
         return u
 
 
@@ -244,11 +232,29 @@ def _step_bound(h_lb, loss):
     return min_eigen_estimate(h_lb) / L
 
 
-def _rel_step(u, u_prev):
-    denom = float(np.linalg.norm(u_prev))
-    if denom == 0.0:
-        denom = 1.0
-    return float(np.linalg.norm(u - u_prev)) / denom
+def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
+    """One aggregated inner step from u.
+
+    Returns (T(u), H^{-1} grad l(u), the pre-projection point, u'); cfg
+    supplies alpha and mu.
+    """
+    v_l = apply_T(op, u, omega, cfg)
+    hg = H.solve(loss.grad_u(u, omega))
+    pre = cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l
+    return v_l, hg, pre, h_project(H, domain, pre)
+
+
+def _record(k, hlb, u, t_u, u_prev, loss, omega):
+    """InnerRecord of iterate u^k given T(u^k) and u^{k-1}; loss may be None."""
+    denom = float(np.linalg.norm(u_prev)) or 1.0
+    return InnerRecord(k, h_norm(hlb, u - t_u) ** 2,
+                       float(np.linalg.norm(u - u_prev)) / denom,
+                       loss.value(u, omega) if loss is not None else math.nan)
+
+
+def _check_finite(u, what, k):
+    if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"{what} diverged at k={k}", inner_step=k)
 
 
 def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record=True):
@@ -273,47 +279,29 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
         raise ContractError(
             f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
     domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
+    keep_pre = domain.kind != "full"
 
-    u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
-    u0_copy = u.copy()
+    u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
     steps = []
     records = []
-    u_hist_prev = None
+    u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
-        du = op.apply(u, omega)
-        v_l = u + cfg.alpha * (du - u)
+        v_l, hg, pre, u_next = _gkm_step(op, loss, omega, cfg, H, domain, s_k, u)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
-            records.append(InnerRecord(
-                k - 1,
-                h_norm(hlb, u - v_l) ** 2,
-                _rel_step(u, u_hist_prev),
-                loss.value(u, omega)))
-        g = loss.grad_u(u, omega)
-        hg = H.solve(g)
-        v_u = u - s_k * hg
-        pre = cfg.mu * v_u + (1.0 - cfg.mu) * v_l
-        u_next = h_project(H, domain, pre)
-        if not np.all(np.isfinite(u_next)) or np.max(np.abs(u_next)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
+            records.append(_record(k - 1, hlb, u, v_l, u_prev, loss, omega))
+        _check_finite(u_next, "inner iterate", k)
         if build_tape:
-            steps.append(TapeStep(k, s_k, u.copy(), g, hg, v_l, v_u, pre, u_next.copy()))
-        u_hist_prev = u
-        u = u_next
+            steps.append(TapeStep(k, s_k, u, hg, pre if keep_pre else None))
+        u_prev, u = u, u_next
     if record and cfg.K >= 1:
-        du = op.apply(u, omega)
-        v_l = u + cfg.alpha * (du - u)
-        records.append(InnerRecord(
-            cfg.K,
-            h_norm(hlb, u - v_l) ** 2,
-            _rel_step(u, u_hist_prev),
-            loss.value(u, omega)))
+        records.append(_record(cfg.K, hlb, u, apply_T(op, u, omega, cfg), u_prev, loss, omega))
     tape = None
     if build_tape:
-        tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, cfg.s, cfg.K, domain, H,
+        tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, domain, H,
                     getattr(cfg, "grad_through_metric", True),
-                    u0_copy, steps, u.copy(), loss.value(u, omega))
+                    u0, steps, u, loss.value(u, omega))
     return u, tape, records
 
 
@@ -325,28 +313,18 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
     not a singleton.
     """
     op.validate_omega(omega)
-    H = op.metric(omega)
-    hlb = h_lb if h_lb is not None else H
+    hlb = h_lb if h_lb is not None else op.metric(omega)
     u = np.array(u0, dtype=float)
     records = []
     prev = None
     for k in range(1, K + 1):
-        du = op.apply(u, omega)
-        v_l = u + cfg.alpha * (du - u)
+        v_l = apply_T(op, u, omega, cfg)
         if k >= 2:
-            records.append(InnerRecord(
-                k - 1, h_norm(hlb, u - v_l) ** 2, _rel_step(u, prev),
-                loss.value(u, omega) if loss is not None else math.nan))
-        if not np.all(np.isfinite(v_l)) or np.max(np.abs(v_l)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"KM iterate diverged at k={k}", inner_step=k)
-        prev = u
-        u = v_l
+            records.append(_record(k - 1, hlb, u, v_l, prev, loss, omega))
+        _check_finite(v_l, "KM iterate", k)
+        prev, u = u, v_l
     if K >= 1:
-        du = op.apply(u, omega)
-        v_l = u + cfg.alpha * (du - u)
-        records.append(InnerRecord(
-            K, h_norm(hlb, u - v_l) ** 2, _rel_step(u, prev),
-            loss.value(u, omega) if loss is not None else math.nan))
+        records.append(_record(K, hlb, u, apply_T(op, u, omega, cfg), prev, loss, omega))
     return u, records
 
 
@@ -354,18 +332,16 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
 # reverse sweep
 # ---------------------------------------------------------------------------
 
-def hypergradient(tape, loss=None, omega=None, corrupt_rule=False):
+def hypergradient(tape, corrupt_rule=False):
     """Total derivative d l(u^K(omega), omega) / d omega by a reverse sweep.
 
     ``corrupt_rule`` deliberately mis-scales one reverse rule (the
     loss-Hessian term of the descent direction); it exists so the
     finite-difference harness can prove it would catch a broken rule.
     """
-    loss = loss if loss is not None else tape.loss
-    omega = omega if omega is not None else tape.omega
-    H = tape.metric
+    loss, omega, H = tape.loss, tape.omega, tape.metric
     cu = loss.grad_u(tape.uK, omega)
-    go = loss.grad_omega(tape.uK, omega).astype(float)
+    go = np.zeros(omega.dim)
     hess_scale = 0.5 if corrupt_rule else 1.0
     for st in reversed(tape.steps):
         if tape.domain.kind != "full":

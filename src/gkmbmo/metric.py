@@ -14,7 +14,7 @@ is block diagonal with identical blocks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,44 +134,6 @@ class MetricMatrix:
         for b in self.entries:
             out[off:off + b.dim] = b.solve(u[off:off + b.dim])
             off += b.dim
-        return out
-
-    def sqrt_apply(self, u):
-        """H^{1/2} @ u; supported for identity and diagonal metrics."""
-        u = np.asarray(u, dtype=float)
-        _check_dim(self.dim, u)
-        if self.kind == "identity":
-            return math.sqrt(self.scale) * u
-        if self.kind == "diagonal":
-            r = np.sqrt(self.entries)
-            return (r.T * u.T).T if u.ndim > 1 else r * u
-        raise CapabilityError(f"sqrt_apply unsupported for {self.kind!r} metric")
-
-    def inv_sqrt_apply(self, u):
-        u = np.asarray(u, dtype=float)
-        _check_dim(self.dim, u)
-        if self.kind == "identity":
-            return u / math.sqrt(self.scale)
-        if self.kind == "diagonal":
-            r = np.sqrt(self.entries)
-            return (u.T / r).T if u.ndim > 1 else u / r
-        raise CapabilityError(f"inv_sqrt_apply unsupported for {self.kind!r} metric")
-
-    def matrix(self):
-        """Dense representation (desk scale only)."""
-        if self.kind == "identity":
-            return self.scale * np.eye(self.dim)
-        if self.kind == "diagonal":
-            return np.diag(self.entries)
-        if self.kind == "dense":
-            return self.entries.copy()
-        blocks = [b.matrix() for b in self.entries]
-        out = np.zeros((self.dim, self.dim))
-        off = 0
-        for b in blocks:
-            n = b.shape[0]
-            out[off:off + n, off:off + n] = b
-            off += n
         return out
 
 

@@ -188,15 +188,34 @@ def _resolve(omega, spec, default=None):
     return float(spec)
 
 
-def _acc_scalar(grad, omega, spec, value):
-    if isinstance(spec, str):
-        s = omega.slice_for(spec)
-        grad[s.offset] += value
+def _colsum(x):
+    """Sum a batched (d, B) array over its batch columns; (d,) passes through."""
+    return x.sum(axis=-1) if x.ndim > 1 else x
 
 
-def _acc_vector(grad, omega, name, value):
-    s = omega.slice_for(name)
-    grad[s.offset:s.offset + s.size] += np.asarray(value, dtype=float).reshape(-1)
+def _acc(grad, omega, spec, value):
+    """Add ``value`` into the gradient slice named by ``spec``.
+
+    A non-string spec is a fixed value, not a hyper-parameter, and takes
+    nothing.  A value with more entries than the slice carries batch
+    columns, which are summed first; a scalar slice takes the sum.
+    """
+    if not isinstance(spec, str):
+        return
+    s = omega.slice_for(spec)
+    value = np.asarray(value, dtype=float)
+    if value.ndim > 1 and value.size != s.size:
+        value = _colsum(value)
+    if s.size == 1:
+        grad[s.offset] += float(np.sum(value))
+    else:
+        grad[s.offset:s.offset + s.size] += value.reshape(-1)
+
+
+def _soft_threshold_vjp(x, t, cot):
+    """Cotangents of soft_threshold(x, t) w.r.t. x and t, both shaped like x."""
+    mask = (np.abs(x) > t).astype(float)
+    return mask * cot, -np.sign(x) * mask * cot
 
 
 class _SpectralCache:
@@ -233,11 +252,6 @@ class GkmConfig:
 def apply_T(op, state, omega, cfg):
     """T(u) = u + alpha (D(u) - u): the averaged fixed-point update."""
     return state + cfg.alpha * (op.apply(state, omega) - state)
-
-
-def apply_T_vjp(op, state, omega, cfg, cot):
-    cs, co = op.apply_vjp(state, omega, cfg.alpha * cot)
-    return (1.0 - cfg.alpha) * cot + cs, co
 
 
 # ---------------------------------------------------------------------------
@@ -346,39 +360,17 @@ class PgOperator:
         if w is None:
             dx = np.asarray(cot, dtype=float)
         else:
-            thr = _col(gam * w / g, x)
-            mask = (np.abs(x) > thr).astype(float)
-            dx = mask * cot
-            dthr = -np.sign(x) * mask * cot
-            dthr_vec = dthr.sum(axis=-1) if dthr.ndim > 1 else dthr
+            dx, dthr = _soft_threshold_vjp(x, _col(gam * w / g, x), cot)
+            dthr = _colsum(dthr)
             # thr_i = gam * w0_i * c / g_i
-            if isinstance(self.thresh, str):
-                _acc_scalar(go, omega, self.thresh,
-                            float(np.sum(dthr_vec * gam * self.l1_weights / g)))
             c = _resolve(omega, self.thresh, 1.0)
-            _acc_scalar(go, omega, self.gamma,
-                        float(np.sum(dthr_vec * self.l1_weights * c / g)))
-            if isinstance(self.gdiag, str):
-                gslice = -dthr_vec * gam * self.l1_weights * c / g ** 2
-                s = omega.slice_for(self.gdiag)
-                if s.size == 1:
-                    go[s.offset] += float(np.sum(gslice))
-                else:
-                    go[s.offset:s.offset + s.size] += gslice
+            _acc(go, omega, self.thresh, dthr * gam * self.l1_weights / g)
+            _acc(go, omega, self.gamma, dthr * self.l1_weights * c / g)
+            _acc(go, omega, self.gdiag, -dthr * gam * self.l1_weights * c / g ** 2)
         # x = u - gam * grad / g
-        cs = dx.copy()
-        hinv = dx / gcol
-        if self.quad is not None:
-            cs -= gam * (self.quad @ hinv)
-        _acc_scalar(go, omega, self.gamma, float(-np.sum(dx * grad / gcol)))
-        if isinstance(self.gdiag, str):
-            gg = (dx * grad).sum(axis=-1) if dx.ndim > 1 else dx * grad
-            gslice = gam * gg / g ** 2
-            s = omega.slice_for(self.gdiag)
-            if s.size == 1:
-                go[s.offset] += float(np.sum(gslice))
-            else:
-                go[s.offset:s.offset + s.size] += gslice
+        cs = dx - gam * (self.quad @ (dx / gcol)) if self.quad is not None else dx
+        _acc(go, omega, self.gamma, -np.sum(dx * grad / gcol))
+        _acc(go, omega, self.gdiag, gam * _colsum(dx * grad) / g ** 2)
         return cs, go
 
     # metric ----------------------------------------------------------
@@ -389,15 +381,7 @@ class PgOperator:
 
     def metric_quad_vjp(self, omega, x, y):
         go = np.zeros(omega.dim)
-        if isinstance(self.gdiag, str):
-            prod = x * y
-            if prod.ndim > 1:
-                prod = prod.sum(axis=-1)
-            s = omega.slice_for(self.gdiag)
-            if s.size == 1:
-                go[s.offset] += float(np.sum(prod))
-            else:
-                go[s.offset:s.offset + s.size] += prod
+        _acc(go, omega, self.gdiag, x * y)
         return go
 
 
@@ -572,30 +556,9 @@ class AlmOperator:
     def _bcol(self, ref):
         return _match_b(self.bvec, ref)
 
-    def apply(self, state, omega, ctx=None):
-        if ctx is None:
-            ctx = self.prepare(omega)
-        beta, w = ctx["beta"], ctx["w"]
-        u, lam = self.split_state(state)
-        b = self._bcol(lam)
-        Gu = ctx["G"] @ u
-        c = self.A.T @ lam - beta * (self.A.T @ b) - Gu
-        if self.lin is not None:
-            c = c + _col(self.lin, u)
-        up = np.empty_like(u)
-        S, L = self._smooth, self._l1
-        if S.size:
-            up[S] = np.linalg.solve(ctx["Kss"], -c[S])
-        if L.size:
-            d = ctx["dL"]
-            dc = _col(d, u[L])
-            up[L] = soft_threshold(-c[L] / dc, _col(w[L] / d, u[L]))
-        lamp = lam + beta * (self.A @ up - b)
-        return np.concatenate([up, lamp], axis=0)
-
-    def apply_vjp(self, state, omega, cot, ctx=None):
-        if ctx is None:
-            ctx = self.prepare(omega)
+    def _forward(self, state, omega):
+        """The primal update and the intermediates its VJP reads."""
+        ctx = self.prepare(omega)
         beta, w = ctx["beta"], ctx["w"]
         u, lam = self.split_state(state)
         b = self._bcol(lam)
@@ -613,14 +576,22 @@ class AlmOperator:
             xL = -c[L] / _col(d, u[L])
             tL = w[L] / d
             up[L] = soft_threshold(xL, _col(tL, xL))
+        return ctx, u, lam, b, c, xL, tL, up
 
+    def apply(self, state, omega):
+        ctx, _, lam, b, _, _, _, up = self._forward(state, omega)
+        return np.concatenate([up, lam + ctx["beta"] * (self.A @ up - b)], axis=0)
+
+    def apply_vjp(self, state, omega, cot):
+        ctx, u, lam, b, c, xL, tL, up = self._forward(state, omega)
+        beta, w = ctx["beta"], ctx["w"]
+        S, L = self._smooth, self._l1
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
         go = np.zeros(omega.dim)
-        res = self.A @ up - b
         # lam+ = lam + beta (A u+ - b)
         clam = clam_out.copy()
         cup = cu_out + beta * (self.A.T @ clam_out)
-        _acc_scalar(go, omega, self.beta, float(np.sum(clam_out * res)))
+        _acc(go, omega, self.beta, np.sum(clam_out * (self.A @ up - b)))
 
         dc = np.zeros_like(u)
         dbeta_extra = 0.0
@@ -630,68 +601,49 @@ class AlmOperator:
             dc[S] = -ws
             # dK_ss contributions: K = quad + diag(rho)  (rho-lin)  or
             #                      quad + beta A^T A + G (other modes)
-            upS = up[S]
+            prod = _colsum(ws * up[S])
             if self.gmode == "rho-lin":
-                prod = ws * upS
-                if prod.ndim > 1:
-                    prod = prod.sum(axis=-1)
                 for name, mask in self.rho_groups:
-                    sel = mask[S]
-                    drho[name] = drho.get(name, 0.0) - float(np.sum(prod[sel]))
+                    drho[name] = drho.get(name, 0.0) - float(np.sum(prod[mask[S]]))
             else:
                 AuS = self.A[:, S]
-                quadform = np.sum((AuS @ ws) * (AuS @ upS))
+                quadform = np.sum((AuS @ ws) * (AuS @ up[S]))
                 dbeta_extra -= float(quadform)
                 if self.gmode == "slice":
-                    prod = ws * upS
-                    if prod.ndim > 1:
-                        prod = prod.sum(axis=-1)
-                    sl = omega.slice_for(self.gdiag)
                     full = np.zeros(self.nprimal)
                     full[S] = -prod
-                    go[sl.offset:sl.offset + sl.size] += full
+                    _acc(go, omega, self.gdiag, full)
         if L.size:
             d = ctx["dL"]
-            mask = (np.abs(xL) > _col(tL, xL)).astype(float)
-            dxL = mask * cup[L]
-            dthr = -np.sign(xL) * mask * cup[L]
-            dthr_v = dthr.sum(axis=-1) if dthr.ndim > 1 else dthr
+            dxL, dthr = _soft_threshold_vjp(xL, _col(tL, xL), cup[L])
+            dthr = _colsum(dthr)
             dc[L] = -dxL / _col(d, u[L])
             # x_i = -c_i / d_i, t_i = w_i / d_i
-            cL_v = (dxL * c[L]).sum(axis=-1) if dxL.ndim > 1 else dxL * c[L]
-            dd = cL_v / d ** 2 - dthr_v * w[L] / d ** 2
+            dd = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
             # d_i = rho_i (+ quad diagonal); thresh: w_i = base * c_group
             if self.gmode == "rho-lin":
                 for name, gmask in self.rho_groups:
-                    sel = gmask[L]
-                    drho[name] = drho.get(name, 0.0) + float(np.sum(dd[sel]))
+                    drho[name] = drho.get(name, 0.0) + float(np.sum(dd[gmask[L]]))
             for name, gmask in self.thresh_groups:
                 sel = gmask[L]
-                base = self.l1_weights[L][sel]
-                _acc_scalar(go, omega, name, float(np.sum((dthr_v[sel] / d[sel]) * base)))
+                _acc(go, omega, name, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
         for name, val in drho.items():
-            _acc_scalar(go, omega, name, val)
+            _acc(go, omega, name, val)
 
         # c = A^T lam - beta A^T b - G u (+ lin)
         clam += self.A @ dc
-        _acc_scalar(go, omega, self.beta, float(-np.sum(dc * (self.A.T @ b))))
+        _acc(go, omega, self.beta, -np.sum(dc * (self.A.T @ b)))
         cu = -(ctx["G"].T @ dc)
         # G depends on omega for slice / rho-lin modes: d(-G u) terms
+        prod = _colsum(dc * u)
         if self.gmode == "rho-lin":
-            prod = dc * u
-            if prod.ndim > 1:
-                prod = prod.sum(axis=-1)
             for name, gmask in self.rho_groups:
-                _acc_scalar(go, omega, name, float(-np.sum(prod[gmask])))
+                _acc(go, omega, name, -np.sum(prod[gmask]))
             # -beta A^T A inside G: d/dbeta (-G u) = +A^T A u
-            _acc_scalar(go, omega, self.beta, float(np.sum(dc * (self._AtA @ u))))
+            _acc(go, omega, self.beta, np.sum(dc * (self._AtA @ u)))
         elif self.gmode == "slice":
-            prod = dc * u
-            if prod.ndim > 1:
-                prod = prod.sum(axis=-1)
-            sl = omega.slice_for(self.gdiag)
-            go[sl.offset:sl.offset + sl.size] += -prod
-        _acc_scalar(go, omega, self.beta, dbeta_extra)
+            _acc(go, omega, self.gdiag, -prod)
+        _acc(go, omega, self.beta, dbeta_extra)
         return np.concatenate([cu, clam], axis=0), go
 
     # metric ----------------------------------------------------------
@@ -711,17 +663,16 @@ class AlmOperator:
         beta = _resolve(omega, self.beta)
         xu, xl = self.split_state(x)
         yu, yl = self.split_state(y)
-        prod_u = (xu * yu).sum(axis=-1) if xu.ndim > 1 else xu * yu
+        prod_u = _colsum(xu * yu)
         lam_ip = float(np.sum(xl * yl))
-        _acc_scalar(go, omega, self.beta, -lam_ip / beta ** 2)
+        _acc(go, omega, self.beta, -lam_ip / beta ** 2)
         if self.gmode == "rho-lin":
             for name, gmask in self.rho_groups:
-                _acc_scalar(go, omega, name, float(np.sum(prod_u[gmask])))
+                _acc(go, omega, name, prod_u[gmask])
             quadform = float(np.sum((self.A @ xu) * (self.A @ yu)))
-            _acc_scalar(go, omega, self.beta, -quadform)
+            _acc(go, omega, self.beta, -quadform)
         elif self.gmode == "slice":
-            sl = omega.slice_for(self.gdiag)
-            go[sl.offset:sl.offset + sl.size] += prod_u
+            _acc(go, omega, self.gdiag, prod_u)
         return go
 
 
@@ -795,72 +746,56 @@ class DladmmOperator:
     def _bcol(self, ref):
         return _match_b(self.bvec, ref)
 
-    def apply(self, state, omega, ctx=None):
-        beta, gamma, rho1, rho2, k1, k2 = self._params(omega)
-        u1, u2, lam = self.split_state(state)
-        b = self._bcol(lam)
-        r = self.Q @ u1 + u2 - b + lam / beta
-        v1 = soft_threshold(u1 - (beta / rho1) * (self.Q.T @ r), k1 / rho1)
-        r2 = self.Q @ v1 + u2 - b + lam / beta
-        v2 = soft_threshold(u2 - (beta / rho2) * r2, k2 / rho2)
-        lamp = lam + gamma * beta * (self.Q @ v1 + v2 - b)
-        return np.concatenate([v1, v2, lamp], axis=0)
-
-    def apply_vjp(self, state, omega, cot, ctx=None):
-        beta, gamma, rho1, rho2, k1, k2 = self._params(omega)
+    def _forward(self, state, omega):
+        """(params, intermediates the VJP reads, output blocks) of the update."""
+        beta, gamma, rho1, rho2, k1, k2 = params = self._params(omega)
         u1, u2, lam = self.split_state(state)
         b = self._bcol(lam)
         e = lam / beta
-        r = self.Q @ u1 + u2 - b + e
-        Qtr = self.Q.T @ r
+        Qtr = self.Q.T @ (self.Q @ u1 + u2 - b + e)
         x1 = u1 - (beta / rho1) * Qtr
-        t1 = k1 / rho1
-        v1 = soft_threshold(x1, t1)
-        r2 = self.Q @ v1 + u2 - b + e
+        v1 = soft_threshold(x1, k1 / rho1)
+        Qv1 = self.Q @ v1
+        r2 = Qv1 + u2 - b + e
         x2 = u2 - (beta / rho2) * r2
-        t2 = k2 / rho2
-        v2 = soft_threshold(x2, t2)
-        feas = self.Q @ v1 + v2 - b
+        v2 = soft_threshold(x2, k2 / rho2)
+        feas = Qv1 + v2 - b
+        return params, (lam, Qtr, x1, r2, x2, feas), (v1, v2, lam + gamma * beta * feas)
 
-        c1, c2, cl = (cot[:self.n], cot[self.n:self.n + self.m], cot[self.n + self.m:])
+    def apply(self, state, omega):
+        return np.concatenate(self._forward(state, omega)[2], axis=0)
+
+    def apply_vjp(self, state, omega, cot):
+        params, (lam, Qtr, x1, r2, x2, feas), _ = self._forward(state, omega)
+        beta, gamma, rho1, rho2, k1, k2 = params
+        c1, c2, cl = self.split_state(cot)
         go = np.zeros(omega.dim)
 
-        dlam = cl.copy()
         dv2 = c2 + gamma * beta * cl
-        dv1 = c1 + gamma * beta * (self.Q.T @ cl)
         ip_feas = float(np.sum(cl * feas))
-        _acc_scalar(go, omega, self.gamma, beta * ip_feas)
-        _acc_scalar(go, omega, self.beta, gamma * ip_feas)
+        _acc(go, omega, self.gamma, beta * ip_feas)
+        _acc(go, omega, self.beta, gamma * ip_feas)
 
-        m2 = (np.abs(x2) > t2).astype(float)
-        dx2 = m2 * dv2
-        s2 = float(np.sum(-np.sign(x2) * m2 * dv2))
-        _acc_scalar(go, omega, self.kappa2, s2 / rho2)
-        _acc_scalar(go, omega, self.rho2, -s2 * k2 / rho2 ** 2)
-        du2 = dx2.copy()
+        dx2, dt2 = _soft_threshold_vjp(x2, k2 / rho2, dv2)
+        s2 = float(np.sum(dt2))
+        _acc(go, omega, self.kappa2, s2 / rho2)
+        _acc(go, omega, self.rho2, -s2 * k2 / rho2 ** 2)
         dr2 = -(beta / rho2) * dx2
-        _acc_scalar(go, omega, self.beta, float(-np.sum(dx2 * r2) / rho2))
-        _acc_scalar(go, omega, self.rho2, float(np.sum(dx2 * r2) * beta / rho2 ** 2))
-        dv1 += self.Q.T @ dr2
-        du2 += dr2
-        de = dr2.copy()
+        _acc(go, omega, self.beta, -np.sum(dx2 * r2) / rho2)
+        _acc(go, omega, self.rho2, np.sum(dx2 * r2) * beta / rho2 ** 2)
+        dv1 = c1 + gamma * beta * (self.Q.T @ cl) + self.Q.T @ dr2
 
-        m1 = (np.abs(x1) > t1).astype(float)
-        dx1 = m1 * dv1
-        s1 = float(np.sum(-np.sign(x1) * m1 * dv1))
-        _acc_scalar(go, omega, self.kappa1, s1 / rho1)
-        _acc_scalar(go, omega, self.rho1, -s1 * k1 / rho1 ** 2)
-        du1 = dx1.copy()
+        dx1, dt1 = _soft_threshold_vjp(x1, k1 / rho1, dv1)
+        s1 = float(np.sum(dt1))
+        _acc(go, omega, self.kappa1, s1 / rho1)
+        _acc(go, omega, self.rho1, -s1 * k1 / rho1 ** 2)
         dr = -(beta / rho1) * (self.Q @ dx1)
-        _acc_scalar(go, omega, self.beta, float(-np.sum(dx1 * Qtr) / rho1))
-        _acc_scalar(go, omega, self.rho1, float(np.sum(dx1 * Qtr) * beta / rho1 ** 2))
+        _acc(go, omega, self.beta, -np.sum(dx1 * Qtr) / rho1)
+        _acc(go, omega, self.rho1, np.sum(dx1 * Qtr) * beta / rho1 ** 2)
 
-        du1 += self.Q.T @ dr
-        du2 += dr
-        de += dr
-        dlam += de / beta
-        _acc_scalar(go, omega, self.beta, float(-np.sum(de * lam) / beta ** 2))
-        return np.concatenate([du1, du2, dlam], axis=0), go
+        de = dr2 + dr
+        _acc(go, omega, self.beta, -np.sum(de * lam) / beta ** 2)
+        return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0), go
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
@@ -881,10 +816,10 @@ class DladmmOperator:
         ipQQ = float(np.sum((self.Q @ x1) * (self.Q @ y1)))
         ip22 = float(np.sum(x2 * y2))
         ipll = float(np.sum(xl * yl))
-        _acc_scalar(go, omega, self.rho1, ip11)
-        _acc_scalar(go, omega, self.rho2, ip22)
-        _acc_scalar(go, omega, self.beta, -ipQQ - ipll / (gamma * beta ** 2))
-        _acc_scalar(go, omega, self.gamma, -ipll / (gamma ** 2 * beta))
+        _acc(go, omega, self.rho1, ip11)
+        _acc(go, omega, self.rho2, ip22)
+        _acc(go, omega, self.beta, -ipQQ - ipll / (gamma * beta ** 2))
+        _acc(go, omega, self.gamma, -ipll / (gamma ** 2 * beta))
         return go
 
 
@@ -976,60 +911,43 @@ class NetOperator:
             f *= _sigma_cache.sigma(W)
         return f
 
-    def apply(self, state, omega, ctx=None):
-        self.validate_omega(omega)
-        g = self._conj_diag(omega)
+    def _forward(self, state, omega):
+        """Conjugation diagonal g, its root, the layers, pre-activations and activations."""
         phi, _ = _NONLINEARITIES[self.nonlinearity]
-        z = state
-        if g is not None:
-            z = _col(np.sqrt(g), z) * z
-        for W, bb in self._layers(omega):
-            z = phi(W @ z + _col(bb, z))
-        if g is not None:
-            z = z / _col(np.sqrt(g), z)
-        return z
-
-    def apply_vjp(self, state, omega, cot, ctx=None):
-        phi, dphi = _NONLINEARITIES[self.nonlinearity]
         g = self._conj_diag(omega)
         r = np.sqrt(g) if g is not None else None
-        z = state
-        if r is not None:
-            z = _col(r, z) * z
-        pre, acts = [], [z]
-        for W, bb in self._layers(omega):
-            a = W @ z + _col(bb, z)
-            pre.append(a)
-            z = phi(a)
+        z = state if r is None else _col(r, state) * state
+        layers, pre, acts = self._layers(omega), [], [z]
+        for W, bb in layers:
+            pre.append(W @ z + _col(bb, z))
+            z = phi(pre[-1])
             acts.append(z)
+        return g, r, layers, pre, acts
+
+    def apply(self, state, omega):
+        self.validate_omega(omega)
+        _, r, _, _, acts = self._forward(state, omega)
+        return acts[-1] if r is None else acts[-1] / _col(r, acts[-1])
+
+    def apply_vjp(self, state, omega, cot):
+        _, dphi = _NONLINEARITIES[self.nonlinearity]
+        g, r, layers, pre, acts = self._forward(state, omega)
         go = np.zeros(omega.dim)
         cz = cot
         if r is not None:
             # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
             cz = cot / _col(r, cot)
-            if isinstance(self.conjugate, str):
-                y = acts[-1]
-                prod = cot * y
-                if prod.ndim > 1:
-                    prod = prod.sum(axis=-1)
-                _acc_vector(go, omega, self.conjugate, -0.5 * prod / (g * r))
-        layers = self._layers(omega)
+            _acc(go, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
         for idx in range(self.nlayers - 1, -1, -1):
-            W, bb = layers[idx]
             da = dphi(pre[idx]) * cz
-            dbias = da.sum(axis=-1) if da.ndim > 1 else da
-            _acc_vector(go, omega, self.bias_names[idx], dbias)
+            _acc(go, omega, self.bias_names[idx], da)
             zin = acts[idx]
-            dW = da @ zin.T if da.ndim > 1 else np.outer(da, zin)
-            _acc_vector(go, omega, self.weight_names[idx], dW)
-            cz = W.T @ da
+            _acc(go, omega, self.weight_names[idx],
+                 da @ zin.T if da.ndim > 1 else np.outer(da, zin))
+            cz = layers[idx][0].T @ da
         if r is not None:
             # x = r * u: cotangent into u, plus d(r)/dg on the slice
-            if isinstance(self.conjugate, str):
-                prod = cz * state
-                if prod.ndim > 1:
-                    prod = prod.sum(axis=-1)
-                _acc_vector(go, omega, self.conjugate, 0.5 * prod / r)
+            _acc(go, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
             cz = _col(r, cz) * cz
         return cz, go
 
@@ -1042,12 +960,18 @@ class NetOperator:
 
     def metric_quad_vjp(self, omega, x, y):
         go = np.zeros(omega.dim)
-        if isinstance(self.conjugate, str):
-            prod = x * y
-            if prod.ndim > 1:
-                prod = prod.sum(axis=-1)
-            _acc_vector(go, omega, self.conjugate, prod)
+        _acc(go, omega, self.conjugate, x * y)
         return go
+
+
+def _rescale_layers(omega, names, budget):
+    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it."""
+    for name in names:
+        W = omega.view(name)
+        sig = spectral_norm_estimate(W if W.ndim == 1 else W.reshape(W.shape[0], -1))
+        if sig > budget:
+            omega = omega.replace_slice(name, W * (budget / sig))
+    return omega
 
 
 def normalize_net(omega, rho_bar):
@@ -1062,15 +986,7 @@ def normalize_net(omega, rho_bar):
     names = [s.name for s in omega.layout if s.role == "layer-matrix"]
     if not names:
         return omega
-    budget = rho_bar ** (1.0 / len(names))
-    out = omega
-    for name in names:
-        W = out.view(name)
-        W2 = W.reshape(W.shape[0], -1) if W.ndim > 1 else W.reshape(1, -1)
-        sig = spectral_norm_estimate(W2)
-        if sig > budget:
-            out = out.replace_slice(name, W * (budget / sig))
-    return out
+    return _rescale_layers(omega, names, rho_bar ** (1.0 / len(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -1128,13 +1044,13 @@ class CompositeOperator:
             f *= m.contraction_factor(omega)
         return f
 
-    def apply(self, state, omega, ctx=None):
+    def apply(self, state, omega):
         z = state
         for m in reversed(self.members):
             z = m.apply(z, omega)
         return z
 
-    def apply_vjp(self, state, omega, cot, ctx=None):
+    def apply_vjp(self, state, omega, cot):
         inter = [state]
         z = state
         for m in reversed(self.members):
@@ -1168,55 +1084,6 @@ def renormalize_for(op, omega):
         nets = [m for m in op.members if isinstance(m, NetOperator)]
     else:
         return omega
-    out = omega
     for net in nets:
-        budget = net.rho_bar ** (1.0 / net.nlayers)
-        for wn in net.weight_names:
-            W = out.view(wn)
-            W2 = W if W.ndim > 1 else W.reshape(1, -1)
-            sig = spectral_norm_estimate(W2)
-            if sig > budget:
-                out = out.replace_slice(wn, W * (budget / sig))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# spec-facing wrappers
-# ---------------------------------------------------------------------------
-
-def metric_of(op, omega):
-    return op.metric(omega)
-
-
-def apply_pg(op, u, omega):
-    if not isinstance(op, PgOperator):
-        raise ContractError("apply_pg expects a PgOperator")
-    op.validate_omega(omega)
-    return op.apply(u, omega)
-
-
-def apply_alm(op, state, omega):
-    if not isinstance(op, AlmOperator):
-        raise ContractError("apply_alm expects an AlmOperator")
-    op.validate_omega(omega)
-    return op.apply(state, omega)
-
-
-def apply_dladmm(op, state, omega):
-    if not isinstance(op, DladmmOperator):
-        raise ContractError("apply_dladmm expects a DladmmOperator")
-    op.validate_omega(omega)
-    return op.apply(state, omega)
-
-
-def apply_net(op, u, omega):
-    if not isinstance(op, NetOperator):
-        raise ContractError("apply_net expects a NetOperator")
-    return op.apply(u, omega)
-
-
-def apply_composite(op, state, omega):
-    if not isinstance(op, CompositeOperator):
-        raise ContractError("apply_composite expects a CompositeOperator")
-    op.validate_omega(omega)
-    return op.apply(state, omega)
+        omega = _rescale_layers(omega, net.weight_names, net.rho_bar ** (1.0 / net.nlayers))
+    return omega

@@ -8,7 +8,6 @@ a self-describing binary container for instances.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -503,32 +502,43 @@ def save_instance(inst, path):
 
 
 def load_instance(path):
+    """Read an instance container; any malformed or truncated part is a FormatError."""
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != MAGIC:
             raise FormatError(f"bad instance magic {magic!r}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise FormatError("instance header cut off before the manifest length")
+        (blob_len,) = struct.unpack("<I", head)
         try:
             manifest = json.loads(fh.read(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise FormatError(f"corrupt instance manifest: {err}") from err
-        task = manifest.get("task")
+        task = manifest.get("task") if isinstance(manifest, dict) else None
         if task not in _INSTANCE_TYPES:
             raise FormatError(f"unknown task {task!r} in instance manifest")
+        specs = manifest.get("arrays")
+        try:
+            shapes = {spec["name"]: tuple(int(d) for d in spec["shape"]) for spec in specs}
+            scalars = {k: float(manifest["scalars"][k]) for k in _INSTANCE_SCALARS[task]}
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"malformed instance manifest: {err!r}") from err
+        if (sorted(shapes) != sorted(_INSTANCE_FIELDS[task]) or len(shapes) != len(specs)
+                or any(d < 0 for shape in shapes.values() for d in shape)):
+            raise FormatError(f"instance manifest must list each of {_INSTANCE_FIELDS[task]} "
+                              "once, with nonnegative dimensions")
         fields = {}
-        for spec in manifest["arrays"]:
-            shape = tuple(spec["shape"])
+        for name, shape in shapes.items():
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise FormatError("truncated instance payload")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            fields[spec["name"]] = arr
+            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise FormatError("trailing bytes after the instance payload")
     if task == "sparse_coding":
         fields["noise_mask"] = fields["noise_mask"].astype(bool)
         fields["noise_mask_test"] = fields["noise_mask_test"].astype(bool)
-    kwargs = dict(fields)
-    kwargs.update(manifest.get("scalars", {}))
-    kwargs["seed"] = manifest.get("seed", 0)
-    kwargs["params"] = manifest.get("params", {})
-    return _INSTANCE_TYPES[task](**kwargs)
+    return _INSTANCE_TYPES[task](**fields, **scalars, seed=manifest.get("seed", 0),
+                                 params=manifest.get("params", {}))

@@ -7,6 +7,12 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def checked_apply(op, state, omega):
+    """D(state, omega) after the operator's own admissibility check."""
+    op.validate_omega(omega)
+    return op.apply(state, omega)
+
+
 def fd_vjp_check(op, state, omega, rng, h=1e-6, rtol=1e-5, ndirs=4):
     """Compare an operator's analytic VJP against central differences.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gkmbmo
 from gkmbmo.bmo import (BmoConfig, Trajectory, envelope_shape, evaluate_phiK,
                         residual_envelope_check, stationarity_probe, train)
 from gkmbmo.errors import ContractError
@@ -100,6 +101,12 @@ class TestTrain:
         b0 = (tmp_path / "traj0.csv").read_bytes()
         b1 = (tmp_path / "traj1.csv").read_bytes()
         assert b0 == b1
+
+    @pytest.mark.parametrize("field", ["alpha", "mu", "s", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scalar_rejected_by_name(self, field, value):
+        with pytest.raises(ContractError, match=f"^{field} must be finite"):
+            BmoConfig(**{field: value}).validate()
 
     def test_adam_option_runs(self, rng):
         op, om, loss, bounds = small_dladmm(rng)
@@ -273,3 +280,9 @@ class TestTrajectoryExport:
         report.to_text(path)
         text = path.read_text()
         assert "final_phi" in text and "omega =" in text
+
+
+def test_every_export_resolves():
+    missing = [name for name in gkmbmo.__all__ if not hasattr(gkmbmo, name)]
+    assert not missing
+    assert len(set(gkmbmo.__all__)) == len(gkmbmo.__all__)

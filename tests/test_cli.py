@@ -1,9 +1,11 @@
-import numpy as np
+import json
+import struct
+
 import pytest
 
 from gkmbmo import cli
 from gkmbmo.errors import DivergenceError, FormatError
-from gkmbmo.tasks import load_instance
+from gkmbmo.tasks import MAGIC, gen_sparse_coding, load_instance, save_instance
 
 
 def run(args):
@@ -105,6 +107,12 @@ class TestTrain:
         assert run(["train", tmp_path / "instance.bin", "--task", "sparse_coding",
                     "--out", tmp_path]) == cli.EXIT_FORMAT
 
+    def test_non_finite_learning_rate_exit_format(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "task = toy\nbmo.s = 0.2\nbmo.gamma_lr = nan\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path]) == cli.EXIT_FORMAT
+        assert "gamma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise DivergenceError("synthetic blowup", outer_step=3)
@@ -122,6 +130,49 @@ def trained(tmp_path_factory):
     assert run(["train", root / "instance.bin", "--config", cfg,
                 "--out", root]) == 0
     return root, cfg
+
+
+def _container(manifest):
+    blob = json.dumps(manifest).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(blob)) + blob
+
+
+def _valid_container(tmp_path):
+    path = tmp_path / "valid.bin"
+    save_instance(gen_sparse_coding(m=4, n=8, batch=2, seed=1), path)
+    load_instance(path)
+    return path.read_bytes()
+
+
+_SCALARS = {"kappa1": 1.0, "kappa2": 1.0}
+MALFORMED = {
+    "header_cut_before_manifest_length": lambda tmp: MAGIC + b"\x07\x00",
+    "manifest_without_arrays": lambda tmp: _container(
+        {"task": "sparse_coding", "scalars": _SCALARS}),
+    "array_entry_without_shape": lambda tmp: _container(
+        {"task": "sparse_coding", "scalars": _SCALARS, "arrays": [{"name": "Q"}]}),
+    "negative_dimension": lambda tmp: _container(
+        {"task": "sparse_coding", "scalars": _SCALARS,
+         "arrays": [{"name": name, "shape": [-1, -1] if name == "Q" else [1]}
+                    for name in ("Q", "b", "codes", "noise_mask", "b_test", "codes_test",
+                                 "noise_mask_test")]}) + b"\x00" * 64,
+    "trailing_bytes_after_payload": lambda tmp: _valid_container(tmp) + b"\x00",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + ["eval_without_instance"])
+def test_malformed_input_exits_format_with_one_line(case, tmp_path, capsys):
+    if case == "eval_without_instance":
+        report = tmp_path / "report.txt"
+        report.write_text("omega = 0.1\n")
+        args = ["eval", "--task", "sparse_coding", "--report", report, "--out", tmp_path]
+    else:
+        bad = tmp_path / "instance.bin"
+        bad.write_bytes(MALFORMED[case](tmp_path))
+        args = ["train", bad, "--task", "sparse_coding", "--out", tmp_path]
+    assert run(args) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestEvalDiagnose:
@@ -208,5 +259,5 @@ class TestDeterminism:
             cfg = write_config(d, "task = sparse_coding\ngen.batch = 8\n"
                                   "bmo.T = 3\nbmo.K = 5\n")
             run(["train", d / "instance.bin", "--config", cfg, "--out", d])
-        assert ((tmp_path / "x" / "trajectory.csv").read_bytes()
-                == (tmp_path / "y" / "trajectory.csv").read_bytes())
+        for name in ("trajectory.csv", "report.txt"):
+            assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()

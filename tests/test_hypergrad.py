@@ -4,11 +4,9 @@ import pytest
 from gkmbmo.bmo import BmoConfig
 from gkmbmo.errors import ContractError, DivergenceError
 from gkmbmo.hypergrad import (LossDescriptor, estimate_L_ell, fd_hypergradient,
-                              hypergradient, inner_loop, km_iterate,
-                              loss_value_and_grad)
+                              hypergradient, inner_loop, km_iterate)
 from gkmbmo.metric import DomainDescriptor, MetricMatrix, h_norm, min_eigen_estimate
-from gkmbmo.operators import (DladmmOperator, NetOperator, PgOperator,
-                              make_hyperparams, normalize_net)
+from gkmbmo.operators import DladmmOperator, NetOperator, PgOperator, make_hyperparams
 
 
 def identity_net(dim):
@@ -70,14 +68,6 @@ class TestLoss:
 
     def test_L_ell_scale(self):
         assert estimate_L_ell(LossDescriptor("squared_error", 3, scale=2.5)) == 2.5
-
-    def test_value_and_grad_surface(self, rng):
-        loss = LossDescriptor("squared_error", 2)
-        om = make_hyperparams([("a", 1.0, "threshold")])
-        val, gu, gom = loss_value_and_grad(loss, np.array([3.0, 4.0]), om)
-        assert val == pytest.approx(12.5)
-        np.testing.assert_allclose(gu, [3.0, 4.0])
-        np.testing.assert_array_equal(gom, np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +173,15 @@ class TestInnerLoop:
         lam = min_eigen_estimate(H)
         D = 2.0 * np.sqrt(dim)  # box diameter in the identity metric
         M = np.linalg.norm(np.maximum(np.abs(lo - target), np.abs(hi - target)))
+        # the tape keeps u^{k-1} and H^{-1} grad l(u^{k-1}) of each step k;
+        # u^k is the next step's u_prev and v_u^k = u^{k-1} - s_k H^{-1} grad l
         steps = tape.steps
+        u_next = [st.u_prev for st in steps[1:]] + [tape.uK]
+        v_u = [st.u_prev - st.s_k * st.hinv_grad for st in steps]
         for k in range(2, cfg.K - 1):
-            lhs = h_norm(H, steps[k].u_next - steps[k - 1].u_next) ** 2
-            rhs = (h_norm(H, steps[k - 1].u_next - steps[k - 1].u_prev) ** 2
-                   + cfg.mu / (k + 1) ** 2 * h_norm(H, steps[k - 1].u_prev - steps[k - 1].v_u) ** 2
+            lhs = h_norm(H, u_next[k] - u_next[k - 1]) ** 2
+            rhs = (h_norm(H, u_next[k - 1] - steps[k - 1].u_prev) ** 2
+                   + cfg.mu / (k + 1) ** 2 * h_norm(H, steps[k - 1].u_prev - v_u[k - 1]) ** 2
                    + 2 * cfg.mu * cfg.s * D * M / (lam * k * (k + 1)))
             assert lhs <= rhs + 1e-12
 

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fd_vjp_check, lipschitz_ratio
+from conftest import checked_apply, fd_vjp_check, lipschitz_ratio
 from gkmbmo.errors import CapabilityError, ContractError
 from gkmbmo.metric import MetricMatrix, h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
                               GkmConfig, HyperParams, NetOperator, ParamSlice,
-                              PgOperator, apply_alm, apply_composite, apply_dladmm,
-                              apply_net, apply_pg, apply_T, make_hyperparams,
-                              metric_of, normalize_net, renormalize_for)
+                              PgOperator, apply_T, make_hyperparams, normalize_net,
+                              renormalize_for)
 
 
 def empty_omega():
@@ -61,29 +60,29 @@ class TestPg:
     def test_identity_prox(self, rng):
         op = PgOperator(dim=3)
         u = rng.standard_normal(3)
-        np.testing.assert_allclose(apply_pg(op, u, empty_omega()), u)
+        np.testing.assert_allclose(checked_apply(op, u, empty_omega()), u)
 
     def test_gradient_step_closed_form(self):
         op = PgOperator(dim=2, quad=np.eye(2), gamma=0.5)
-        out = apply_pg(op, np.array([1.0, 1.0]), empty_omega())
+        out = checked_apply(op, np.array([1.0, 1.0]), empty_omega())
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_soft_threshold_closed_form(self):
         op = PgOperator(dim=2, l1_weights=np.ones(2), gamma=1.0)
-        out = apply_pg(op, np.array([2.0, -0.5]), empty_omega())
+        out = checked_apply(op, np.array([2.0, -0.5]), empty_omega())
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_metric_is_diagonal_g(self):
         om = make_hyperparams([("g", np.array([1.0, 2.0]), "metric-diagonal")])
         op = PgOperator(dim=2, gdiag="g")
-        H = metric_of(op, om)
+        H = op.metric(om)
         assert H.kind == "diagonal"
         np.testing.assert_allclose(H.entries, [1.0, 2.0])
 
     def test_step_bound_contract(self):
         op = PgOperator(dim=2, quad=np.eye(2), gamma=2.5)
         with pytest.raises(ContractError):
-            apply_pg(op, np.zeros(2), empty_omega())
+            checked_apply(op, np.zeros(2), empty_omega())
 
     def test_nonexpansive_in_own_metric(self, rng):
         g = rng.uniform(1.0, 2.0, 4)
@@ -141,13 +140,13 @@ class TestAlm:
                          beta=1.0)
         # A = 0, b = 0, f = 0: the G-prox returns u, the dual update adds zero
         state = rng.standard_normal(4)
-        np.testing.assert_allclose(apply_alm(op, state, empty_omega()), state, atol=1e-12)
+        np.testing.assert_allclose(checked_apply(op, state, empty_omega()), state, atol=1e-12)
 
     def test_one_variable_calculus(self):
         # argmin u^2/2 + lam u + (u-b...)^2 terms: with u_k=1, lam=0:
         # argmin u^2/2 + u^2/2 + (u-1)^2/2 -> u+ = 1/3, lam+ = 1/3
         op = one_dim_alm()
-        out = apply_alm(op, np.array([1.0, 0.0]), empty_omega())
+        out = checked_apply(op, np.array([1.0, 0.0]), empty_omega())
         np.testing.assert_allclose(out, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
     def test_kkt_fixed_point(self, rng):
@@ -162,13 +161,13 @@ class TestAlm:
         lin = -(P @ ustar + A.T @ lam)
         op = AlmOperator(nprimal=n, ndual=2, A=A, bvec=b, quad=P, lin=lin, beta=0.7)
         state = np.concatenate([ustar, lam])
-        out = apply_alm(op, state, empty_omega())
+        out = checked_apply(op, state, empty_omega())
         assert np.linalg.norm(out - state) < 1e-10
 
     def test_metric_blocks(self):
         om = make_hyperparams([("beta", 2.0, "penalty")])
         op = AlmOperator(nprimal=2, ndual=2, A=np.eye(2), bvec=np.zeros(2), beta="beta")
-        H = metric_of(op, om)
+        H = op.metric(om)
         assert H.kind == "block"
         g, dual = H.entries
         assert g.kind == "identity" and g.scale == 1.0
@@ -273,7 +272,7 @@ class TestDladmm:
         op = dladmm_op(np.array([[1.0]]), np.zeros(1))
         om = dladmm_omega(beta=0.1, gamma=1.0, rho_mult1=1.0, rho_mult2=1.0,
                           k1=0.0, k2=0.0)
-        out = apply_dladmm(op, np.array([1.0, 1.0, 0.0]), om)
+        out = checked_apply(op, np.array([1.0, 1.0, 0.0]), om)
         np.testing.assert_allclose(out, [-1.0, 1.0, 0.0], atol=1e-14)
 
     def test_fixed_point_invariance(self, rng):
@@ -296,13 +295,13 @@ class TestDladmm:
         op = dladmm_op(np.array([[1.0]]), np.zeros(1))
         om = dladmm_omega(rho_mult1=0.9)
         with pytest.raises(ContractError):
-            apply_dladmm(op, np.zeros(3), om)
+            checked_apply(op, np.zeros(3), om)
 
     def test_gamma_above_one_rejected(self):
         op = dladmm_op(np.array([[1.0]]), np.zeros(1))
         om = dladmm_omega(gamma=1.2)
         with pytest.raises(ContractError):
-            apply_dladmm(op, np.zeros(3), om)
+            checked_apply(op, np.zeros(3), om)
 
     def test_nonexpansive_in_own_metric(self, rng):
         m, n = 5, 9
@@ -400,13 +399,13 @@ class TestNet:
         om = net_omega([np.eye(3)], [np.zeros(3)])
         op = net_op(3, [3, 3])
         u = rng.standard_normal(3)
-        np.testing.assert_allclose(apply_net(op, u, om), u)
+        np.testing.assert_allclose(checked_apply(op, u, om), u)
 
     def test_half_identity(self, rng):
         om = net_omega([0.5 * np.eye(3)], [np.zeros(3)])
         op = net_op(3, [3, 3])
         u = rng.standard_normal(3)
-        np.testing.assert_allclose(apply_net(op, u, om), 0.5 * u)
+        np.testing.assert_allclose(checked_apply(op, u, om), 0.5 * u)
 
     def test_lipschitz_after_normalization(self, rng):
         W = rng.standard_normal((4, 4)) * 2.0
@@ -425,7 +424,7 @@ class TestNet:
 
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
-        assert metric_of(op, net_omega([np.eye(2)], [np.zeros(2)])).kind == "identity"
+        assert op.metric(net_omega([np.eye(2)], [np.zeros(2)])).kind == "identity"
 
     def test_vjp_matches_fd(self, rng):
         Ws = []
@@ -464,7 +463,7 @@ class TestNet:
         Ws = [W * (0.8 / spectral_norm_estimate(W))]
         om = net_omega(Ws, [rng.standard_normal(3)])
         op = net_op(3, [3, 3], nonlinearity="tanh", conjugate=H)
-        assert metric_of(op, om) is H
+        assert op.metric(om) is H
         fd_vjp_check(op, rng.standard_normal(3), om, rng)
         ratio = lipschitz_ratio(op, om, H, 300, rng)
         assert ratio <= 1.0 + 1e-9
@@ -520,7 +519,7 @@ class TestComposite:
         net = net_op(2, [2, 2])
         comp = CompositeOperator(members=(pg, net))
         u = rng.standard_normal(2)
-        np.testing.assert_allclose(apply_composite(comp, u, om), u)
+        np.testing.assert_allclose(checked_apply(comp, u, om), u)
 
     def test_scaling_composition(self, rng):
         om = make_hyperparams([("W0", 0.5 * np.eye(2), "layer-matrix"),
@@ -542,7 +541,7 @@ class TestComposite:
         pg = PgOperator(dim=2, gdiag="g")
         net = net_op(2, [2, 2], conjugate=MetricMatrix.diagonal([2.0, 3.0]))
         comp = CompositeOperator(members=(pg, net))
-        H = metric_of(comp, om)
+        H = comp.metric(om)
         assert H.kind == "diagonal"
         np.testing.assert_allclose(H.entries, [2.0, 3.0])
 
@@ -554,7 +553,7 @@ class TestComposite:
         net = net_op(2, [2, 2])
         comp = CompositeOperator(members=(pg, net))
         with pytest.raises(ContractError):
-            apply_composite(comp, rng.standard_normal(2), om)
+            checked_apply(comp, rng.standard_normal(2), om)
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lipschitz_ratio
+from conftest import checked_apply, lipschitz_ratio
 from gkmbmo.errors import ContractError, FormatError
 from gkmbmo.hypergrad import LossDescriptor, inner_loop
 from gkmbmo.bmo import BmoConfig
 from gkmbmo.metric import h_norm, min_eigen_estimate, spectral_norm_estimate
-from gkmbmo.operators import apply_pg, make_hyperparams
 from gkmbmo.tasks import (build_deconv_operator, build_separation_operator,
                           build_sparse_coding_operator, circulant,
                           circulant_sigma_max, forward_diff, gen_deconv,
@@ -119,7 +118,7 @@ class TestDeconv:
         pg = bundle.op.members[0]
         z = rng.standard_normal(16)
         out = bundle.op.apply(z, bundle.omega0)
-        ref = apply_pg(pg, z, bundle.omega0)
+        ref = checked_apply(pg, z, bundle.omega0)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_zero_kernel_pure_shrinkage(self, rng):
@@ -133,7 +132,7 @@ class TestDeconv:
         g = om.view("gdiag")
         kap = om.scalar("kappa")
         expected = np.sign(z) * np.maximum(np.abs(z) - kap / g, 0.0)
-        np.testing.assert_allclose(apply_pg(pg, z, om), expected, atol=1e-12)
+        np.testing.assert_allclose(checked_apply(pg, z, om), expected, atol=1e-12)
 
     def test_composite_nonexpansive_at_defaults(self, rng):
         inst = gen_deconv(n=16, seed=4)
