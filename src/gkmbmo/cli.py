@@ -8,8 +8,9 @@ normalization ablation), ``fdcheck`` (finite-difference validation of
 the reverse sweep).
 
 Configs are flat UTF-8 ``section.key = value`` files; every field has a
-default except ``task``.  Exit codes: 0 success, 2 divergence, 3 format
-error, 4 missing artifact.
+default except ``task``.  Exit codes: 0 success, 2 divergence or a
+spectral estimate that did not converge, 3 format error or unsupported
+configuration, 4 missing artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .bmo import (TRAJECTORY_HEADER, BmoConfig, residual_envelope_check, train)
-from .errors import ContractError, DivergenceError, FormatError
+from .errors import (CapabilityError, ContractError, DivergenceError, FormatError,
+                     NumericsError)
 from .hypergrad import (LossDescriptor, fd_hypergradient, hypergradient,
                         inner_loop, km_iterate)
 from .metric import min_eigen_estimate, spectral_norm_estimate
@@ -453,10 +455,10 @@ def main(argv=None):
         if args.verb == "diagnose":
             return cmd_diagnose(cfg, out, args.instance, args.report)
         return cmd_fdcheck(cfg, out)
-    except DivergenceError as err:
+    except (DivergenceError, NumericsError) as err:
         print(f"error: diverged ({err})", file=sys.stderr)
         return EXIT_DIVERGED
-    except (FormatError, ContractError) as err:
+    except (FormatError, ContractError, CapabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
     except FileNotFoundError as err:

@@ -10,7 +10,7 @@ class ContractError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """An iterative estimate failed to converge within its iteration cap."""
+    """The power iteration of spectral_norm_estimate failed to converge within its cap."""
 
 
 class DivergenceError(RuntimeError):

@@ -263,7 +263,9 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     cfg supplies alpha, mu, s, K, and the domain U.  ``h_lb`` is the
     metric lower bound used for recorded residuals (defaults to the
     current H(omega)).  Raises ContractError when mu or s violate their
-    admissible ranges and DivergenceError on non-finite iterates.
+    admissible ranges, DivergenceError on non-finite iterates, and
+    CapabilityError, before the first step, when a tape is asked for on a
+    domain whose projection the reverse sweep cannot differentiate.
     """
     if not (0.0 < cfg.mu < 1.0):
         raise ContractError("aggregation weight mu must lie strictly inside (0, 1)")
@@ -271,6 +273,9 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
         raise ContractError("averaging weight alpha must lie in (0, 1)")
     if cfg.K < 0:
         raise ContractError("inner iteration count K must be nonnegative")
+    domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
+    if build_tape:
+        projection_jacobian_diag(domain, np.zeros(op.dim))  # refuses what the sweep cannot differentiate
     op.validate_omega(omega)
     H = op.metric(omega)
     hlb = h_lb if h_lb is not None else (cfg.h_lb if cfg.h_lb is not None else H)
@@ -278,7 +283,6 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     if not (0.0 < cfg.s < bound):
         raise ContractError(
             f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
-    domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
     keep_pre = domain.kind != "full"
 
     u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)

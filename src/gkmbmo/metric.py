@@ -4,7 +4,11 @@ Every operator in this package certifies its Lipschitz properties with
 respect to an inner product ``<u, H v>`` induced by a positive-definite
 matrix H.  This module holds the matrix representation, the induced
 inner product / norm, projections onto simple sets, and the spectral
-estimates used by step-size bounds.
+quantities used by step-size bounds.  A dense block computes its
+spectrum once, when it is built, which proves it positive definite and
+gives its exact smallest eigenvalue; it computes its inverse once, at its
+first solve, so a block that is only applied (a lower bound h_lb) never
+holds one.
 
 Vectors may be passed as shape ``(dim,)`` or batched as ``(dim, B)``;
 batched norms reduce over all entries (the metric of the stacked state
@@ -14,7 +18,7 @@ is block diagonal with identical blocks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,13 +43,17 @@ class MetricMatrix:
         "identity"  -- entries is None, optionally scaled (scale field)
         "diagonal"  -- entries is the (dim,) diagonal
         "block"     -- entries is a tuple of MetricMatrix blocks
-        "dense"     -- entries is a symmetric (dim, dim) array
+        "dense"     -- entries is a symmetric (dim, dim) array; its smallest
+                       eigenvalue is cached at construction, its inverse
+                       at the first solve
     """
 
     kind: str
     dim: int
     entries: object = None
     scale: float = 1.0
+    _lam_min: float = field(default=math.nan, init=False, repr=False, compare=False)
+    _inv: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -75,9 +83,13 @@ class MetricMatrix:
             if sym_err > SYMMETRY_TOL * 100:
                 raise ContractError(f"dense metric not symmetric (relative error {sym_err:.2e})")
             a = 0.5 * (a + a.T)
+            w = np.linalg.eigvalsh(a)
             object.__setattr__(self, "entries", a)
-            if min_eigen_estimate(self) <= 0:
-                raise ContractError("dense metric is not positive definite")
+            object.__setattr__(self, "_lam_min", float(w[0]))
+            lam = min_eigen_estimate(self)
+            # below this floor the block is numerically singular
+            if lam <= self.dim * np.finfo(float).eps * np.max(np.abs(w)):
+                raise ContractError(f"dense metric is not positive definite (lambda_min={lam:.3e})")
         else:
             raise ContractError(f"unknown metric kind {self.kind!r}")
 
@@ -128,7 +140,9 @@ class MetricMatrix:
         if self.kind == "diagonal":
             return (u.T / self.entries).T if u.ndim > 1 else u / self.entries
         if self.kind == "dense":
-            return np.linalg.solve(self.entries, u)
+            if self._inv is None:
+                object.__setattr__(self, "_inv", np.linalg.inv(self.entries))
+            return self._inv @ u
         out = np.empty_like(u, dtype=float)
         off = 0
         for b in self.entries:
@@ -259,45 +273,19 @@ def projection_jacobian_diag(U, u):
     raise CapabilityError("projection derivative supported for full space and box only")
 
 
-def min_eigen_estimate(H, tol=1e-8, max_iter=_POWER_CAP):
-    """Smallest eigenvalue of H.
+def min_eigen_estimate(H):
+    """Smallest eigenvalue of H, exact.
 
-    Exact read-off for identity/diagonal/blocks thereof; inverse power
-    iteration for dense blocks.  Raises NumericsError if the iteration
-    cap is hit without reaching the relative tolerance.
+    Identity, diagonal and block metrics are read off their entries; a
+    dense block reads the spectrum it computed when it was built.
     """
     if H.kind == "identity":
         return float(H.scale)
     if H.kind == "diagonal":
         return float(np.min(H.entries))
     if H.kind == "block":
-        return min(min_eigen_estimate(b, tol=tol, max_iter=max_iter) for b in H.entries)
-    a = H.entries
-    if a.shape == (1, 1):
-        return float(a[0, 0])
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # not PD: report the smallest eigenvalue via a dense solve fallback
-        return float(np.min(np.linalg.eigvalsh(a)))
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(H.dim)
-    v /= np.linalg.norm(v)
-    lam_prev = None
-    for _ in range(max_iter):
-        w = _chol_solve(chol, v)
-        nw = np.linalg.norm(w)
-        v = w / nw
-        lam = float(v @ (a @ v))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-    raise NumericsError(f"inverse power iteration did not converge in {max_iter} iterations")
-
-
-def _chol_solve(chol, b):
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, y)
+        return min(min_eigen_estimate(b) for b in H.entries)
+    return H._lam_min
 
 
 def spectral_norm_estimate(A, tol=1e-6, max_iter=_POWER_CAP, seed=_POWER_SEED):

@@ -484,21 +484,30 @@ class AlmOperator:
             d[mask] += omega.scalar(name)
         return d
 
-    def _G_matrix(self, omega, beta):
+    def _g_diag(self, omega):
+        """Diagonal part of G; rho-lin subtracts beta A^T A from it."""
         if self.gmode == "rho-lin":
-            return np.diag(self._rho_diag(omega)) - beta * self._AtA
+            return self._rho_diag(omega)
         if self.gmode == "slice":
-            return np.diag(omega.view(self.gdiag).reshape(-1).astype(float))
-        if self.gdiag is None:
-            return np.eye(self.nprimal)
-        return np.diag(self.gdiag)
+            return omega.view(self.gdiag).reshape(-1).astype(float)
+        return np.ones(self.nprimal) if self.gdiag is None else self.gdiag
 
-    def _total_quad(self, omega, beta):
+    def _g_block(self, gd, beta):
+        """G as a metric block from its diagonal part, refused unless positive definite."""
+        try:
+            if self.gmode == "rho-lin":
+                return MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
+            if self.gdiag is None:
+                return MetricMatrix.identity(self.nprimal)
+            return MetricMatrix.diagonal(gd)
+        except ContractError as err:
+            raise ContractError(f"prox metric G(omega): {err}") from None
+
+    def _total_quad(self, gd, beta):
         """K = quad + beta A^T A + G; rho-lin cancels the penalty Hessian."""
-        if self.gmode == "rho-lin":
-            K = np.diag(self._rho_diag(omega))
-        else:
-            K = beta * self._AtA + self._G_matrix(omega, beta)
+        K = np.diag(gd)
+        if self.gmode != "rho-lin":
+            K = K + beta * self._AtA
         if self.quad is not None:
             K = K + self.quad
         return K
@@ -508,7 +517,8 @@ class AlmOperator:
         if key in self._cache:
             return self._cache[key]
         beta = _resolve(omega, self.beta)
-        K = self._total_quad(omega, beta)
+        gd = self._g_diag(omega)
+        K = self._total_quad(gd, beta)
         w = self._weights(omega)
         S, L = self._smooth, self._l1
         if L.size:
@@ -518,13 +528,15 @@ class AlmOperator:
                 raise CapabilityError(
                     "l1 coordinates do not decouple in the total quadratic; "
                     "no closed-form primal step for this configuration")
+        # G is proven positive definite before Kss, which contains it, is inverted
+        G = self._g_block(gd, beta)
         ctx = {
             "beta": beta,
-            "K": K,
             "w": w,
-            "Kss": K[np.ix_(S, S)],
+            "H": MetricMatrix.block_diagonal([G, MetricMatrix.identity(self.ndual, scale=1.0 / beta)]),
+            "Kss_inv": np.linalg.inv(K[np.ix_(S, S)]),
             "dL": np.diag(K)[L],
-            "G": self._G_matrix(omega, beta),
+            "gd": gd,
         }
         if len(self._cache) > 8:
             self._cache.clear()
@@ -535,14 +547,7 @@ class AlmOperator:
         beta = _resolve(omega, self.beta)
         if beta <= 0:
             raise ContractError("penalty beta must be positive")
-        ctx = self.prepare(omega)
-        if "g_min_eig" not in ctx:
-            G = ctx["G"]
-            ctx["g_min_eig"] = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-        if ctx["g_min_eig"] <= 0:
-            raise ContractError(
-                f"prox metric G(omega) not positive definite (lambda_min={ctx['g_min_eig']:.3e})")
-        w = ctx["w"]
+        w = self.prepare(omega)["w"]
         if w is not None and np.any(w < 0):
             raise ContractError("l1 weights must be nonnegative")
 
@@ -562,14 +567,18 @@ class AlmOperator:
         beta, w = ctx["beta"], ctx["w"]
         u, lam = self.split_state(state)
         b = self._bcol(lam)
-        Gu = ctx["G"] @ u
-        c = self.A.T @ lam - beta * (self.A.T @ b) - Gu
+        r = lam - beta * b
+        if self.gmode == "rho-lin":
+            r = r + beta * (self.A @ u)
+        # c = A^T lam - beta A^T b - G u, with G u = gd u (- beta A^T A u): the
+        # A^T product is shared, which a dense G @ u would not do
+        c = self.A.T @ r - _col(ctx["gd"], u) * u
         if self.lin is not None:
             c = c + _col(self.lin, u)
         S, L = self._smooth, self._l1
         up = np.empty_like(u)
         if S.size:
-            up[S] = np.linalg.solve(ctx["Kss"], -c[S])
+            up[S] = ctx["Kss_inv"] @ -c[S]
         xL = tL = None
         if L.size:
             d = ctx["dL"]
@@ -597,7 +606,7 @@ class AlmOperator:
         dbeta_extra = 0.0
         drho = {}
         if S.size:
-            ws = np.linalg.solve(ctx["Kss"], cup[S])
+            ws = ctx["Kss_inv"] @ cup[S]
             dc[S] = -ws
             # dK_ss contributions: K = quad + diag(rho)  (rho-lin)  or
             #                      quad + beta A^T A + G (other modes)
@@ -631,16 +640,18 @@ class AlmOperator:
             _acc(go, omega, name, val)
 
         # c = A^T lam - beta A^T b - G u (+ lin)
-        clam += self.A @ dc
-        _acc(go, omega, self.beta, -np.sum(dc * (self.A.T @ b)))
-        cu = -(ctx["G"].T @ dc)
+        Adc = self.A @ dc
+        clam += Adc
+        _acc(go, omega, self.beta, -np.sum(Adc * b))
+        cu = -_col(ctx["gd"], dc) * dc
         # G depends on omega for slice / rho-lin modes: d(-G u) terms
         prod = _colsum(dc * u)
         if self.gmode == "rho-lin":
+            cu += beta * (self.A.T @ Adc)
             for name, gmask in self.rho_groups:
                 _acc(go, omega, name, -np.sum(prod[gmask]))
             # -beta A^T A inside G: d/dbeta (-G u) = +A^T A u
-            _acc(go, omega, self.beta, np.sum(dc * (self._AtA @ u)))
+            _acc(go, omega, self.beta, np.sum(Adc * (self.A @ u)))
         elif self.gmode == "slice":
             _acc(go, omega, self.gdiag, -prod)
         _acc(go, omega, self.beta, dbeta_extra)
@@ -648,15 +659,8 @@ class AlmOperator:
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
-        beta = _resolve(omega, self.beta)
-        if self.gmode == "slice":
-            gblock = MetricMatrix.diagonal(omega.view(self.gdiag).reshape(-1))
-        elif self.gmode == "fixed":
-            gblock = (MetricMatrix.identity(self.nprimal) if self.gdiag is None
-                      else MetricMatrix.diagonal(self.gdiag))
-        else:
-            gblock = MetricMatrix.dense(self._G_matrix(omega, beta))
-        return MetricMatrix.block_diagonal([gblock, MetricMatrix.identity(self.ndual, scale=1.0 / beta)])
+        """blockdiag(G(omega), I / beta), built once per omega in its context."""
+        return self.prepare(omega)["H"]
 
     def metric_quad_vjp(self, omega, x, y):
         go = np.zeros(omega.dim)

@@ -1,10 +1,12 @@
+import functools
 import json
 import struct
 
 import pytest
 
-from gkmbmo import cli
-from gkmbmo.errors import DivergenceError, FormatError
+from gkmbmo import cli, tasks
+from gkmbmo.errors import CapabilityError, DivergenceError, FormatError
+from gkmbmo.metric import spectral_norm_estimate
 from gkmbmo.tasks import MAGIC, gen_sparse_coding, load_instance, save_instance
 
 
@@ -120,6 +122,28 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", boom)
         cfg = write_config(tmp_path, "task = toy\nbmo.s = 0.2\n")
         assert run(["train", "--config", cfg, "--out", tmp_path]) == cli.EXIT_DIVERGED
+
+    def test_capability_error_exit_format_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise CapabilityError("no closed-form primal step for this configuration")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        cfg = write_config(tmp_path, "task = toy\nbmo.s = 0.2\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path]) == cli.EXIT_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "closed-form" in err[0]
+
+    def test_numerics_error_exit_diverged_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # a one-iteration cap makes the real power iteration give up
+        monkeypatch.setattr(tasks, "spectral_norm_estimate",
+                            functools.partial(spectral_norm_estimate, max_iter=1))
+        cfg = write_config(tmp_path, "task = sparse_coding\ngen.batch = 4\n"
+                                     "gen.m = 8\ngen.n = 16\n")
+        assert run(["gen", "--config", cfg, "--out", tmp_path]) == 0
+        assert run(["train", tmp_path / "instance.bin", "--config", cfg,
+                    "--out", tmp_path]) == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "power iteration" in err[0]
 
 
 @pytest.fixture(scope="module")
@@ -251,13 +275,25 @@ class TestFdcheck:
 
 
 class TestDeterminism:
+    # (task, gen from the config?, config): sparse coding on the default
+    # instance; separation, on a small one, runs the dense ALM path with a
+    # factored G(omega) and primal block
+    CASES = (
+        ("sparse_coding", False, "task = sparse_coding\ngen.batch = 8\nbmo.T = 3\nbmo.K = 5\n"),
+        ("separation", True, "task = separation\ngen.n = 16\nbmo.T = 3\nbmo.K = 5\n"),
+    )
+
     def test_short_train_byte_identical(self, tmp_path):
-        for sub in ("x", "y"):
-            d = tmp_path / sub
-            d.mkdir()
-            run(["gen", "--task", "sparse_coding", "--seed", 6, "--out", d])
-            cfg = write_config(d, "task = sparse_coding\ngen.batch = 8\n"
-                                  "bmo.T = 3\nbmo.K = 5\n")
-            run(["train", d / "instance.bin", "--config", cfg, "--out", d])
-        for name in ("trajectory.csv", "report.txt"):
-            assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+        for task, gen_from_config, config in self.CASES:
+            for sub in ("x", "y"):
+                d = tmp_path / task / sub
+                d.mkdir(parents=True)
+                cfg = write_config(d, config)
+                gen = ["--config", cfg] if gen_from_config else ["--task", task]
+                assert run(["gen", *gen, "--seed", 6, "--out", d]) == 0
+                assert run(["train", d / "instance.bin", "--config", cfg, "--out", d]) == 0
+                assert run(["eval", d / "instance.bin", "--config", cfg,
+                            "--report", d / "report.txt", "--out", d]) == 0
+            for name in ("trajectory.csv", "report.txt", "metrics.csv"):
+                x, y = (tmp_path / task / sub / name for sub in ("x", "y"))
+                assert x.read_bytes() == y.read_bytes(), (task, name)

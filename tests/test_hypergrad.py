@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gkmbmo.bmo import BmoConfig
-from gkmbmo.errors import ContractError, DivergenceError
+from gkmbmo.errors import CapabilityError, ContractError, DivergenceError
 from gkmbmo.hypergrad import (LossDescriptor, estimate_L_ell, fd_hypergradient,
                               hypergradient, inner_loop, km_iterate)
 from gkmbmo.metric import DomainDescriptor, MetricMatrix, h_norm, min_eigen_estimate
@@ -319,6 +319,21 @@ class TestHypergradient:
         g = hypergradient(tape)
         g_fd = fd_hypergradient(op, loss, om, cfg, u0=u0)
         np.testing.assert_allclose(g, g_fd, rtol=1e-4, atol=1e-8)
+
+    def test_ball_domain_refused_before_first_apply(self, monkeypatch):
+        op, om = scaling_net(2, 0.5)
+        loss = LossDescriptor("squared_error", 2, target=np.array([2.0, 2.0]))
+        domain = DomainDescriptor.ball(np.zeros(2), 1.0)
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.5, K=6, domain=domain)
+        calls = []
+        apply = op.apply
+        monkeypatch.setattr(op, "apply", lambda *a: calls.append(1) or apply(*a))
+        with pytest.raises(CapabilityError, match="full space and box only"):
+            inner_loop(op, loss, om, cfg, u0=np.array([0.2, 0.6]))
+        assert calls == []
+        # forward-only rollouts on a ball stay supported
+        u, _, _ = inner_loop(op, loss, om, cfg, u0=np.array([0.2, 0.6]), build_tape=False)
+        assert len(calls) > 0 and domain.contains(u)
 
 
 class TestKmIterate:

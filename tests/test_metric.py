@@ -133,6 +133,50 @@ class TestMinEigen:
             assert lo * n2 - 1e-9 <= sq <= hi * n2 + 1e-9
 
 
+class TestDenseFactor:
+    """A dense block computes its spectrum once at build and its inverse once at first solve."""
+
+    @staticmethod
+    def spd(rng, n):
+        A = rng.standard_normal((n, n))
+        return A @ A.T + 0.3 * np.eye(n)
+
+    def test_solve_matches_linalg_solve(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 40))
+            M = self.spd(rng, n)
+            H = MetricMatrix.dense(M)
+            for shape in ((n,), (n, 5)):
+                b = rng.standard_normal(shape)
+                ref = np.linalg.solve(M, b)
+                err = np.linalg.norm(H.solve(b) - ref) / np.linalg.norm(ref)
+                assert err <= 1e-10
+
+    def test_min_eigen_exact(self, rng):
+        for _ in range(10):
+            M = self.spd(rng, int(rng.integers(1, 40)))
+            est = min_eigen_estimate(MetricMatrix.dense(M))
+            assert est == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-12)
+
+    def test_indefinite_rejected(self, rng):
+        for _ in range(5):
+            n = int(rng.integers(2, 20))
+            M = self.spd(rng, n)
+            M -= (np.linalg.eigvalsh(M)[0] + 0.1) * np.eye(n)
+            with pytest.raises(ContractError, match="not positive definite"):
+                MetricMatrix.dense(M)
+
+    @pytest.mark.parametrize("n, rank", [(2, 1), (6, 3), (30, 29)])
+    def test_singular_rejected(self, rng, n, rank):
+        A = rng.standard_normal((n, rank))
+        with pytest.raises(ContractError, match="not positive definite"):
+            MetricMatrix.dense(A @ A.T)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ContractError, match="not positive definite"):
+            MetricMatrix.dense(np.zeros((3, 3)))
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm_estimate(np.eye(4)) == pytest.approx(1.0, rel=1e-6)

@@ -215,6 +215,20 @@ class TestAlm:
         with pytest.raises(ContractError):
             op.validate_omega(om)
 
+    @pytest.mark.parametrize("kwargs", [
+        # coordinate 1 is smooth and in no rho group: G = diag(rho) - beta A^T A misses it
+        dict(beta="beta", gmode="rho-lin", rho_groups=(("rho_s", np.array([True, False])),)),
+        # a fixed prox metric with a zero entry that neither quad nor A^T A covers
+        dict(gdiag=np.array([1.0, 0.0])),
+    ])
+    def test_uncovered_coordinate_refused_before_inverse(self, kwargs):
+        # K_ss is exactly singular here, so G(omega) must be refused before it is inverted
+        om = make_hyperparams([("beta", 1.0, "penalty"), ("rho_s", 2.0, "penalty")])
+        op = AlmOperator(nprimal=2, ndual=1, A=np.array([[1.0, 0.0]]), bvec=np.zeros(1),
+                         **kwargs)
+        with pytest.raises(ContractError, match="prox metric G"):
+            op.validate_omega(om)
+
     def test_vjp_matches_fd_smooth(self, rng):
         n = 3
         A = rng.standard_normal((2, n))

@@ -232,6 +232,44 @@ class TestSeparation:
         assert np.all(np.isfinite(u))
 
 
+def _dense(H):
+    return H.apply(np.eye(H.dim))
+
+
+# beta and gamma lower H(omega) as they grow, every rho as it shrinks;
+# the thresholds do not enter H
+_H_LOWERING_UPPER_END = frozenset({"beta", "gamma"})
+
+
+@pytest.fixture(params=["sparse_coding", "separation"])
+def bundle(request):
+    if request.param == "sparse_coding":
+        return build_sparse_coding_operator(gen_sparse_coding(m=16, n=32, batch=4, seed=8))
+    return build_separation_operator(gen_separation(n=16, seed=8))
+
+
+class TestLowerBoundMetric:
+    """h_lb <= H(omega) everywhere in the omega box."""
+
+    @staticmethod
+    def slack(bundle, values):
+        H = _dense(bundle.op.metric(bundle.omega0.with_values(values)))
+        lam = np.linalg.eigvalsh(H - _dense(bundle.h_lb))[0]
+        return lam / np.linalg.norm(H, 2)
+
+    def test_h_lowest_corner(self, bundle):
+        lo, hi = bundle.bounds.lower, bundle.bounds.upper
+        corner = np.array([hi[s.offset] if s.name in _H_LOWERING_UPPER_END else lo[s.offset]
+                           for s in bundle.omega0.layout])
+        assert self.slack(bundle, corner) >= -1e-10
+
+    def test_random_points(self, bundle):
+        rng = np.random.default_rng(20)
+        lo, hi = bundle.bounds.lower, bundle.bounds.upper
+        for _ in range(20):
+            assert self.slack(bundle, rng.uniform(lo, hi)) >= -1e-10
+
+
 class TestMetrics:
     def test_psnr_identical_inf(self, rng):
         x = rng.standard_normal(32)
