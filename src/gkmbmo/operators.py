@@ -25,7 +25,8 @@ tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -50,10 +51,11 @@ class ParamSlice:
     offset: int
     shape: tuple
     role: str
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self):
-        return int(np.prod(self.shape)) if self.shape else 1
+    def __post_init__(self):
+        # read on every view, scalar and gradient accumulation: computed once
+        object.__setattr__(self, "size", int(math.prod(self.shape)))
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,14 @@ class _SpectralCache:
     def sigma(self, W):
         key = (W.shape, W.tobytes())
         if key not in self._store:
-            if len(self._store) > 256:
-                self._store.clear()
-            self._store[key] = spectral_norm_estimate(W)
+            self.record(W, spectral_norm_estimate(W))
         return self._store[key]
+
+    def record(self, W, sigma):
+        """Store a sigma_max(W) known without a power iteration."""
+        if len(self._store) > 256:
+            self._store.clear()
+        self._store[(W.shape, W.tobytes())] = sigma
 
 
 _sigma_cache = _SpectralCache()
@@ -307,9 +313,7 @@ class PgOperator:
         return self.l1_weights * c
 
     def _grad_f(self, u):
-        g = np.zeros_like(u)
-        if self.quad is not None:
-            g = self.quad @ u
+        g = self.quad @ u if self.quad is not None else np.zeros_like(u)
         if self.lin is not None:
             g = g + _col(self.lin, u)
         return g
@@ -873,6 +877,9 @@ class NetOperator:
             raise ContractError("widths must list input and every layer output")
         if self.widths[0] != self.dim or self.widths[-1] != self.dim:
             raise ContractError("network must be a self-map on the state space")
+        # the last omega that passed validate_omega; HyperParams is frozen
+        # and its values read-only, so the same object needs no second check
+        self._certified = None
 
     @property
     def nlayers(self):
@@ -929,7 +936,9 @@ class NetOperator:
         return g, r, layers, pre, acts
 
     def apply(self, state, omega):
-        self.validate_omega(omega)
+        if self.enforce_certificate and omega is not self._certified:
+            self.validate_omega(omega)
+            self._certified = omega
         _, r, _, _, acts = self._forward(state, omega)
         return acts[-1] if r is None else acts[-1] / _col(r, acts[-1])
 
@@ -969,12 +978,21 @@ class NetOperator:
 
 
 def _rescale_layers(omega, names, budget):
-    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it."""
+    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it.
+
+    sigma_max goes through ``_sigma_cache``; a rescaled layer records
+    ``sig * (budget / sig)`` as its own, which the power iteration, being
+    scale-equivariant from the same start vector, returns up to rounding.
+    """
     for name in names:
         W = omega.view(name)
-        sig = spectral_norm_estimate(W if W.ndim == 1 else W.reshape(W.shape[0], -1))
+        if W.ndim > 1:
+            W = W.reshape(W.shape[0], -1)
+        sig = _sigma_cache.sigma(W)
         if sig > budget:
-            omega = omega.replace_slice(name, W * (budget / sig))
+            W = W * (budget / sig)
+            _sigma_cache.record(W, sig * (budget / sig))
+            omega = omega.replace_slice(name, W)
     return omega
 
 
@@ -1055,11 +1073,10 @@ class CompositeOperator:
         return z
 
     def apply_vjp(self, state, omega, cot):
+        # the input of every member; the outermost member's output is never read
         inter = [state]
-        z = state
-        for m in reversed(self.members):
-            z = m.apply(z, omega)
-            inter.append(z)
+        for m in reversed(self.members[1:]):
+            inter.append(m.apply(inter[-1], omega))
         go = np.zeros(omega.dim)
         cz = cot
         order = list(reversed(self.members))

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import checked_apply, fd_vjp_check, lipschitz_ratio
+from gkmbmo import bmo, operators
+from gkmbmo.cli import ExperimentConfig, bmo_config
 from gkmbmo.errors import CapabilityError, ContractError
 from gkmbmo.metric import MetricMatrix, h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
                               GkmConfig, HyperParams, NetOperator, ParamSlice,
                               PgOperator, apply_T, make_hyperparams, normalize_net,
                               renormalize_for)
+from gkmbmo.tasks import build_deconv_operator, gen_deconv
 
 
 def empty_omega():
@@ -50,6 +53,17 @@ class TestHyperParams:
         om = make_hyperparams([("a", 1.0, "threshold")])
         with pytest.raises(ValueError):
             om.values[0] = 2.0
+
+    @pytest.mark.parametrize("shape, size", [((), 1), ((0,), 0), ((3, 4), 12)])
+    def test_slice_size(self, shape, size):
+        s = ParamSlice("a", 0, shape, "threshold")
+        assert s.size == size
+        assert isinstance(s.size, int)
+
+    def test_slice_size_outside_equality(self):
+        a, b = ParamSlice("a", 0, (3, 4), "threshold"), ParamSlice("a", 0, (3, 4), "threshold")
+        assert a == b and hash(a) == hash(b)
+        assert "size" not in repr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +485,51 @@ class TestNet:
         out = op.apply(np.ones(2), om)
         np.testing.assert_allclose(out, 2.0 * np.ones(2))
 
+    def test_ablation_flag_skips_check_after_certified_omega(self):
+        op = NetOperator(dim=2, weight_names=("W0",), bias_names=("b0",),
+                         widths=(2, 2), enforce_certificate=False)
+        good = net_omega([0.5 * np.eye(2)], [np.zeros(2)])
+        op.apply(np.ones(2), good)
+        bad = good.replace_slice("W0", 2.0 * np.eye(2))
+        for _ in range(2):
+            np.testing.assert_allclose(op.apply(np.ones(2), bad), 2.0 * np.ones(2))
+
+    @pytest.mark.parametrize("derive", ["with_values", "replace_slice"])
+    def test_over_budget_refused_after_certified_omega(self, rng, derive):
+        W = rng.standard_normal((4, 4))
+        om = normalize_net(net_omega([W], [np.zeros(4)]), 1.0)
+        op = net_op(4, [4, 4], nonlinearity="tanh")
+        u = rng.standard_normal(4)
+        op.apply(u, om)
+        op.apply(u, om)
+        if derive == "with_values":
+            vals = om.values.copy()
+            s = om.slice_for("W0")
+            vals[s.offset:s.offset + s.size] *= 1.5
+            bad = om.with_values(vals)
+        else:
+            bad = om.replace_slice("W0", 1.5 * om.view("W0"))
+        with pytest.raises(ContractError, match="exceeds the per-layer budget"):
+            op.validate_omega(bad)
+        with pytest.raises(ContractError, match="exceeds the per-layer budget"):
+            op.apply(u, bad)
+        # the refused omega is not remembered as certified either
+        with pytest.raises(ContractError, match="exceeds the per-layer budget"):
+            op.apply(u, bad)
+        op.apply(u, om)
+
+    def test_certificate_checked_once_per_omega_object(self, rng, monkeypatch):
+        om = normalize_net(net_omega([rng.standard_normal((3, 3))], [np.zeros(3)]), 1.0)
+        op = net_op(3, [3, 3])
+        calls = []
+        check = op.validate_omega
+        monkeypatch.setattr(op, "validate_omega", lambda omega: calls.append(1) or check(omega))
+        for _ in range(3):
+            op.apply(rng.standard_normal(3), om)
+        assert len(calls) == 1
+        op.apply(rng.standard_normal(3), om.with_values(om.values))
+        assert len(calls) == 2
+
     def test_conjugated_vjp_and_metric(self, rng):
         H = MetricMatrix.diagonal([1.0, 2.0, 4.0])
         W = rng.standard_normal((3, 3))
@@ -519,6 +578,26 @@ class TestNormalizeNet:
         comp = CompositeOperator(members=(net,))
         out = renormalize_for(comp, om)
         assert spectral_norm_estimate(out.view("W0")) == pytest.approx(0.5, abs=1e-6)
+
+    def test_spectral_norm_scale_equivariant(self):
+        # a rescaled layer's sigma is recorded as c * sigma(W), not measured again
+        rng = np.random.default_rng(2024)
+        for shape in ((4, 4), (6, 3), (3, 7), (64, 64)):
+            for _ in range(5):
+                W = rng.standard_normal(shape)
+                c = rng.uniform(0.01, 1.0)
+                assert spectral_norm_estimate(c * W) == pytest.approx(
+                    c * spectral_norm_estimate(W), rel=1e-12)
+
+    def test_rescaled_sigma_matches_measured(self, rng, monkeypatch):
+        monkeypatch.setattr(operators, "_sigma_cache", operators._SpectralCache())
+        Ws = [3.0 * rng.standard_normal((5, 5)) for _ in range(2)]
+        om = normalize_net(net_omega(Ws, [np.zeros(5), np.zeros(5)]), 0.64)
+        for name in ("W0", "W1"):
+            W = om.view(name)
+            recorded = operators._sigma_cache.sigma(W)
+            assert recorded == pytest.approx(spectral_norm_estimate(W), rel=1e-12)
+            assert recorded == pytest.approx(0.8, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +680,61 @@ class TestComposite:
                      conjugate=MetricMatrix.diagonal(g))
         comp = CompositeOperator(members=(pg, net))
         fd_vjp_check(comp, rng.standard_normal(3), om, rng)
+
+    def test_vjp_skips_outermost_apply(self, rng, monkeypatch):
+        om = make_hyperparams([("W0", 0.5 * np.eye(2), "layer-matrix"),
+                               ("b0", np.zeros(2), "layer-bias"),
+                               ("W1", 0.5 * np.eye(2), "layer-matrix"),
+                               ("b1", np.zeros(2), "layer-bias")])
+        outer = NetOperator(dim=2, weight_names=("W0",), bias_names=("b0",), widths=(2, 2))
+        inner = NetOperator(dim=2, weight_names=("W1",), bias_names=("b1",), widths=(2, 2))
+        comp = CompositeOperator(members=(outer, inner))
+        calls = {"outer": 0, "inner": 0}
+        for key, m in (("outer", outer), ("inner", inner)):
+            monkeypatch.setattr(m, "apply", lambda z, omega, _f=m.apply, _k=key:
+                                calls.__setitem__(_k, calls[_k] + 1) or _f(z, omega))
+        cs, _ = comp.apply_vjp(rng.standard_normal(2), om, np.ones(2))
+        assert calls == {"outer": 0, "inner": 1}
+        np.testing.assert_allclose(cs, 0.25 * np.ones(2))
+
+
+class TestWorkPerOuterStep:
+    def test_one_power_iteration_per_layer_per_step(self, monkeypatch):
+        monkeypatch.setattr(operators, "_sigma_cache", operators._SpectralCache())
+        inst = gen_deconv(n=16, seed=4)
+        bundle = build_deconv_operator(inst, net_widths=(16,), seed=7)
+        # a learning rate large enough that some updates push a layer over budget
+        cfg = bmo_config(ExperimentConfig({"task": "deconv", "bmo.gamma_lr": 0.1}),
+                         bundle, K=4, T=6)
+        per_step = [0]  # calls before the first outer step are not counted against it
+        measure = operators.spectral_norm_estimate
+
+        def counted(A, *args, **kwargs):
+            per_step[-1] += 1
+            return measure(A, *args, **kwargs)
+
+        run_inner = bmo.inner_loop
+
+        def inner(*args, **kwargs):
+            per_step.append(0)
+            return run_inner(*args, **kwargs)
+
+        rescaled = [0]
+        rescale = operators._rescale_layers
+
+        def counted_rescale(omega, names, budget):
+            out = rescale(omega, names, budget)
+            rescaled[0] += sum(not np.array_equal(out.view(n), omega.view(n)) for n in names)
+            return out
+
+        monkeypatch.setattr(operators, "spectral_norm_estimate", counted)
+        monkeypatch.setattr(operators, "_rescale_layers", counted_rescale)
+        monkeypatch.setattr(bmo, "inner_loop", inner)
+        bmo.train(bundle.op, bundle.loss, bundle.omega0, cfg)
+        nlayers = 2
+        assert len(per_step) == cfg.T + 1
+        assert all(n <= nlayers for n in per_step[1:]), per_step
+        assert rescaled[0] > 0
 
 
 class TestApplyT:
