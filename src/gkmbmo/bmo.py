@@ -68,6 +68,10 @@ class BmoConfig:
             raise ContractError("iteration counts must be nonnegative")
         if self.lr_schedule[0] not in ("constant", "expdecay"):
             raise ContractError(f"unknown lr schedule {self.lr_schedule[0]!r}")
+        if self.lr_schedule[0] == "expdecay" and not all(
+                math.isfinite(x) and x > 0 for x in self.lr_schedule[1:]):
+            raise ContractError(f"expdecay lr schedule needs a positive rate and period, "
+                                f"got {self.lr_schedule[1:]}")
         if self.optimizer not in ("gd", "adam"):
             raise ContractError(f"unknown outer optimizer {self.optimizer!r}")
 
@@ -187,6 +191,8 @@ def train(op, loss, omega0, cfg):
             raise DivergenceError(f"phi_K diverged at outer step {t}", outer_step=t)
         grad = hypergradient(tape)
         gnorm = float(np.linalg.norm(grad))
+        if not math.isfinite(gnorm):
+            raise DivergenceError(f"hypergradient diverged at outer step {t}", outer_step=t)
         if cfg.record_inner:
             traj.add_inner(t, records)
             last_records = records

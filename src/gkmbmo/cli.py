@@ -59,13 +59,10 @@ _DEFAULTS = {
     "toy.weight": 0.5, "toy.bias": 0.0,
 }
 
-_BOOL_KEYS = {"op.identity_net", "bmo.grad_through_metric", "diag.ablation",
-              "fdcheck.corrupt"}
-_INT_KEYS = {"seed", "gen.m", "gen.n", "gen.batch", "gen.kernel_width",
-             "gen.njumps", "gen.nspikes", "bmo.K", "bmo.T",
-             "diag.rollout_factor", "fdcheck.instances"}
-_STR_KEYS = {"task", "op.learnable", "op.net_widths", "bmo.s", "bmo.lr_schedule",
-             "bmo.optimizer", "diag.k_list"}
+# a field is parsed as the type of its default; bool is tested first, being an int
+_BOOL_KEYS = {k for k, v in _DEFAULTS.items() if isinstance(v, bool)}
+_INT_KEYS = {k for k, v in _DEFAULTS.items() if isinstance(v, int) and not isinstance(v, bool)}
+_STR_KEYS = {k for k, v in _DEFAULTS.items() if isinstance(v, str)}
 
 
 @dataclass
@@ -130,6 +127,32 @@ def parse_config(path=None, overrides=None):
     return cfg
 
 
+def _parse_field(key, raw, parse):
+    """``parse(raw)`` for a string-valued field; a malformed value is a
+    FormatError naming ``key``."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise FormatError(f"field {key!r} has a malformed value {raw!r}") from None
+
+
+def _int_list(text):
+    return tuple(int(x) for x in str(text).split(",") if x.strip())
+
+
+def _lr_schedule(text):
+    if text == "constant":
+        return ("constant",)
+    name, rate, period = text.split(":")
+    if name != "expdecay":
+        raise ValueError(name)
+    return ("expdecay", float(rate), float(period))
+
+
+def _omega_values(text):
+    return np.array([float(x) for x in text.split(",")])
+
+
 # ---------------------------------------------------------------------------
 # bundle assembly
 # ---------------------------------------------------------------------------
@@ -162,7 +185,7 @@ def build_bundle(cfg, inst):
                                             beta=cfg.get("op.beta"),
                                             gamma=cfg.get("op.gamma"))
     if task == "deconv":
-        widths = tuple(int(x) for x in cfg.get("op.net_widths").split(",") if x.strip())
+        widths = _parse_field("op.net_widths", cfg.get("op.net_widths"), _int_list)
         return build_deconv_operator(inst, net_widths=widths,
                                      net_rho_bar=cfg.get("op.net_rho_bar"),
                                      seed=int(cfg.get("seed")),
@@ -177,15 +200,8 @@ def bmo_config(cfg, bundle, K=None, T=None):
         bound = min_eigen_estimate(h_lb) / bundle.loss.smoothness()
         s = float(cfg.get("bmo.s_fraction")) * bound
     else:
-        s = float(s)
-    sched = cfg.get("bmo.lr_schedule")
-    if sched.startswith("expdecay"):
-        _, rate, period = sched.split(":")
-        schedule = ("expdecay", float(rate), float(period))
-    elif sched == "constant":
-        schedule = ("constant",)
-    else:
-        raise FormatError(f"unknown lr schedule {sched!r}")
+        s = _parse_field("bmo.s", s, float)
+    schedule = _parse_field("bmo.lr_schedule", cfg.get("bmo.lr_schedule"), _lr_schedule)
     return BmoConfig(alpha=float(cfg.get("bmo.alpha")), mu=float(cfg.get("bmo.mu")),
                      s=s, gamma=float(cfg.get("bmo.gamma_lr")),
                      K=K if K is not None else int(cfg.get("bmo.K")),
@@ -200,8 +216,8 @@ def _load_omega(report_path, omega_template):
     text = Path(report_path).read_text()
     for line in text.splitlines():
         if line.startswith("omega = "):
-            vals = np.array([float(x) for x in line[len("omega = "):].split(",")])
-            return omega_template.with_values(vals)
+            return omega_template.with_values(
+                _parse_field("omega", line[len("omega = "):], _omega_values))
     raise FormatError(f"report {report_path} has no omega line")
 
 
@@ -326,6 +342,7 @@ def _expansive_ablation_records(cfg, dim=8, K=40):
 
 
 def cmd_diagnose(cfg, out, instance_path, report_path=None):
+    k_list = _parse_field("diag.k_list", cfg.get("diag.k_list"), _int_list)
     bundle = build_bundle(cfg, _load(cfg, instance_path))
     omega = bundle.omega0
     if report_path is not None:
@@ -340,7 +357,6 @@ def cmd_diagnose(cfg, out, instance_path, report_path=None):
     lines = [TRAJECTORY_HEADER]
     for r in recs:
         lines.append(f"inner,0,{r.k},{r.residual_hlb_sq!r},{r.rel_step!r},{r.loss!r},")
-    k_list = [int(x) for x in str(cfg.get("diag.k_list")).split(",") if x.strip()]
     for i, kk in enumerate(k_list):
         ck = bmo_config(cfg, bundle, K=kk)
         _, tape, _ = inner_loop(bundle.op, bundle.loss, omega, ck, u0=bundle.u0,

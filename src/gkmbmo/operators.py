@@ -63,9 +63,9 @@ class HyperParams:
     """Flat hyper-training vector with a structural layout.
 
     The layout tiles ``values`` exactly: slices are contiguous, ordered,
-    and leave no gaps.  Slices carrying step sizes or penalties must be
-    strictly positive (the box constraints on the feasible set keep them
-    that way during training).
+    and leave no gaps.  Every value must be finite, and slices carrying
+    step sizes or penalties must be strictly positive (the box constraints
+    on the feasible set keep them that way during training).
     """
 
     values: np.ndarray
@@ -86,6 +86,9 @@ class HyperParams:
         names = [s.name for s in layout]
         if len(set(names)) != len(names):
             raise ContractError("duplicate slice names in layout")
+        if not np.isfinite(vals).all():
+            s = next(s for s in layout if not np.isfinite(vals[s.offset:s.offset + s.size]).all())
+            raise ContractError(f"slice {s.name!r} holds a non-finite value")
         for s in layout:
             if s.role in _POSITIVE_ROLES and np.any(vals[s.offset:s.offset + s.size] <= 0):
                 raise ContractError(f"slice {s.name!r} ({s.role}) must be strictly positive")
@@ -188,6 +191,20 @@ def _resolve(omega, spec, default=None):
     if spec is None:
         return default
     return float(spec)
+
+
+def _diag(omega, spec, dim):
+    """A metric diagonal of length ``dim`` given by ``spec``.
+
+    None is the identity; a string names an omega slice, a scalar slice
+    being broadcast; an array is a fixed diagonal.
+    """
+    if spec is None:
+        return np.ones(dim)
+    if isinstance(spec, str):
+        g = omega.view(spec).reshape(-1)
+        return np.full(dim, float(g[0])) if g.size == 1 else g.astype(float)
+    return spec
 
 
 def _colsum(x):
@@ -296,16 +313,6 @@ class PgOperator:
             self.gdiag = np.asarray(self.gdiag, dtype=float).reshape(self.dim)
 
     # internals -------------------------------------------------------
-    def _g(self, omega):
-        if self.gdiag is None:
-            return np.ones(self.dim)
-        if isinstance(self.gdiag, str):
-            g = omega.view(self.gdiag).reshape(-1)
-            if g.size == 1:
-                return np.full(self.dim, float(g[0]))
-            return g.astype(float)
-        return self.gdiag
-
     def _weights(self, omega):
         if self.l1_weights is None:
             return None
@@ -326,7 +333,7 @@ class PgOperator:
     # contract --------------------------------------------------------
     def validate_omega(self, omega):
         gam = _resolve(omega, self.gamma)
-        g = self._g(omega)
+        g = _diag(omega, self.gdiag, self.dim)
         if np.any(g <= 0):
             raise ContractError("metric diagonal G(omega) must be positive definite")
         lf = self.lipschitz_f()
@@ -346,7 +353,7 @@ class PgOperator:
     # evaluation ------------------------------------------------------
     def apply(self, state, omega):
         gam = _resolve(omega, self.gamma)
-        g = self._g(omega)
+        g = _diag(omega, self.gdiag, self.dim)
         x = state - gam * self._grad_f(state) / _col(g, state)
         w = self._weights(omega)
         if w is None:
@@ -355,7 +362,7 @@ class PgOperator:
 
     def apply_vjp(self, state, omega, cot):
         gam = _resolve(omega, self.gamma)
-        g = self._g(omega)
+        g = _diag(omega, self.gdiag, self.dim)
         gcol = _col(g, state)
         grad = self._grad_f(state)
         x = state - gam * grad / gcol
@@ -381,7 +388,7 @@ class PgOperator:
     def metric(self, omega):
         if self.gdiag is None:
             return MetricMatrix.identity(self.dim)
-        return MetricMatrix.diagonal(self._g(omega))
+        return MetricMatrix.diagonal(_diag(omega, self.gdiag, self.dim))
 
     def metric_quad_vjp(self, omega, x, y):
         go = np.zeros(omega.dim)
@@ -405,13 +412,16 @@ class AlmOperator:
     l1 norm whose coordinates decouple in the total quadratic), then the
     dual ascent  lam <- lam + beta (A u+ - b).
 
-    ``gmode`` selects the prox metric G:
-      * "fixed": a constant diagonal (gdiag array) or identity;
-      * "slice": diagonal read from an omega slice;
-      * "rho-lin": G = sum_j rho_j diag(mask_j) - beta A^T A, which turns
-        the augmented quadratic into a plain per-block prox (the
-        linearized splitting form) while keeping the exact-resolvent
-        certificate.
+    The prox metric is G(omega) = diag(gd(omega)) - ell beta A^T A, and
+    the primal step solves with K = quad + diag(gd) + (1 - ell) beta A^T A.
+    ``gmode`` sets ell and where gd comes from:
+      * "fixed" and "slice" (ell = 0) are one path: ``gdiag`` decides, as
+        None (the identity), a fixed array, or the name of an omega slice;
+      * "rho-lin" (ell = 1): gd = sum_j rho_j mask_j, and G subtracts
+        beta A^T A, which turns the augmented quadratic into a plain
+        per-block prox (the linearized splitting form) while keeping the
+        exact-resolvent certificate.
+    Threshold groups scale the l1 weights of disjoint coordinate sets.
     """
 
     nprimal: int
@@ -442,12 +452,16 @@ class AlmOperator:
             self.gdiag = np.asarray(self.gdiag, dtype=float).reshape(self.nprimal)
         if self.gmode not in ("fixed", "slice", "rho-lin"):
             raise ContractError(f"unknown prox-metric mode {self.gmode!r}")
+        self._ell = self.gmode == "rho-lin"  # ell of G = diag(gd) - ell beta A^T A
         self.rho_groups = tuple((name, self._as_mask(mask)) for name, mask in self.rho_groups)
         self.thresh_groups = tuple((name, self._as_mask(mask)) for name, mask in self.thresh_groups)
+        # the VJP credits each group alone with the factor on its coordinates
+        if np.any(sum(mask.astype(int) for _, mask in self.thresh_groups) > 1):
+            raise ContractError("threshold groups overlap; each l1 coordinate takes one factor")
         self._AtA = self.A.T @ self.A
-        self._smooth = None
-        self._l1 = None
-        self._split()
+        w = self.l1_weights
+        self._l1 = np.zeros(0, dtype=int) if w is None else np.flatnonzero(w > 0)
+        self._smooth = np.arange(self.nprimal) if w is None else np.flatnonzero(w == 0)
         self._cache = {}
 
     def _as_mask(self, mask):
@@ -464,15 +478,6 @@ class AlmOperator:
     def dim(self):
         return self.nprimal + self.ndual
 
-    def _split(self):
-        w = self.l1_weights
-        if w is None:
-            self._l1 = np.zeros(0, dtype=int)
-            self._smooth = np.arange(self.nprimal)
-        else:
-            self._l1 = np.flatnonzero(w > 0)
-            self._smooth = np.flatnonzero(w == 0)
-
     # internals -------------------------------------------------------
     def _weights(self, omega):
         if self.l1_weights is None:
@@ -482,48 +487,34 @@ class AlmOperator:
             w[mask] = w[mask] * omega.scalar(name)
         return w
 
-    def _rho_diag(self, omega):
+    def _gd(self, omega):
+        """The diagonal part gd of G(omega)."""
+        if not self._ell:
+            return _diag(omega, self.gdiag, self.nprimal)
         d = np.zeros(self.nprimal)
         for name, mask in self.rho_groups:
             d[mask] += omega.scalar(name)
         return d
 
-    def _g_diag(self, omega):
-        """Diagonal part of G; rho-lin subtracts beta A^T A from it."""
-        if self.gmode == "rho-lin":
-            return self._rho_diag(omega)
-        if self.gmode == "slice":
-            return omega.view(self.gdiag).reshape(-1).astype(float)
-        return np.ones(self.nprimal) if self.gdiag is None else self.gdiag
-
-    def _g_block(self, gd, beta):
-        """G as a metric block from its diagonal part, refused unless positive definite."""
-        try:
-            if self.gmode == "rho-lin":
-                return MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
-            if self.gdiag is None:
-                return MetricMatrix.identity(self.nprimal)
-            return MetricMatrix.diagonal(gd)
-        except ContractError as err:
-            raise ContractError(f"prox metric G(omega): {err}") from None
-
-    def _total_quad(self, gd, beta):
-        """K = quad + beta A^T A + G; rho-lin cancels the penalty Hessian."""
-        K = np.diag(gd)
-        if self.gmode != "rho-lin":
-            K = K + beta * self._AtA
-        if self.quad is not None:
-            K = K + self.quad
-        return K
+    def _acc_gd(self, grad, omega, dgd):
+        """Send the cotangent of gd into omega: by rho group, or through ``gdiag``."""
+        if not self._ell:
+            _acc(grad, omega, self.gdiag, dgd)
+            return
+        for name, mask in self.rho_groups:
+            _acc(grad, omega, name, np.sum(dgd[mask]))
 
     def prepare(self, omega):
         key = omega.values.tobytes()
         if key in self._cache:
             return self._cache[key]
         beta = _resolve(omega, self.beta)
-        gd = self._g_diag(omega)
-        K = self._total_quad(gd, beta)
-        w = self._weights(omega)
+        gd = self._gd(omega)
+        K = np.diag(gd)
+        if not self._ell:
+            K = K + beta * self._AtA
+        if self.quad is not None:
+            K = K + self.quad
         S, L = self._smooth, self._l1
         if L.size:
             off = K[np.ix_(L, L)].copy()
@@ -533,10 +524,18 @@ class AlmOperator:
                     "l1 coordinates do not decouple in the total quadratic; "
                     "no closed-form primal step for this configuration")
         # G is proven positive definite before Kss, which contains it, is inverted
-        G = self._g_block(gd, beta)
+        try:
+            if self._ell:
+                G = MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
+            elif self.gdiag is None:
+                G = MetricMatrix.identity(self.nprimal)
+            else:
+                G = MetricMatrix.diagonal(gd)
+        except ContractError as err:
+            raise ContractError(f"prox metric G(omega): {err}") from None
         ctx = {
             "beta": beta,
-            "w": w,
+            "w": self._weights(omega),
             "H": MetricMatrix.block_diagonal([G, MetricMatrix.identity(self.ndual, scale=1.0 / beta)]),
             "Kss_inv": np.linalg.inv(K[np.ix_(S, S)]),
             "dL": np.diag(K)[L],
@@ -562,17 +561,14 @@ class AlmOperator:
     def split_state(self, state):
         return state[:self.nprimal], state[self.nprimal:]
 
-    def _bcol(self, ref):
-        return _match_b(self.bvec, ref)
-
     def _forward(self, state, omega):
         """The primal update and the intermediates its VJP reads."""
         ctx = self.prepare(omega)
         beta, w = ctx["beta"], ctx["w"]
         u, lam = self.split_state(state)
-        b = self._bcol(lam)
+        b = _match_b(self.bvec, lam)
         r = lam - beta * b
-        if self.gmode == "rho-lin":
+        if self._ell:
             r = r + beta * (self.A @ u)
         # c = A^T lam - beta A^T b - G u, with G u = gd u (- beta A^T A u): the
         # A^T product is shared, which a dense G @ u would not do
@@ -602,64 +598,42 @@ class AlmOperator:
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
         go = np.zeros(omega.dim)
         # lam+ = lam + beta (A u+ - b)
-        clam = clam_out.copy()
         cup = cu_out + beta * (self.A.T @ clam_out)
-        _acc(go, omega, self.beta, np.sum(clam_out * (self.A @ up - b)))
-
+        dbeta = np.sum(clam_out * (self.A @ up - b))
+        # cotangents of c and of diag(K); K = quad + diag(gd) + (1 - ell) beta A^T A
         dc = np.zeros_like(u)
-        dbeta_extra = 0.0
-        drho = {}
+        dgd = np.zeros(self.nprimal)
         if S.size:
             ws = ctx["Kss_inv"] @ cup[S]
             dc[S] = -ws
-            # dK_ss contributions: K = quad + diag(rho)  (rho-lin)  or
-            #                      quad + beta A^T A + G (other modes)
-            prod = _colsum(ws * up[S])
-            if self.gmode == "rho-lin":
-                for name, mask in self.rho_groups:
-                    drho[name] = drho.get(name, 0.0) - float(np.sum(prod[mask[S]]))
-            else:
-                AuS = self.A[:, S]
-                quadform = np.sum((AuS @ ws) * (AuS @ up[S]))
-                dbeta_extra -= float(quadform)
-                if self.gmode == "slice":
-                    full = np.zeros(self.nprimal)
-                    full[S] = -prod
-                    _acc(go, omega, self.gdiag, full)
+            dgd[S] = -_colsum(ws * up[S])
         if L.size:
             d = ctx["dL"]
             dxL, dthr = _soft_threshold_vjp(xL, _col(tL, xL), cup[L])
             dthr = _colsum(dthr)
             dc[L] = -dxL / _col(d, u[L])
-            # x_i = -c_i / d_i, t_i = w_i / d_i
-            dd = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
-            # d_i = rho_i (+ quad diagonal); thresh: w_i = base * c_group
-            if self.gmode == "rho-lin":
-                for name, gmask in self.rho_groups:
-                    drho[name] = drho.get(name, 0.0) + float(np.sum(dd[gmask[L]]))
+            # x_i = -c_i / d_i, t_i = w_i / d_i, d_i = K_ii; w_i = base_i * kappa_group
+            dgd[L] = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
             for name, gmask in self.thresh_groups:
                 sel = gmask[L]
                 _acc(go, omega, name, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
-        for name, val in drho.items():
-            _acc(go, omega, name, val)
-
-        # c = A^T lam - beta A^T b - G u (+ lin)
+        if not self._ell:
+            # beta inside K: K_ss takes the cotangent -ws up_s^T, K_LL its diagonal dgd_L
+            dbeta += np.sum(dgd[L] * np.diag(self._AtA)[L])
+            if S.size:
+                AS = self.A[:, S]
+                dbeta -= np.sum((AS @ ws) * (AS @ up[S]))
+        # c = A^T (lam - beta b + ell beta A u) - gd u (+ lin)
         Adc = self.A @ dc
-        clam += Adc
-        _acc(go, omega, self.beta, -np.sum(Adc * b))
+        dbeta -= np.sum(Adc * b)
         cu = -_col(ctx["gd"], dc) * dc
-        # G depends on omega for slice / rho-lin modes: d(-G u) terms
-        prod = _colsum(dc * u)
-        if self.gmode == "rho-lin":
+        dgd -= _colsum(dc * u)
+        if self._ell:
             cu += beta * (self.A.T @ Adc)
-            for name, gmask in self.rho_groups:
-                _acc(go, omega, name, -np.sum(prod[gmask]))
-            # -beta A^T A inside G: d/dbeta (-G u) = +A^T A u
-            _acc(go, omega, self.beta, np.sum(Adc * (self.A @ u)))
-        elif self.gmode == "slice":
-            _acc(go, omega, self.gdiag, -prod)
-        _acc(go, omega, self.beta, dbeta_extra)
-        return np.concatenate([cu, clam], axis=0), go
+            dbeta += np.sum(Adc * (self.A @ u))
+        self._acc_gd(go, omega, dgd)
+        _acc(go, omega, self.beta, dbeta)
+        return np.concatenate([cu, clam_out + Adc], axis=0), go
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
@@ -671,16 +645,11 @@ class AlmOperator:
         beta = _resolve(omega, self.beta)
         xu, xl = self.split_state(x)
         yu, yl = self.split_state(y)
-        prod_u = _colsum(xu * yu)
-        lam_ip = float(np.sum(xl * yl))
-        _acc(go, omega, self.beta, -lam_ip / beta ** 2)
-        if self.gmode == "rho-lin":
-            for name, gmask in self.rho_groups:
-                _acc(go, omega, name, prod_u[gmask])
-            quadform = float(np.sum((self.A @ xu) * (self.A @ yu)))
-            _acc(go, omega, self.beta, -quadform)
-        elif self.gmode == "slice":
-            _acc(go, omega, self.gdiag, prod_u)
+        dbeta = -float(np.sum(xl * yl)) / beta ** 2
+        if self._ell:
+            dbeta -= float(np.sum((self.A @ xu) * (self.A @ yu)))
+        self._acc_gd(go, omega, _colsum(xu * yu))
+        _acc(go, omega, self.beta, dbeta)
         return go
 
 
@@ -751,14 +720,11 @@ class DladmmOperator:
         n, m = self.n, self.m
         return state[:n], state[n:n + m], state[n + m:]
 
-    def _bcol(self, ref):
-        return _match_b(self.bvec, ref)
-
     def _forward(self, state, omega):
         """(params, intermediates the VJP reads, output blocks) of the update."""
         beta, gamma, rho1, rho2, k1, k2 = params = self._params(omega)
         u1, u2, lam = self.split_state(state)
-        b = self._bcol(lam)
+        b = _match_b(self.bvec, lam)
         e = lam / beta
         Qtr = self.Q.T @ (self.Q @ u1 + u2 - b + e)
         x1 = u1 - (beta / rho1) * Qtr
@@ -895,15 +861,12 @@ class NetOperator:
         return out
 
     def _conj_diag(self, omega):
-        if self.conjugate is None:
-            return None
-        if isinstance(self.conjugate, str):
-            return omega.view(self.conjugate).reshape(-1).astype(float)
-        if self.conjugate.kind == "identity":
-            return np.full(self.dim, self.conjugate.scale)
-        if self.conjugate.kind == "diagonal":
-            return self.conjugate.entries
-        raise CapabilityError("network conjugation supports diagonal metrics only")
+        c = self.conjugate
+        if isinstance(c, MetricMatrix):
+            if c.kind not in ("identity", "diagonal"):
+                raise CapabilityError("network conjugation supports diagonal metrics only")
+            c = np.full(self.dim, c.scale) if c.kind == "identity" else c.entries
+        return None if c is None else _diag(omega, c, self.dim)
 
     def validate_omega(self, omega):
         if not self.enforce_certificate:

@@ -193,13 +193,19 @@ def haar_matrix(n):
     return W
 
 
-def circulant(kernel, n):
-    """Dense circulant convolution matrix for a (short) kernel."""
+def _kernel_column(kernel, n):
+    """First column of the circulant convolution: the kernel centred on index 0."""
     q = np.zeros(n)
     k = np.asarray(kernel, dtype=float)
     half = len(k) // 2
     for i, v in enumerate(k):
         q[(i - half) % n] = v
+    return q
+
+
+def circulant(kernel, n):
+    """Dense circulant convolution matrix for a (short) kernel."""
+    q = _kernel_column(kernel, n)
     C = np.empty((n, n))
     for i in range(n):
         C[:, i] = np.roll(q, i)
@@ -207,12 +213,7 @@ def circulant(kernel, n):
 
 
 def circulant_sigma_max(kernel, n):
-    q = np.zeros(n)
-    k = np.asarray(kernel, dtype=float)
-    half = len(k) // 2
-    for i, v in enumerate(k):
-        q[(i - half) % n] = v
-    return float(np.max(np.abs(np.fft.fft(q))))
+    return float(np.max(np.abs(np.fft.fft(_kernel_column(kernel, n)))))
 
 
 def gen_deconv(n=64, kernel_sigma=1.0, kernel_width=7, noise_sigma=0.01, seed=0):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import gkmbmo
+from gkmbmo import bmo
 from gkmbmo.bmo import (BmoConfig, Trajectory, envelope_shape, evaluate_phiK,
                         residual_envelope_check, stationarity_probe, train)
-from gkmbmo.errors import ContractError
+from gkmbmo.errors import ContractError, DivergenceError
 from gkmbmo.hypergrad import LossDescriptor, inner_loop, km_iterate
 from gkmbmo.operators import (DladmmOperator, NetOperator, OmegaBox,
                               make_hyperparams)
@@ -107,6 +108,14 @@ class TestTrain:
     def test_non_finite_scalar_rejected_by_name(self, field, value):
         with pytest.raises(ContractError, match=f"^{field} must be finite"):
             BmoConfig(**{field: value}).validate()
+
+    def test_non_finite_hypergradient_diverges(self, monkeypatch):
+        # a blown-up hypergradient is a divergence, not an omega refused on entry
+        monkeypatch.setattr(bmo, "hypergradient", lambda tape: np.full(2, np.nan))
+        op, om, bounds = shift_net_toy()
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.2, K=3, T=2, omega_bounds=bounds)
+        with pytest.raises(DivergenceError, match="hypergradient diverged at outer step 0"):
+            train(op, LossDescriptor("squared_error", 1), om, cfg)
 
     def test_adam_option_runs(self, rng):
         op, om, loss, bounds = small_dladmm(rng)

@@ -199,6 +199,42 @@ def test_malformed_input_exits_format_with_one_line(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# (verb, config lines after the task, report omega line or None, key named in the error)
+MALFORMED_VALUES = {
+    "lr_schedule_two_fields": ("train", "bmo.lr_schedule = expdecay:0.5", None, "bmo.lr_schedule"),
+    "lr_schedule_not_numbers": ("train", "bmo.lr_schedule = expdecay:a:b", None,
+                                "bmo.lr_schedule"),
+    "lr_schedule_zero_period": ("train", "bmo.lr_schedule = expdecay:0.5:0", None,
+                                "lr schedule"),
+    "s_not_a_number": ("train", "bmo.s = foo", None, "bmo.s"),
+    "net_widths_not_ints": ("train", "op.net_widths = a", None, "op.net_widths"),
+    "k_list_not_ints": ("diagnose", "diag.k_list = x", None, "diag.k_list"),
+    "report_omega_not_numbers": ("eval", "", "abc", "omega"),
+    "report_omega_nan": ("eval", "", "nan,0.0", "slice 'W0'"),
+    "report_omega_inf": ("eval", "", "0.5,inf", "slice 'b0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_value_exits_format_with_one_line(case, tmp_path, capsys):
+    verb, lines, omega, named = MALFORMED_VALUES[case]
+    # the deconv task is the one that reads op.net_widths; toy needs no instance
+    task = "deconv" if "net_widths" in lines else "toy"
+    cfg = write_config(tmp_path, f"task = {task}\ngen.n = 8\nbmo.s = 0.2\n{lines}\n")
+    args = [verb, "--config", cfg, "--out", tmp_path]
+    if task == "deconv":
+        assert run(["gen", "--config", cfg, "--out", tmp_path]) == 0
+        args.insert(1, tmp_path / "instance.bin")
+    if omega is not None:
+        report = tmp_path / "report.txt"
+        report.write_text(f"omega = {omega}\n")
+        args += ["--report", report]
+    capsys.readouterr()
+    assert run(args) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
 class TestEvalDiagnose:
 
     def test_eval_writes_metrics(self, trained, tmp_path):

@@ -44,6 +44,14 @@ class TestHyperParams:
         with pytest.raises(ContractError):
             make_hyperparams([("s", -1.0, "step-size")])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_slice(self, bad):
+        with pytest.raises(ContractError, match="slice 'b' holds a non-finite value"):
+            make_hyperparams([("a", 1.0, "threshold"), ("b", [0.5, bad], "threshold")])
+        om = make_hyperparams([("a", 1.0, "threshold"), ("b", [0.5, 0.5], "threshold")])
+        with pytest.raises(ContractError, match="slice 'b' holds a non-finite value"):
+            om.with_values([1.0, bad, 0.5])
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
             HyperParams(np.ones(2), (ParamSlice("a", 0, (1,), "threshold"),
@@ -268,6 +276,39 @@ class TestAlm:
                          gmode="rho-lin", rho_groups=(("rho_s", mask_s), ("rho_l", ~mask_s)),
                          thresh_groups=(("kap", ~mask_s),))
         fd_vjp_check(op, rng.standard_normal(n + 2) * 1.5, om, rng)
+
+    # coordinates 0-2 are smooth, 3-4 carry the l1 term; the second row of A,
+    # when present, touches only l1 coordinate 4, so the l1 block still
+    # decouples in K while its diagonal picks up beta (A^T A)_44
+    @pytest.mark.parametrize("gdiag, a_touches_l1", [
+        ("g", False),
+        ("g", True),
+        (np.array([1.3, 0.8, 1.1, 0.9, 1.6]), True),
+    ], ids=["slice", "slice-A-on-l1", "fixed-A-on-l1"])
+    def test_vjp_matches_fd_l1(self, rng, gdiag, a_touches_l1):
+        n = 5
+        A = np.zeros((2, n))
+        A[0, :3] = rng.standard_normal(3)
+        A[1, 4] = 1.7 if a_touches_l1 else 0.0
+        quad = np.zeros((n, n))
+        quad[:3, :3] = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.2]])
+        w = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        om = make_hyperparams([("beta", 0.7, "penalty"),
+                               ("g", rng.uniform(0.6, 1.8, n), "metric-diagonal"),
+                               ("kap", 0.2, "threshold")])
+        op = AlmOperator(nprimal=n, ndual=2, A=A, bvec=rng.standard_normal(2), quad=quad,
+                         lin=rng.standard_normal(n), l1_weights=w, beta="beta",
+                         gmode="fixed" if isinstance(gdiag, np.ndarray) else "slice",
+                         gdiag=gdiag, thresh_groups=(("kap", w > 0),))
+        op.validate_omega(om)
+        fd_vjp_check(op, rng.standard_normal(n + 2) * 2.0, om, rng)
+
+    def test_overlapping_thresh_groups_refused(self):
+        w = np.ones(3)
+        with pytest.raises(ContractError, match="overlap"):
+            AlmOperator(nprimal=3, ndual=1, A=np.zeros((1, 3)), bvec=np.zeros(1),
+                        l1_weights=w, thresh_groups=(("k1", np.array([True, True, False])),
+                                                     ("k2", np.array([False, True, True]))))
 
 
 # ---------------------------------------------------------------------------
