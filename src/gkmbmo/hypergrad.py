@@ -260,19 +260,15 @@ def _check_finite(u, what, k):
 def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record=True):
     """Run K inner steps; return (uK, tape, records).
 
-    cfg supplies alpha, mu, s, K, and the domain U.  ``h_lb`` is the
-    metric lower bound used for recorded residuals (defaults to the
-    current H(omega)).  Raises ContractError when mu or s violate their
-    admissible ranges, DivergenceError on non-finite iterates, and
-    CapabilityError, before the first step, when a tape is asked for on a
-    domain whose projection the reverse sweep cannot differentiate.
+    cfg is a ``BmoConfig``; it supplies alpha, mu, s, K, and the domain U.
+    ``h_lb`` is the metric lower bound used for recorded residuals
+    (defaults to the current H(omega)).  Raises ContractError when cfg
+    fails ``cfg.validate()`` or s exceeds its step bound, DivergenceError
+    on non-finite iterates, and CapabilityError, before the first step,
+    when a tape is asked for on a domain whose projection the reverse
+    sweep cannot differentiate.
     """
-    if not (0.0 < cfg.mu < 1.0):
-        raise ContractError("aggregation weight mu must lie strictly inside (0, 1)")
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ContractError("averaging weight alpha must lie in (0, 1)")
-    if cfg.K < 0:
-        raise ContractError("inner iteration count K must be nonnegative")
+    cfg.validate()
     domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
     if build_tape:
         projection_jacobian_diag(domain, np.zeros(op.dim))  # refuses what the sweep cannot differentiate
@@ -304,7 +300,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     tape = None
     if build_tape:
         tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, domain, H,
-                    getattr(cfg, "grad_through_metric", True),
+                    cfg.grad_through_metric,
                     u0, steps, u, loss.value(u, omega))
     return u, tape, records
 

@@ -59,14 +59,15 @@ class MetricMatrix:
         if self.dim <= 0:
             raise ContractError("metric dimension must be positive")
         if self.kind == "identity":
-            if self.scale <= 0:
-                raise ContractError("identity metric scale must be positive")
+            if not 0 < self.scale < math.inf:
+                raise ContractError(f"identity metric scale must be positive and finite, "
+                                    f"got {self.scale!r}")
         elif self.kind == "diagonal":
             d = np.asarray(self.entries, dtype=float)
             if d.shape != (self.dim,):
                 raise ContractError("diagonal entries must have shape (dim,)")
-            if np.any(d <= 0):
-                raise ContractError("diagonal metric requires strictly positive entries")
+            if not np.all((d > 0) & (d < math.inf)):
+                raise ContractError("diagonal metric requires strictly positive, finite entries")
             object.__setattr__(self, "entries", d)
         elif self.kind == "block":
             blocks = tuple(self.entries)
@@ -170,16 +171,17 @@ class DomainDescriptor:
             hi = np.asarray(self.upper, dtype=float)
             if lo.shape != (self.dim,) or hi.shape != (self.dim,):
                 raise ContractError("box bounds must have shape (dim,)")
-            if np.any(lo > hi):
-                raise ContractError("box requires lower <= upper componentwise")
+            # +-inf bounds leave a coordinate free; NaN bounds would pass lo > hi unseen
+            if np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
+                raise ContractError("box requires non-NaN bounds with lower <= upper componentwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
         elif self.kind == "ball":
             c = np.asarray(self.center, dtype=float)
-            if c.shape != (self.dim,):
-                raise ContractError("ball center must have shape (dim,)")
-            if self.radius <= 0:
-                raise ContractError("ball radius must be positive")
+            if c.shape != (self.dim,) or not np.all(np.isfinite(c)):
+                raise ContractError("ball center must be finite with shape (dim,)")
+            if not 0 < self.radius < math.inf:
+                raise ContractError(f"ball radius must be positive and finite, got {self.radius!r}")
             object.__setattr__(self, "center", c)
         else:
             raise ContractError(f"unknown domain kind {self.kind!r}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -147,8 +148,8 @@ class OmegaBox:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ContractError("omega box requires lower <= upper of equal shape")
+        if lo.shape != hi.shape or np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
+            raise ContractError("omega box requires non-NaN lower <= upper of equal shape")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -237,28 +238,6 @@ def _soft_threshold_vjp(x, t, cot):
     return mask * cot, -np.sign(x) * mask * cot
 
 
-class _SpectralCache:
-    """Memoize sigma_max(W) keyed by the array bytes."""
-
-    def __init__(self):
-        self._store = {}
-
-    def sigma(self, W):
-        key = (W.shape, W.tobytes())
-        if key not in self._store:
-            self.record(W, spectral_norm_estimate(W))
-        return self._store[key]
-
-    def record(self, W, sigma):
-        """Store a sigma_max(W) known without a power iteration."""
-        if len(self._store) > 256:
-            self._store.clear()
-        self._store[(W.shape, W.tobytes())] = sigma
-
-
-_sigma_cache = _SpectralCache()
-
-
 # ---------------------------------------------------------------------------
 # GKM averaging
 # ---------------------------------------------------------------------------
@@ -325,10 +304,10 @@ class PgOperator:
             g = g + _col(self.lin, u)
         return g
 
+    @cached_property
     def lipschitz_f(self):
-        if self.quad is None:
-            return 0.0
-        return _sigma_cache.sigma(self.quad)
+        """L_f = sigma_max(quad), measured at the first validation."""
+        return 0.0 if self.quad is None else spectral_norm_estimate(self.quad)
 
     # contract --------------------------------------------------------
     def validate_omega(self, omega):
@@ -336,7 +315,7 @@ class PgOperator:
         g = _diag(omega, self.gdiag, self.dim)
         if np.any(g <= 0):
             raise ContractError("metric diagonal G(omega) must be positive definite")
-        lf = self.lipschitz_f()
+        lf = self.lipschitz_f
         if gam <= 0:
             raise ContractError("step gamma must be positive")
         if lf > 0 and gam >= 2.0 * float(np.min(g)) / lf:
@@ -453,6 +432,12 @@ class AlmOperator:
         if self.gmode not in ("fixed", "slice", "rho-lin"):
             raise ContractError(f"unknown prox-metric mode {self.gmode!r}")
         self._ell = self.gmode == "rho-lin"  # ell of G = diag(gd) - ell beta A^T A
+        # each mode reads gd from one source, so an argument of the other is refused
+        if self._ell and self.gdiag is not None:
+            raise ContractError("gdiag is not read in prox-metric mode 'rho-lin'; use rho_groups")
+        if not self._ell and self.rho_groups:
+            raise ContractError(f"rho_groups are read only in prox-metric mode 'rho-lin', "
+                                f"not {self.gmode!r}")
         self.rho_groups = tuple((name, self._as_mask(mask)) for name, mask in self.rho_groups)
         self.thresh_groups = tuple((name, self._as_mask(mask)) for name, mask in self.thresh_groups)
         # the VJP credits each group alone with the factor on its coordinates
@@ -462,7 +447,7 @@ class AlmOperator:
         w = self.l1_weights
         self._l1 = np.zeros(0, dtype=int) if w is None else np.flatnonzero(w > 0)
         self._smooth = np.arange(self.nprimal) if w is None else np.flatnonzero(w == 0)
-        self._cache = {}
+        self._prepared = (None, None)  # (omega, its context); HyperParams is frozen
 
     def _as_mask(self, mask):
         m = np.asarray(mask)
@@ -505,9 +490,8 @@ class AlmOperator:
             _acc(grad, omega, name, np.sum(dgd[mask]))
 
     def prepare(self, omega):
-        key = omega.values.tobytes()
-        if key in self._cache:
-            return self._cache[key]
+        if omega is self._prepared[0]:
+            return self._prepared[1]
         beta = _resolve(omega, self.beta)
         gd = self._gd(omega)
         K = np.diag(gd)
@@ -541,9 +525,7 @@ class AlmOperator:
             "dL": np.diag(K)[L],
             "gd": gd,
         }
-        if len(self._cache) > 8:
-            self._cache.clear()
-        self._cache[key] = ctx
+        self._prepared = (omega, ctx)
         return ctx
 
     def validate_omega(self, omega):
@@ -815,9 +797,9 @@ class NetOperator:
 
     Layer matrices live in omega slices (role layer-matrix) and are
     expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L);
-    apply() checks the cached certificates and rejects unnormalized
-    layers unless ``enforce_certificate`` is switched off (the
-    normalization-ablation mode).  With ``conjugate`` set -- a fixed
+    apply() checks the certificate once per omega object and rejects
+    unnormalized layers unless ``enforce_certificate`` is switched off
+    (the normalization-ablation mode).  With ``conjugate`` set -- a fixed
     metric or the name of a metric-diagonal omega slice -- the whole map
     is conjugated as H^{-1/2} D H^{1/2} so it is non-expansive in the
     H-metric.
@@ -843,8 +825,9 @@ class NetOperator:
             raise ContractError("widths must list input and every layer output")
         if self.widths[0] != self.dim or self.widths[-1] != self.dim:
             raise ContractError("network must be a self-map on the state space")
-        # the last omega that passed validate_omega; HyperParams is frozen
-        # and its values read-only, so the same object needs no second check
+        # the last omega certified (by validate_omega or renormalize_for);
+        # HyperParams is frozen and its values read-only, so the same object
+        # needs no second check
         self._certified = None
 
     @property
@@ -869,21 +852,19 @@ class NetOperator:
         return None if c is None else _diag(omega, c, self.dim)
 
     def validate_omega(self, omega):
-        if not self.enforce_certificate:
+        if not self.enforce_certificate or omega is self._certified:
             return
         budget = self.rho_bar ** (1.0 / self.nlayers)
         for W, _ in self._layers(omega):
-            sig = _sigma_cache.sigma(W)
+            sig = spectral_norm_estimate(W)
             if sig > budget + 1e-8:
                 raise ContractError(
                     f"layer sigma_max={sig:g} exceeds the per-layer budget {budget:g}; "
                     "call normalize_net first")
+        self._certified = omega
 
     def contraction_factor(self, omega):
-        f = 1.0
-        for W, _ in self._layers(omega):
-            f *= _sigma_cache.sigma(W)
-        return f
+        return math.prod(spectral_norm_estimate(W) for W, _ in self._layers(omega))
 
     def _forward(self, state, omega):
         """Conjugation diagonal g, its root, the layers, pre-activations and activations."""
@@ -901,7 +882,6 @@ class NetOperator:
     def apply(self, state, omega):
         if self.enforce_certificate and omega is not self._certified:
             self.validate_omega(omega)
-            self._certified = omega
         _, r, _, _, acts = self._forward(state, omega)
         return acts[-1] if r is None else acts[-1] / _col(r, acts[-1])
 
@@ -941,21 +921,14 @@ class NetOperator:
 
 
 def _rescale_layers(omega, names, budget):
-    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it.
-
-    sigma_max goes through ``_sigma_cache``; a rescaled layer records
-    ``sig * (budget / sig)`` as its own, which the power iteration, being
-    scale-equivariant from the same start vector, returns up to rounding.
-    """
+    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it."""
     for name in names:
         W = omega.view(name)
         if W.ndim > 1:
             W = W.reshape(W.shape[0], -1)
-        sig = _sigma_cache.sigma(W)
+        sig = spectral_norm_estimate(W)
         if sig > budget:
-            W = W * (budget / sig)
-            _sigma_cache.record(W, sig * (budget / sig))
-            omega = omega.replace_slice(name, W)
+            omega = omega.replace_slice(name, W * (budget / sig))
     return omega
 
 
@@ -1059,8 +1032,10 @@ def renormalize_for(op, omega):
     """Re-run spectral normalization for every network member of ``op``.
 
     Called after each hyper-parameter update so the per-layer Lipschitz
-    certificates stay valid during training.  Operators without network
-    members return omega unchanged.
+    certificates stay valid during training.  Every layer of the returned
+    omega has just been measured within its budget or scaled to it, so
+    each network member takes that omega as certified.  Operators without
+    network members return omega unchanged.
     """
     if isinstance(op, NetOperator):
         nets = [op]
@@ -1070,4 +1045,6 @@ def renormalize_for(op, omega):
         return omega
     for net in nets:
         omega = _rescale_layers(omega, net.weight_names, net.rho_bar ** (1.0 / net.nlayers))
+    for net in nets:
+        net._certified = omega
     return omega

@@ -6,6 +6,7 @@ import pytest
 from gkmbmo.errors import CapabilityError, ContractError
 from gkmbmo.metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm,
                            h_project, min_eigen_estimate, spectral_norm_estimate)
+from gkmbmo.operators import OmegaBox
 
 
 class TestHInner:
@@ -216,3 +217,29 @@ class TestValidation:
     def test_ball_radius_positive(self):
         with pytest.raises(ContractError):
             DomainDescriptor.ball(np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MetricMatrix.identity(2, scale=math.nan),
+        lambda: MetricMatrix.identity(2, scale=math.inf),
+        lambda: MetricMatrix.diagonal([math.nan, 1.0]),
+        lambda: MetricMatrix.diagonal([math.inf, 1.0]),
+        lambda: OmegaBox([math.nan, 0.0], [1.0, 1.0]),
+        lambda: OmegaBox([0.0, 0.0], [1.0, math.nan]),
+        lambda: DomainDescriptor.box([math.nan, 0.0], [1.0, 1.0]),
+        lambda: DomainDescriptor.box([0.0, 0.0], [1.0, math.nan]),
+        lambda: DomainDescriptor.ball([math.nan, 0.0], 1.0),
+        lambda: DomainDescriptor.ball([0.0, 0.0], math.nan),
+    ], ids=["identity-nan", "identity-inf", "diagonal-nan", "diagonal-inf",
+            "omega-box-lower-nan", "omega-box-upper-nan",
+            "domain-box-lower-nan", "domain-box-upper-nan",
+            "ball-center-nan", "ball-radius-nan"])
+    def test_non_finite_refused_where_it_enters(self, build):
+        with pytest.raises(ContractError):
+            build()
+
+    def test_infinite_box_bounds_allowed(self):
+        # deconv's layer slices are boxed by +-inf
+        box = OmegaBox([-math.inf, 0.0], [math.inf, 1.0])
+        assert box.contains(np.array([1e300, 0.5]))
+        dom = DomainDescriptor.box([-math.inf, 0.0], [math.inf, 1.0])
+        assert dom.contains(np.array([-1e300, 1.0]))

@@ -303,6 +303,37 @@ class TestAlm:
         op.validate_omega(om)
         fd_vjp_check(op, rng.standard_normal(n + 2) * 2.0, om, rng)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(gmode="rho-lin", gdiag="g"), "gdiag"),
+        (dict(gmode="rho-lin", gdiag=np.ones(2)), "gdiag"),
+        (dict(gmode="slice", gdiag="g", rho_groups=(("rho", np.array([True, True])),)),
+         "rho_groups"),
+        (dict(rho_groups=(("rho", np.array([True, True])),)), "rho_groups"),
+    ], ids=["rho-lin-slice-gdiag", "rho-lin-fixed-gdiag", "slice-rho-groups",
+            "fixed-rho-groups"])
+    def test_argument_its_mode_never_reads_refused(self, kwargs, name):
+        with pytest.raises(ContractError, match=name):
+            AlmOperator(nprimal=2, ndual=1, A=np.ones((1, 2)), bvec=np.zeros(1), **kwargs)
+
+    def test_prepare_builds_once_per_omega_object(self, rng):
+        om = make_hyperparams([("beta", 0.8, "penalty"),
+                               ("g", rng.uniform(1.0, 2.0, 3), "metric-diagonal")])
+        op = AlmOperator(nprimal=3, ndual=2, A=rng.standard_normal((2, 3)),
+                         bvec=rng.standard_normal(2), quad=np.eye(3), beta="beta",
+                         gmode="slice", gdiag="g")
+        ctx = op.prepare(om)
+        state = rng.standard_normal(5)
+        op.validate_omega(om)
+        op.apply(state, om)
+        op.apply_vjp(state, om, rng.standard_normal(5))
+        assert op.metric(om) is ctx["H"]
+        assert op.prepare(om) is ctx
+        # an equal omega that is another object is prepared anew, once
+        other = om.with_values(om.values)
+        fresh = op.prepare(other)
+        assert fresh is not ctx and op.prepare(other) is fresh
+        np.testing.assert_array_equal(fresh["Kss_inv"], ctx["Kss_inv"])
+
     def test_overlapping_thresh_groups_refused(self):
         w = np.ones(3)
         with pytest.raises(ContractError, match="overlap"):
@@ -621,7 +652,8 @@ class TestNormalizeNet:
         assert spectral_norm_estimate(out.view("W0")) == pytest.approx(0.5, abs=1e-6)
 
     def test_spectral_norm_scale_equivariant(self):
-        # a rescaled layer's sigma is recorded as c * sigma(W), not measured again
+        # a layer scaled by budget / sigma(W) measures budget to rounding, so the omega
+        # renormalize_for marks certified would also pass a fresh validate_omega
         rng = np.random.default_rng(2024)
         for shape in ((4, 4), (6, 3), (3, 7), (64, 64)):
             for _ in range(5):
@@ -630,15 +662,29 @@ class TestNormalizeNet:
                 assert spectral_norm_estimate(c * W) == pytest.approx(
                     c * spectral_norm_estimate(W), rel=1e-12)
 
-    def test_rescaled_sigma_matches_measured(self, rng, monkeypatch):
-        monkeypatch.setattr(operators, "_sigma_cache", operators._SpectralCache())
-        Ws = [3.0 * rng.standard_normal((5, 5)) for _ in range(2)]
-        om = normalize_net(net_omega(Ws, [np.zeros(5), np.zeros(5)]), 0.64)
-        for name in ("W0", "W1"):
-            W = om.view(name)
-            recorded = operators._sigma_cache.sigma(W)
-            assert recorded == pytest.approx(spectral_norm_estimate(W), rel=1e-12)
-            assert recorded == pytest.approx(0.8, rel=1e-12)
+    def test_renormalized_omega_is_certified_for_every_net(self, rng, monkeypatch):
+        # W0 is over its budget and gets rescaled, W1 is under and is only measured
+        om = make_hyperparams([("W0", 3.0 * rng.standard_normal((4, 4)), "layer-matrix"),
+                               ("b0", np.zeros(4), "layer-bias"),
+                               ("W1", 0.2 * np.eye(4), "layer-matrix"),
+                               ("b1", np.zeros(4), "layer-bias")])
+        outer = NetOperator(dim=4, weight_names=("W0",), bias_names=("b0",),
+                            widths=(4, 4), rho_bar=0.9)
+        inner = NetOperator(dim=4, weight_names=("W1",), bias_names=("b1",),
+                            widths=(4, 4), nonlinearity="tanh")
+        comp = CompositeOperator(members=(outer, inner))
+        out = renormalize_for(comp, om)
+        assert spectral_norm_estimate(out.view("W0")) <= 0.9 + 1e-8
+        calls = []
+        measure = operators.spectral_norm_estimate
+        monkeypatch.setattr(operators, "spectral_norm_estimate",
+                            lambda A: calls.append(1) or measure(A))
+        comp.validate_omega(out)
+        comp.apply(rng.standard_normal(4), out)
+        assert calls == []
+        # an equal omega that is another object is measured again, layer by layer
+        comp.validate_omega(out.with_values(out.values))
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +787,6 @@ class TestComposite:
 
 class TestWorkPerOuterStep:
     def test_one_power_iteration_per_layer_per_step(self, monkeypatch):
-        monkeypatch.setattr(operators, "_sigma_cache", operators._SpectralCache())
         inst = gen_deconv(n=16, seed=4)
         bundle = build_deconv_operator(inst, net_widths=(16,), seed=7)
         # a learning rate large enough that some updates push a layer over budget
