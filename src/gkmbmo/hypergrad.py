@@ -28,6 +28,7 @@ from .metric import (DomainDescriptor, MetricMatrix, h_norm, h_project,
 from .operators import HyperParams, apply_T
 
 DIVERGENCE_LIMIT = 1e12
+RECORD_CHUNK = 64     # 1-D iterates whose records are reduced together
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +88,26 @@ class LossDescriptor:
             return d, w
         return d, 1.0
 
-    def _feas_parts(self, u):
+    def _feas_parts(self, u, columns=False):
         n = self.Q.shape[1]
         m = self.Q.shape[0]
         u1, u2 = u[:n], u[n:n + m]
         b = self.bmat
+        if b.ndim > 1 and (u.ndim == 1 or columns):
+            b = b[:, 0]
         if b.ndim == 1 and u.ndim > 1:
             b = b[:, None]
-        elif b.ndim > 1 and u.ndim == 1:
-            b = b[:, 0]
-        B = u.shape[1] if u.ndim > 1 else 1
+        # columns of 1-D states are separate states, not one batch
+        B = u.shape[1] if u.ndim > 1 and not columns else 1
         r = (self.Q @ u1 + u2 - b) / B
         return u1, u2, r, B
 
     # interface ----------------------------------------------------------
-    def value(self, u, omega=None):
+    def value(self, u, omega=None, columns=False):
+        """l(u); with ``columns``, the (n,) losses of n 1-D states stacked as columns."""
         u = np.asarray(u, dtype=float)
+        if columns:
+            return self._column_values(u)
         if self.kind == "squared_error":
             d, w = self._se_terms(u)
             return float(0.5 * self.scale * np.sum(w * d * d))
@@ -113,6 +118,18 @@ class LossDescriptor:
         linear = float(np.sum(self.q[:, None] * u)) if (self.q is not None and u.ndim > 1) \
             else (float(self.q @ u) if self.q is not None else 0.0)
         return quad + linear + self.const
+
+    def _column_values(self, u):
+        if self.kind == "squared_error":
+            d, w = self._se_terms(u)
+            return 0.5 * self.scale * np.sum(w * d * d, axis=0)
+        if self.kind == "feasibility":
+            r = self._feas_parts(u, columns=True)[2]
+            return 0.5 * np.sum(r * r, axis=0)
+        vals = 0.5 * np.sum(u * (self.P @ u), axis=0)
+        if self.q is not None:
+            vals += self.q @ u
+        return vals + self.const
 
     def grad_u(self, u, omega=None):
         u = np.asarray(u, dtype=float)
@@ -244,16 +261,68 @@ def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
     return v_l, hg, pre, h_project(H, domain, pre)
 
 
-def _record(k, hlb, u, t_u, u_prev, loss, omega):
-    """InnerRecord of iterate u^k given T(u^k) and u^{k-1}; loss may be None."""
-    denom = float(np.linalg.norm(u_prev)) or 1.0
-    return InnerRecord(k, h_norm(hlb, u - t_u) ** 2,
-                       float(np.linalg.norm(u - u_prev)) / denom,
-                       loss.value(u, omega) if loss is not None else math.nan)
+def _record(ks, hlb, res, u, u_prev, loss, omega, columns=False):
+    """InnerRecords of iterates u given their residuals u - T(u) and predecessors u_prev.
+
+    With ``columns`` the arrays stack 1-D iterates as columns, the iterate
+    of step ks[j] in column j; otherwise they hold the one, possibly
+    batched, iterate of step ks[0].  loss may be None.
+    """
+    axis = 0 if columns else None
+    res_sq = np.atleast_1d(h_norm(hlb, res, columns) ** 2)
+    denom = np.atleast_1d(np.linalg.norm(u_prev, axis=axis))
+    denom[denom == 0.0] = 1.0
+    step = np.linalg.norm(u - u_prev, axis=axis) / denom
+    vals = (np.atleast_1d(loss.value(u, omega, columns)) if loss is not None
+            else np.full(len(ks), math.nan))
+    return [InnerRecord(k, float(r), float(s), float(v))
+            for k, r, s, v in zip(ks, res_sq, step, vals)]
+
+
+class _Recorder:
+    """Collects the InnerRecords of one run, RECORD_CHUNK 1-D iterates at a time.
+
+    A 1-D iterate's residual, the iterate and its predecessor are copied
+    into rows of buffers reused across chunks, and ``_record`` reduces a
+    full chunk (and the rest, at ``finish``) with one product per array.
+    A batched iterate already fills a chunk, so it is recorded at once.
+    """
+
+    def __init__(self, hlb, loss, omega, K):
+        self.hlb, self.loss, self.omega = hlb, loss, omega
+        self.records = []
+        self.ks = []
+        self.rows = min(K, RECORD_CHUNK)
+        self.bufs = None          # rows of u - T(u), u and u_prev
+
+    def add(self, k, u, t_u, u_prev):
+        if u.ndim > 1:
+            self.records += _record([k], self.hlb, u - t_u, u, u_prev, self.loss, self.omega)
+            return
+        if self.bufs is None:
+            self.bufs = tuple(np.empty((3, self.rows, u.shape[0])))
+        j = len(self.ks)
+        res, cur, prev = self.bufs
+        np.subtract(u, t_u, out=res[j])
+        cur[j] = u
+        prev[j] = u_prev
+        self.ks.append(k)
+        if j + 1 == self.rows:
+            self.finish()
+
+    def finish(self):
+        """Record what is buffered; returns every record so far."""
+        if self.ks:
+            res, cur, prev = (b[:len(self.ks)].T for b in self.bufs)
+            self.records += _record(self.ks, self.hlb, res, cur, prev,
+                                    self.loss, self.omega, columns=True)
+            self.ks = []
+        return self.records
 
 
 def _check_finite(u, what, k):
-    if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_LIMIT:
+    # NaN fails the comparison and +-inf exceeds the limit
+    if not np.max(np.abs(u)) <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"{what} diverged at k={k}", inner_step=k)
 
 
@@ -283,20 +352,21 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
 
     u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
     steps = []
-    records = []
+    recorder = _Recorder(hlb, loss, omega, cfg.K)
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
         v_l, hg, pre, u_next = _gkm_step(op, loss, omega, cfg, H, domain, s_k, u)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
-            records.append(_record(k - 1, hlb, u, v_l, u_prev, loss, omega))
+            recorder.add(k - 1, u, v_l, u_prev)
         _check_finite(u_next, "inner iterate", k)
         if build_tape:
             steps.append(TapeStep(k, s_k, u, hg, pre if keep_pre else None))
         u_prev, u = u, u_next
     if record and cfg.K >= 1:
-        records.append(_record(cfg.K, hlb, u, apply_T(op, u, omega, cfg), u_prev, loss, omega))
+        recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
+    records = recorder.finish()
     tape = None
     if build_tape:
         tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, domain, H,
@@ -315,17 +385,17 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
     op.validate_omega(omega)
     hlb = h_lb if h_lb is not None else op.metric(omega)
     u = np.array(u0, dtype=float)
-    records = []
+    recorder = _Recorder(hlb, loss, omega, K)
     prev = None
     for k in range(1, K + 1):
         v_l = apply_T(op, u, omega, cfg)
         if k >= 2:
-            records.append(_record(k - 1, hlb, u, v_l, prev, loss, omega))
+            recorder.add(k - 1, u, v_l, prev)
         _check_finite(v_l, "KM iterate", k)
         prev, u = u, v_l
     if K >= 1:
-        records.append(_record(K, hlb, u, apply_T(op, u, omega, cfg), prev, loss, omega))
-    return u, records
+        recorder.add(K, u, apply_T(op, u, omega, cfg), prev)
+    return u, recorder.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ holds one.
 
 Vectors may be passed as shape ``(dim,)`` or batched as ``(dim, B)``;
 batched norms reduce over all entries (the metric of the stacked state
-is block diagonal with identical blocks).
+is block diagonal with identical blocks), while ``columns=True`` reduces
+each column of a ``(dim, n)`` stack of separate vectors on its own.
 """
 
 from __future__ import annotations
@@ -213,18 +214,26 @@ class DomainDescriptor:
         return bool(np.all(d <= self.radius + tol))
 
 
-def h_inner(H, u, v):
-    """<u, H v>; symmetric in u and v.  Batched inputs reduce over all entries."""
+def h_inner(H, u, v, columns=False):
+    """<u, H v>; symmetric in u and v.  Batched inputs reduce over all entries.
+
+    With ``columns`` the (dim, n) inputs stack n separate vectors, and the
+    (n,) array of their inner products is returned.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ContractError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    if columns:
+        return np.sum(u * H.apply(v), axis=0)
     return float(np.sum(u * H.apply(v)))
 
 
-def h_norm(H, u):
-    """Induced norm sqrt(<u, H u>)."""
-    val = h_inner(H, u, u)
+def h_norm(H, u, columns=False):
+    """Induced norm sqrt(<u, H u>); per column, as an (n,) array, with ``columns``."""
+    val = h_inner(H, u, u, columns)
+    if columns:
+        return np.sqrt(np.maximum(val, 0.0))
     return math.sqrt(max(val, 0.0))
 
 

@@ -1,10 +1,12 @@
-"""The benchmark harness still finds every name it wraps.
+"""The benchmark harness still finds every name it wraps, and its spans still record.
 
 ``bench/harness.py`` times the package from the outside: it replaces
 package-level names and the methods of one operator and loss with
-timing wrappers, and a traced run fails on a name that is gone.  These
-tests import the harness without running it, so a rename in the package
-fails here as well as in ``bench/selftest.py``.
+timing wrappers, and a traced run fails on a name that is gone or on an
+expected span that records no call.  Most tests import the harness
+without running it; one runs a tiny traced pass of two workloads.  So a
+rename in the package, or a layer the wrappers no longer reach, fails
+here as well as in ``bench/selftest.py``.
 """
 
 import sys
@@ -44,3 +46,10 @@ def test_every_wrapped_method_exists_on_each_workload(harness, tmp_path):
             harness.trace_instances(tr, bundle)  # raises TraceError on a missing method
         finally:
             tr.restore()
+
+
+@pytest.mark.parametrize("name", ["sep_rollout", "deconv_train"])
+def test_tiny_traced_pass_is_correct(harness, name, tmp_path):
+    # a traced run fails when an expected span (metric.h_norm, say) records no call
+    result, raw = harness.run_workload(name, 0, 1.0, 1, tiny=True, out_dir=tmp_path)
+    assert result["correct"], (raw["checks"], [u["error"] for u in raw["units"] if not u["ok"]])

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from gkmbmo import hypergrad
 from gkmbmo.bmo import BmoConfig
 from gkmbmo.errors import CapabilityError, ContractError, DivergenceError
 from gkmbmo.hypergrad import (LossDescriptor, estimate_L_ell, fd_hypergradient,
                               hypergradient, inner_loop, km_iterate)
 from gkmbmo.metric import DomainDescriptor, MetricMatrix, h_norm, min_eigen_estimate
-from gkmbmo.operators import DladmmOperator, NetOperator, PgOperator, make_hyperparams
+from gkmbmo.operators import (DladmmOperator, NetOperator, PgOperator, apply_T,
+                              make_hyperparams)
 
 
 def identity_net(dim):
@@ -57,6 +61,30 @@ class TestLoss:
         state = rng.standard_normal(11)
         g = loss.grad_u(state)
         np.testing.assert_array_equal(g[8:], 0.0)
+
+    @pytest.mark.parametrize("case", ["squared_error", "weighted", "feasibility",
+                                      "feasibility_2d_b", "quadratic"])
+    def test_column_values_match_per_column_loop(self, case, rng):
+        # a feasibility column is one 1-D state: no division by the column count
+        Q = rng.standard_normal((3, 5))
+        P = rng.standard_normal((6, 6))
+        loss = {
+            "squared_error": lambda: LossDescriptor("squared_error", 6,
+                                                    target=rng.standard_normal(6), scale=1.5),
+            "weighted": lambda: LossDescriptor("squared_error", 6, target=rng.standard_normal(6),
+                                               weight=rng.uniform(0.0, 2.0, 6)),
+            "feasibility": lambda: LossDescriptor("feasibility", 11, Q=Q,
+                                                  bmat=rng.standard_normal(3)),
+            "feasibility_2d_b": lambda: LossDescriptor("feasibility", 11, Q=Q,
+                                                       bmat=rng.standard_normal((3, 1))),
+            "quadratic": lambda: LossDescriptor("quadratic", 6, P=P @ P.T,
+                                                q=rng.standard_normal(6), const=0.7),
+        }[case]()
+        U = rng.standard_normal((7, loss.dim)).T
+        got = loss.value(U, columns=True)
+        assert got.shape == (7,)
+        np.testing.assert_allclose(got, [loss.value(U[:, j]) for j in range(7)],
+                                   rtol=1e-12, atol=0)
 
     def test_L_ell_identity_quadratic(self):
         assert estimate_L_ell(LossDescriptor("squared_error", 3)) == 1.0
@@ -347,3 +375,129 @@ class TestKmIterate:
         u2, _ = km_iterate(op, om, cfg, np.array([4.0, 0.0]), 200)
         np.testing.assert_allclose(u1, [-0.5, -0.5], atol=1e-10)
         np.testing.assert_allclose(u2, [2.0, 2.0], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+def dladmm_case(rng, batch=None):
+    Q = rng.standard_normal((3, 5))
+    Q /= np.linalg.norm(Q, axis=0)
+    b = rng.standard_normal(3 if batch is None else (3, batch))
+    op = DladmmOperator(Q=Q, bvec=b, beta="beta", gamma="gamma", rho1="rho1", rho2="rho2",
+                        kappa1="kappa1", kappa2="kappa2")
+    om = make_hyperparams([("beta", 0.2, "penalty"), ("gamma", 1.0, "step-size"),
+                           ("rho1", 1.3 * 0.2 * op.lipschitz_Q ** 2, "penalty"),
+                           ("rho2", 0.25, "penalty"),
+                           ("kappa1", 0.5, "threshold"), ("kappa2", 0.5, "threshold")])
+    loss = LossDescriptor("feasibility", op.dim, Q=Q, bmat=b)
+    bound = min_eigen_estimate(op.metric(om)) / loss.smoothness()
+    u0 = rng.standard_normal(op.dim if batch is None else (op.dim, batch))
+    return op, om, loss, bound, u0
+
+
+def per_step_records(op, omega, cfg, hlb, loss, iterates):
+    """(k, residual, rel_step, loss) of iterates u^1..u^K, each computed on its own."""
+    out = []
+    for k in range(1, len(iterates)):
+        u, prev = iterates[k], iterates[k - 1]
+        denom = float(np.linalg.norm(prev)) or 1.0
+        out.append((k, h_norm(hlb, u - apply_T(op, u, omega, cfg)) ** 2,
+                    float(np.linalg.norm(u - prev)) / denom,
+                    loss.value(u, omega) if loss is not None else math.nan))
+    return out
+
+
+def as_rows(records):
+    return [(r.k, r.residual_hlb_sq, r.rel_step, r.loss) for r in records]
+
+
+def assert_records_close(got, want):
+    assert [r[0] for r in got] == [r[0] for r in want]
+    np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:], rtol=1e-12, atol=0)
+
+
+class _Injecting:
+    """An operator whose n-th apply puts ``value`` into the first coordinate."""
+
+    def __init__(self, op, n, value):
+        self.op, self.n, self.value, self.calls = op, n, value, 0
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def apply(self, state, omega):
+        out = self.op.apply(state, omega)
+        self.calls += 1
+        if self.calls == self.n:
+            out = out.copy()
+            out[0] = self.value
+        return out
+
+
+class TestChunkedRecords:
+    """Records of 1-D iterates are reduced RECORD_CHUNK at a time."""
+
+    @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 130])
+    def test_inner_loop_matches_per_step(self, K, rng):
+        op, om, loss, bound, u0 = dladmm_case(rng)
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=K)
+        u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
+        iterates = [st.u_prev for st in tape.steps] + [u]
+        want = per_step_records(op, om, cfg, op.metric(om), loss, iterates)
+        assert len(recs) == K
+        assert_records_close(as_rows(recs), want)
+
+    @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 130])
+    def test_km_iterate_matches_per_step(self, K, rng):
+        op, om, _, _, u0 = dladmm_case(rng)
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.1, K=1)
+        hlb = MetricMatrix.diagonal(rng.uniform(0.5, 2.0, op.dim))
+        u, recs = km_iterate(op, om, cfg, u0, K, h_lb=hlb)
+        iterates = [u0]
+        for _ in range(K):
+            iterates.append(apply_T(op, iterates[-1], om, cfg))
+        np.testing.assert_array_equal(u, iterates[-1])
+        assert len(recs) == K and all(math.isnan(r.loss) for r in recs)
+        assert_records_close(as_rows(recs), per_step_records(op, om, cfg, hlb, None, iterates))
+
+    def test_batched_records_bit_identical_to_per_step(self, rng):
+        op, om, loss, bound, u0 = dladmm_case(rng, batch=4)
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=70)
+        u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
+        iterates = [st.u_prev for st in tape.steps] + [u]
+        assert as_rows(recs) == per_step_records(op, om, cfg, op.metric(om), loss, iterates)
+
+    @pytest.mark.parametrize("batch, K, calls", [(None, 130, 3), (None, 64, 1), (4, 5, 5)])
+    def test_one_metric_product_per_chunk(self, batch, K, calls, rng, monkeypatch):
+        op, om, loss, bound, u0 = dladmm_case(rng, batch)
+        seen = []
+
+        def counting_h_norm(H, u, columns=False):
+            seen.append(u.shape)
+            return h_norm(H, u, columns)
+
+        monkeypatch.setattr(hypergrad, "h_norm", counting_h_norm)
+        inner_loop(op, loss, om, BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=K), u0=u0)
+        assert len(seen) == calls
+        assert max(shape[-1] for shape in seen) <= hypergrad.RECORD_CHUNK
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e13])
+    @pytest.mark.parametrize("run", ["inner_loop", "km_iterate"])
+    def test_divergence_mid_chunk_reports_its_step(self, run, value):
+        net, om = scaling_net(3, 0.5)
+        op = _Injecting(net, 40, value)
+        cfg = BmoConfig(alpha=0.5, mu=0.3, s=0.4, K=100)
+        with pytest.raises(DivergenceError, match="diverged at k=40") as exc:
+            if run == "inner_loop":
+                inner_loop(op, LossDescriptor("squared_error", 3), om, cfg, u0=np.ones(3))
+            else:
+                km_iterate(op, om, cfg, np.ones(3), 100)
+        assert exc.value.inner_step == 40
+
+    def test_large_finite_iterate_below_limit_kept(self):
+        net, om = scaling_net(3, 0.5)
+        cfg = BmoConfig(alpha=0.5, mu=0.3, s=0.4, K=100)
+        _, recs = km_iterate(_Injecting(net, 40, 1e11), om, cfg, np.ones(3), 100)
+        assert len(recs) == 100

@@ -51,6 +51,41 @@ class TestHNorm:
             assert h_norm(H, u) ** 2 == pytest.approx(h_inner(H, u, u), rel=1e-12, abs=1e-300)
 
 
+def _metrics(rng):
+    A = rng.standard_normal((9, 9))
+    dense = MetricMatrix.dense(A @ A.T + np.eye(9))
+    return {
+        "identity": MetricMatrix.identity(9, scale=1.7),
+        "diagonal": MetricMatrix.diagonal(rng.uniform(0.1, 3.0, 9)),
+        "dense": dense,
+        "block": MetricMatrix.block_diagonal([dense, MetricMatrix.identity(4, scale=0.3)]),
+    }
+
+
+class TestColumns:
+    """columns=True reduces each column of a stack on its own."""
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense", "block"])
+    def test_matches_per_column_loop(self, kind, rng):
+        H = _metrics(rng)[kind]
+        # a transposed C-ordered buffer, the layout the inner loop's records pass
+        U = rng.standard_normal((11, H.dim)).T
+        V = rng.standard_normal((11, H.dim)).T
+        inner = h_inner(H, U, V, columns=True)
+        norm = h_norm(H, U, columns=True)
+        assert inner.shape == norm.shape == (11,)
+        np.testing.assert_allclose(inner, [h_inner(H, U[:, j], V[:, j]) for j in range(11)],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(norm, [h_norm(H, U[:, j]) for j in range(11)],
+                                   rtol=1e-12, atol=0)
+
+    def test_batched_default_reduces_over_all_entries(self, rng):
+        H = _metrics(rng)["block"]
+        U = rng.standard_normal((H.dim, 6))
+        assert h_norm(H, U) ** 2 == pytest.approx(np.sum(h_norm(H, U, columns=True) ** 2),
+                                                  rel=1e-12)
+
+
 class TestHProject:
     def test_full_space_identity(self, rng):
         u = rng.standard_normal(5)
