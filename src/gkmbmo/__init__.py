@@ -11,20 +11,20 @@ from .bmo import (BmoConfig, TrainReport, Trajectory, envelope_shape, evaluate_p
                   residual_envelope_check, stationarity_probe, train)
 from .errors import (CapabilityError, ContractError, DivergenceError, FormatError,
                      NumericsError)
-from .hypergrad import (LossDescriptor, Tape, estimate_L_ell, fd_hypergradient,
-                        hypergradient, inner_loop, km_iterate)
+from .hypergrad import (LossDescriptor, Tape, fd_hypergradient, hypergradient,
+                        inner_loop, km_iterate)
 from .metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm, h_project,
                      min_eigen_estimate, spectral_norm_estimate)
-from .operators import (AlmOperator, CompositeOperator, DladmmOperator, GkmConfig,
+from .operators import (AlmOperator, CompositeOperator, DladmmOperator,
                         HyperParams, NetOperator, OmegaBox, ParamSlice, PgOperator,
                         apply_T, make_hyperparams, normalize_net, soft_threshold)
 
 __all__ = [
     "AlmOperator", "BmoConfig", "CapabilityError", "CompositeOperator",
     "ContractError", "DivergenceError", "DladmmOperator", "DomainDescriptor",
-    "FormatError", "GkmConfig", "HyperParams", "LossDescriptor", "MetricMatrix",
+    "FormatError", "HyperParams", "LossDescriptor", "MetricMatrix",
     "NetOperator", "NumericsError", "OmegaBox", "ParamSlice", "PgOperator",
-    "Tape", "TrainReport", "Trajectory", "apply_T", "envelope_shape", "estimate_L_ell",
+    "Tape", "TrainReport", "Trajectory", "apply_T", "envelope_shape",
     "evaluate_phiK", "fd_hypergradient", "h_inner", "h_norm", "h_project",
     "hypergradient", "inner_loop", "km_iterate", "make_hyperparams",
     "min_eigen_estimate", "normalize_net", "residual_envelope_check",

@@ -181,8 +181,7 @@ def train(op, loss, omega0, cfg):
     last_records = []
     for t in range(cfg.T):
         try:
-            uK, tape, records = inner_loop(op, loss, omega, cfg, u0=cfg.u0,
-                                           record=cfg.record_inner)
+            uK, tape, records = inner_loop(op, loss, omega, cfg, record=cfg.record_inner)
         except DivergenceError as err:
             err.outer_step = t
             raise
@@ -213,7 +212,7 @@ def train(op, loss, omega0, cfg):
 
 def evaluate_phiK(op, loss, omega, cfg):
     """phi_K(omega) = loss at the K-th inner iterate; deterministic given omega."""
-    u, _, _ = inner_loop(op, loss, omega, cfg, u0=cfg.u0, build_tape=False, record=False)
+    u, _, _ = inner_loop(op, loss, omega, cfg, build_tape=False, record=False)
     return loss.value(u, omega)
 
 
@@ -263,10 +262,10 @@ def stationarity_probe(op, loss, omega, cfg, K_list):
     out = []
     for K in K_list:
         c = replace(cfg, K=int(K))
-        _, tape, _ = inner_loop(op, loss, omega, c, u0=cfg.u0, record=False)
+        _, tape, _ = inner_loop(op, loss, omega, c, record=False)
         out.append((int(K), float(np.linalg.norm(hypergradient(tape)))))
     K_ref = 10 * max(int(k) for k in K_list)
     c = replace(cfg, K=K_ref)
-    _, tape, _ = inner_loop(op, loss, omega, c, u0=cfg.u0, record=False)
+    _, tape, _ = inner_loop(op, loss, omega, c, record=False)
     proxy = (K_ref, float(np.linalg.norm(hypergradient(tape))))
     return out, proxy

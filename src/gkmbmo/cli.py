@@ -28,7 +28,7 @@ from .errors import (CapabilityError, ContractError, DivergenceError, FormatErro
 from .hypergrad import (LossDescriptor, fd_hypergradient, hypergradient,
                         inner_loop, km_iterate)
 from .metric import min_eigen_estimate, spectral_norm_estimate
-from .operators import GkmConfig, NetOperator, OmegaBox, make_hyperparams
+from .operators import NetOperator, OmegaBox, make_hyperparams
 from .tasks import (TaskBundle, build_deconv_operator, build_separation_operator,
                     build_sparse_coding_operator, gen_deconv, gen_separation,
                     gen_sparse_coding, load_instance, psnr, save_instance, ssim,
@@ -336,7 +336,7 @@ def _expansive_ablation_records(cfg, dim=8, K=40):
     op = NetOperator(dim=dim, weight_names=("W0",), bias_names=("b0",),
                      widths=(dim, dim), enforce_certificate=False)
     try:
-        return km_iterate(op, omega, GkmConfig(0.9), rng.standard_normal(dim), K)[1], False
+        return km_iterate(op, omega, BmoConfig(alpha=0.9), rng.standard_normal(dim), K)[1], False
     except DivergenceError:
         return [], True
 

@@ -166,21 +166,17 @@ class LossDescriptor:
         return self.P @ v
 
     def smoothness(self):
-        return estimate_L_ell(self)
-
-
-def estimate_L_ell(loss):
-    """Largest eigenvalue of the u-Hessian of the supported quadratic family."""
-    if loss.kind == "squared_error":
-        if loss.weight is not None:
-            return loss.scale * float(np.max(loss.weight))
-        return loss.scale
-    if loss.kind == "feasibility":
-        m, n = loss.Q.shape
-        stacked = np.hstack([loss.Q, np.eye(m)])
-        B = loss.bmat.shape[1] if loss.bmat.ndim > 1 else 1
-        return spectral_norm_estimate(stacked) ** 2 / B
-    return spectral_norm_estimate(loss.P)
+        """L_ell, the largest eigenvalue of the u-Hessian."""
+        if self.kind == "squared_error":
+            if self.weight is not None:
+                return self.scale * float(np.max(self.weight))
+            return self.scale
+        if self.kind == "feasibility":
+            m, n = self.Q.shape
+            stacked = np.hstack([self.Q, np.eye(m)])
+            B = self.bmat.shape[1] if self.bmat.ndim > 1 else 1
+            return spectral_norm_estimate(stacked) ** 2 / B
+        return spectral_norm_estimate(self.P)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +326,13 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     """Run K inner steps; return (uK, tape, records).
 
     cfg is a ``BmoConfig``; it supplies alpha, mu, s, K, and the domain U.
-    ``h_lb`` is the metric lower bound used for recorded residuals
-    (defaults to the current H(omega)).  Raises ContractError when cfg
-    fails ``cfg.validate()`` or s exceeds its step bound, DivergenceError
-    on non-finite iterates, and CapabilityError, before the first step,
-    when a tape is asked for on a domain whose projection the reverse
-    sweep cannot differentiate.
+    ``u0`` is the initial iterate (defaults to ``cfg.u0``, then to zeros),
+    and ``h_lb`` the metric lower bound used for recorded residuals
+    (defaults to ``cfg.h_lb``, then to the current H(omega)).  Raises
+    ContractError when cfg fails ``cfg.validate()`` or s exceeds its step
+    bound, DivergenceError on non-finite iterates, and CapabilityError,
+    before the first step, when a tape is asked for on a domain whose
+    projection the reverse sweep cannot differentiate.
     """
     cfg.validate()
     domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
@@ -350,6 +347,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
             f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
     keep_pre = domain.kind != "full"
 
+    u0 = cfg.u0 if u0 is None else u0
     u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
     steps = []
     recorder = _Recorder(hlb, loss, omega, cfg.K)
@@ -380,8 +378,10 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
 
     This is the mu = 0 path: no loss-descent direction is mixed in, so
     the limit depends on the initial point when the fixed-point set is
-    not a singleton.
+    not a singleton.  cfg is a ``BmoConfig`` and supplies alpha; K is
+    passed apart from it.
     """
+    cfg.validate()
     op.validate_omega(omega)
     hlb = h_lb if h_lb is not None else op.metric(omega)
     u = np.array(u0, dtype=float)
@@ -411,20 +411,19 @@ def hypergradient(tape, corrupt_rule=False):
     """
     loss, omega, H = tape.loss, tape.omega, tape.metric
     cu = loss.grad_u(tape.uK, omega)
-    go = np.zeros(omega.dim)
+    go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
     hess_scale = 0.5 if corrupt_rule else 1.0
     for st in reversed(tape.steps):
         if tape.domain.kind != "full":
             cu = projection_jacobian_diag(tape.domain, st.pre_proj) * cu
         cvu = tape.mu * cu
         cvl = (1.0 - tape.mu) * cu
-        cs, g_op = tape.op.apply_vjp(st.u_prev, omega, tape.alpha * cvl)
+        cs = tape.op.apply_vjp(st.u_prev, omega, tape.alpha * cvl, go)
         cu = (1.0 - tape.alpha) * cvl + cs
         hv = H.solve(cvu)
         cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(st.u_prev, hv)
-        go += g_op
         if tape.grad_through_metric:
-            go += st.s_k * tape.op.metric_quad_vjp(omega, hv, st.hinv_grad)
+            tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
     return go
 
 

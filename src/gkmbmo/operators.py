@@ -18,9 +18,14 @@ metric H(omega):
 * ``CompositeOperator`` -- right-to-left composition sharing one metric.
 
 States are numpy arrays of shape ``(dim,)`` or ``(dim, B)``; every apply
-is vectorized over trailing batch columns.  All operators expose an
-analytic vector-Jacobian product used by the unrolled differentiation
-tape.
+is vectorized over trailing batch columns.  All operators expose two
+analytic reverse rules for the unrolled differentiation tape, and both
+add into one omega gradient that the caller owns:
+
+* ``apply_vjp(state, omega, cot, grad)`` adds cot^T dD/domega into
+  ``grad`` and returns the state cotangent cot^T dD/dstate;
+* ``metric_quad_vjp(omega, x, y, grad, scale)`` adds
+  scale * d<x, H(omega) y>/domega into ``grad`` and returns nothing.
 """
 
 from __future__ import annotations
@@ -194,6 +199,16 @@ def _resolve(omega, spec, default=None):
     return float(spec)
 
 
+def _diag_spec(spec, dim):
+    """Check a diagonal-metric spec: None, an omega slice name, or a fixed (dim,) array."""
+    if spec is None or isinstance(spec, str):
+        return spec
+    d = np.asarray(spec, dtype=float)
+    if d.shape != (dim,):
+        raise ContractError(f"a fixed metric diagonal must have shape ({dim},), got {d.shape}")
+    return d
+
+
 def _diag(omega, spec, dim):
     """A metric diagonal of length ``dim`` given by ``spec``.
 
@@ -208,17 +223,25 @@ def _diag(omega, spec, dim):
     return spec
 
 
+def _diag_metric(omega, spec, dim):
+    """The identity for a None spec, else the diagonal metric the spec gives."""
+    if spec is None:
+        return MetricMatrix.identity(dim)
+    return MetricMatrix.diagonal(_diag(omega, spec, dim))
+
+
 def _colsum(x):
     """Sum a batched (d, B) array over its batch columns; (d,) passes through."""
     return x.sum(axis=-1) if x.ndim > 1 else x
 
 
-def _acc(grad, omega, spec, value):
-    """Add ``value`` into the gradient slice named by ``spec``.
+def _acc(grad, omega, spec, value, scale=1.0):
+    """Add ``scale * value`` into the gradient slice named by ``spec``.
 
     A non-string spec is a fixed value, not a hyper-parameter, and takes
     nothing.  A value with more entries than the slice carries batch
     columns, which are summed first; a scalar slice takes the sum.
+    ``scale`` multiplies after those sums.
     """
     if not isinstance(spec, str):
         return
@@ -227,9 +250,9 @@ def _acc(grad, omega, spec, value):
     if value.ndim > 1 and value.size != s.size:
         value = _colsum(value)
     if s.size == 1:
-        grad[s.offset] += float(np.sum(value))
+        grad[s.offset] += scale * float(np.sum(value))
     else:
-        grad[s.offset:s.offset + s.size] += value.reshape(-1)
+        grad[s.offset:s.offset + s.size] += scale * value.reshape(-1)
 
 
 def _soft_threshold_vjp(x, t, cot):
@@ -242,17 +265,8 @@ def _soft_threshold_vjp(x, t, cot):
 # GKM averaging
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GkmConfig:
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ContractError("averaging weight alpha must lie in (0, 1)")
-
-
 def apply_T(op, state, omega, cfg):
-    """T(u) = u + alpha (D(u) - u): the averaged fixed-point update."""
+    """T(u) = u + alpha (D(u) - u): the averaged fixed-point update; cfg supplies alpha."""
     return state + cfg.alpha * (op.apply(state, omega) - state)
 
 
@@ -288,8 +302,7 @@ class PgOperator:
             self.l1_weights = np.asarray(self.l1_weights, dtype=float).reshape(self.dim)
             if np.any(self.l1_weights < 0):
                 raise ContractError("l1 weights must be nonnegative")
-        if isinstance(self.gdiag, np.ndarray):
-            self.gdiag = np.asarray(self.gdiag, dtype=float).reshape(self.dim)
+        self.gdiag = _diag_spec(self.gdiag, self.dim)
 
     # internals -------------------------------------------------------
     def _weights(self, omega):
@@ -339,13 +352,12 @@ class PgOperator:
             return x
         return soft_threshold(x, _col(gam * w / g, x))
 
-    def apply_vjp(self, state, omega, cot):
+    def apply_vjp(self, state, omega, cot, grad):
         gam = _resolve(omega, self.gamma)
         g = _diag(omega, self.gdiag, self.dim)
         gcol = _col(g, state)
-        grad = self._grad_f(state)
-        x = state - gam * grad / gcol
-        go = np.zeros(omega.dim)
+        gf = self._grad_f(state)
+        x = state - gam * gf / gcol
         w = self._weights(omega)
         if w is None:
             dx = np.asarray(cot, dtype=float)
@@ -354,25 +366,21 @@ class PgOperator:
             dthr = _colsum(dthr)
             # thr_i = gam * w0_i * c / g_i
             c = _resolve(omega, self.thresh, 1.0)
-            _acc(go, omega, self.thresh, dthr * gam * self.l1_weights / g)
-            _acc(go, omega, self.gamma, dthr * self.l1_weights * c / g)
-            _acc(go, omega, self.gdiag, -dthr * gam * self.l1_weights * c / g ** 2)
-        # x = u - gam * grad / g
+            _acc(grad, omega, self.thresh, dthr * gam * self.l1_weights / g)
+            _acc(grad, omega, self.gamma, dthr * self.l1_weights * c / g)
+            _acc(grad, omega, self.gdiag, -dthr * gam * self.l1_weights * c / g ** 2)
+        # x = u - gam * grad f(u) / g
         cs = dx - gam * (self.quad @ (dx / gcol)) if self.quad is not None else dx
-        _acc(go, omega, self.gamma, -np.sum(dx * grad / gcol))
-        _acc(go, omega, self.gdiag, gam * _colsum(dx * grad) / g ** 2)
-        return cs, go
+        _acc(grad, omega, self.gamma, -np.sum(dx * gf / gcol))
+        _acc(grad, omega, self.gdiag, gam * _colsum(dx * gf) / g ** 2)
+        return cs
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
-        if self.gdiag is None:
-            return MetricMatrix.identity(self.dim)
-        return MetricMatrix.diagonal(_diag(omega, self.gdiag, self.dim))
+        return _diag_metric(omega, self.gdiag, self.dim)
 
-    def metric_quad_vjp(self, omega, x, y):
-        go = np.zeros(omega.dim)
-        _acc(go, omega, self.gdiag, x * y)
-        return go
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
+        _acc(grad, omega, self.gdiag, x * y, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +435,7 @@ class AlmOperator:
             self.lin = np.asarray(self.lin, dtype=float).reshape(self.nprimal)
         if self.l1_weights is not None:
             self.l1_weights = np.asarray(self.l1_weights, dtype=float).reshape(self.nprimal)
-        if isinstance(self.gdiag, np.ndarray):
-            self.gdiag = np.asarray(self.gdiag, dtype=float).reshape(self.nprimal)
+        self.gdiag = _diag_spec(self.gdiag, self.nprimal)
         if self.gmode not in ("fixed", "slice", "rho-lin"):
             raise ContractError(f"unknown prox-metric mode {self.gmode!r}")
         self._ell = self.gmode == "rho-lin"  # ell of G = diag(gd) - ell beta A^T A
@@ -451,12 +458,8 @@ class AlmOperator:
 
     def _as_mask(self, mask):
         m = np.asarray(mask)
-        if m.dtype != bool:
-            out = np.zeros(self.nprimal, dtype=bool)
-            out[m.astype(int)] = True
-            return out
-        if m.shape != (self.nprimal,):
-            raise ContractError("group masks must cover the primal block")
+        if m.dtype != bool or m.shape != (self.nprimal,):
+            raise ContractError("group masks must be boolean and cover the primal block")
         return m
 
     @property
@@ -481,13 +484,13 @@ class AlmOperator:
             d[mask] += omega.scalar(name)
         return d
 
-    def _acc_gd(self, grad, omega, dgd):
+    def _acc_gd(self, grad, omega, dgd, scale=1.0):
         """Send the cotangent of gd into omega: by rho group, or through ``gdiag``."""
         if not self._ell:
-            _acc(grad, omega, self.gdiag, dgd)
+            _acc(grad, omega, self.gdiag, dgd, scale)
             return
         for name, mask in self.rho_groups:
-            _acc(grad, omega, name, np.sum(dgd[mask]))
+            _acc(grad, omega, name, np.sum(dgd[mask]), scale)
 
     def prepare(self, omega):
         if omega is self._prepared[0]:
@@ -511,10 +514,8 @@ class AlmOperator:
         try:
             if self._ell:
                 G = MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
-            elif self.gdiag is None:
-                G = MetricMatrix.identity(self.nprimal)
             else:
-                G = MetricMatrix.diagonal(gd)
+                G = _diag_metric(omega, self.gdiag, self.nprimal)
         except ContractError as err:
             raise ContractError(f"prox metric G(omega): {err}") from None
         ctx = {
@@ -573,12 +574,11 @@ class AlmOperator:
         ctx, _, lam, b, _, _, _, up = self._forward(state, omega)
         return np.concatenate([up, lam + ctx["beta"] * (self.A @ up - b)], axis=0)
 
-    def apply_vjp(self, state, omega, cot):
+    def apply_vjp(self, state, omega, cot, grad):
         ctx, u, lam, b, c, xL, tL, up = self._forward(state, omega)
         beta, w = ctx["beta"], ctx["w"]
         S, L = self._smooth, self._l1
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
-        go = np.zeros(omega.dim)
         # lam+ = lam + beta (A u+ - b)
         cup = cu_out + beta * (self.A.T @ clam_out)
         dbeta = np.sum(clam_out * (self.A @ up - b))
@@ -598,7 +598,7 @@ class AlmOperator:
             dgd[L] = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
             for name, gmask in self.thresh_groups:
                 sel = gmask[L]
-                _acc(go, omega, name, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
+                _acc(grad, omega, name, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
         if not self._ell:
             # beta inside K: K_ss takes the cotangent -ws up_s^T, K_LL its diagonal dgd_L
             dbeta += np.sum(dgd[L] * np.diag(self._AtA)[L])
@@ -613,26 +613,24 @@ class AlmOperator:
         if self._ell:
             cu += beta * (self.A.T @ Adc)
             dbeta += np.sum(Adc * (self.A @ u))
-        self._acc_gd(go, omega, dgd)
-        _acc(go, omega, self.beta, dbeta)
-        return np.concatenate([cu, clam_out + Adc], axis=0), go
+        self._acc_gd(grad, omega, dgd)
+        _acc(grad, omega, self.beta, dbeta)
+        return np.concatenate([cu, clam_out + Adc], axis=0)
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
         """blockdiag(G(omega), I / beta), built once per omega in its context."""
         return self.prepare(omega)["H"]
 
-    def metric_quad_vjp(self, omega, x, y):
-        go = np.zeros(omega.dim)
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
         beta = _resolve(omega, self.beta)
         xu, xl = self.split_state(x)
         yu, yl = self.split_state(y)
         dbeta = -float(np.sum(xl * yl)) / beta ** 2
         if self._ell:
             dbeta -= float(np.sum((self.A @ xu) * (self.A @ yu)))
-        self._acc_gd(go, omega, _colsum(xu * yu))
-        _acc(go, omega, self.beta, dbeta)
-        return go
+        self._acc_gd(grad, omega, _colsum(xu * yu), scale)
+        _acc(grad, omega, self.beta, dbeta, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -721,37 +719,36 @@ class DladmmOperator:
     def apply(self, state, omega):
         return np.concatenate(self._forward(state, omega)[2], axis=0)
 
-    def apply_vjp(self, state, omega, cot):
+    def apply_vjp(self, state, omega, cot, grad):
         params, (lam, Qtr, x1, r2, x2, feas), _ = self._forward(state, omega)
         beta, gamma, rho1, rho2, k1, k2 = params
         c1, c2, cl = self.split_state(cot)
-        go = np.zeros(omega.dim)
 
         dv2 = c2 + gamma * beta * cl
         ip_feas = float(np.sum(cl * feas))
-        _acc(go, omega, self.gamma, beta * ip_feas)
-        _acc(go, omega, self.beta, gamma * ip_feas)
+        _acc(grad, omega, self.gamma, beta * ip_feas)
+        _acc(grad, omega, self.beta, gamma * ip_feas)
 
         dx2, dt2 = _soft_threshold_vjp(x2, k2 / rho2, dv2)
         s2 = float(np.sum(dt2))
-        _acc(go, omega, self.kappa2, s2 / rho2)
-        _acc(go, omega, self.rho2, -s2 * k2 / rho2 ** 2)
+        _acc(grad, omega, self.kappa2, s2 / rho2)
+        _acc(grad, omega, self.rho2, -s2 * k2 / rho2 ** 2)
         dr2 = -(beta / rho2) * dx2
-        _acc(go, omega, self.beta, -np.sum(dx2 * r2) / rho2)
-        _acc(go, omega, self.rho2, np.sum(dx2 * r2) * beta / rho2 ** 2)
+        _acc(grad, omega, self.beta, -np.sum(dx2 * r2) / rho2)
+        _acc(grad, omega, self.rho2, np.sum(dx2 * r2) * beta / rho2 ** 2)
         dv1 = c1 + gamma * beta * (self.Q.T @ cl) + self.Q.T @ dr2
 
         dx1, dt1 = _soft_threshold_vjp(x1, k1 / rho1, dv1)
         s1 = float(np.sum(dt1))
-        _acc(go, omega, self.kappa1, s1 / rho1)
-        _acc(go, omega, self.rho1, -s1 * k1 / rho1 ** 2)
+        _acc(grad, omega, self.kappa1, s1 / rho1)
+        _acc(grad, omega, self.rho1, -s1 * k1 / rho1 ** 2)
         dr = -(beta / rho1) * (self.Q @ dx1)
-        _acc(go, omega, self.beta, -np.sum(dx1 * Qtr) / rho1)
-        _acc(go, omega, self.rho1, np.sum(dx1 * Qtr) * beta / rho1 ** 2)
+        _acc(grad, omega, self.beta, -np.sum(dx1 * Qtr) / rho1)
+        _acc(grad, omega, self.rho1, np.sum(dx1 * Qtr) * beta / rho1 ** 2)
 
         de = dr2 + dr
-        _acc(go, omega, self.beta, -np.sum(de * lam) / beta ** 2)
-        return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0), go
+        _acc(grad, omega, self.beta, -np.sum(de * lam) / beta ** 2)
+        return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0)
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
@@ -763,8 +760,7 @@ class DladmmOperator:
             MetricMatrix.identity(self.m, scale=1.0 / (gamma * beta)),
         ])
 
-    def metric_quad_vjp(self, omega, x, y):
-        go = np.zeros(omega.dim)
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
         beta, gamma, rho1, rho2, _, _ = self._params(omega)
         x1, x2, xl = self.split_state(x)
         y1, y2, yl = self.split_state(y)
@@ -772,11 +768,10 @@ class DladmmOperator:
         ipQQ = float(np.sum((self.Q @ x1) * (self.Q @ y1)))
         ip22 = float(np.sum(x2 * y2))
         ipll = float(np.sum(xl * yl))
-        _acc(go, omega, self.rho1, ip11)
-        _acc(go, omega, self.rho2, ip22)
-        _acc(go, omega, self.beta, -ipQQ - ipll / (gamma * beta ** 2))
-        _acc(go, omega, self.gamma, -ipll / (gamma ** 2 * beta))
-        return go
+        _acc(grad, omega, self.rho1, ip11, scale)
+        _acc(grad, omega, self.rho2, ip22, scale)
+        _acc(grad, omega, self.beta, -ipQQ - ipll / (gamma * beta ** 2), scale)
+        _acc(grad, omega, self.gamma, -ipll / (gamma ** 2 * beta), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +780,6 @@ class DladmmOperator:
 
 _NONLINEARITIES = {
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
-    "satlin": (lambda z: np.clip(z, -1.0, 1.0), lambda z: (np.abs(z) < 1.0).astype(float)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
 }
 
@@ -799,9 +792,10 @@ class NetOperator:
     expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L);
     apply() checks the certificate once per omega object and rejects
     unnormalized layers unless ``enforce_certificate`` is switched off
-    (the normalization-ablation mode).  With ``conjugate`` set -- a fixed
-    metric or the name of a metric-diagonal omega slice -- the whole map
-    is conjugated as H^{-1/2} D H^{1/2} so it is non-expansive in the
+    (the normalization-ablation mode).  ``conjugate`` is a diagonal-metric
+    spec, as ``gdiag`` is elsewhere: None, a fixed (dim,) diagonal, or the
+    name of a metric-diagonal omega slice.  When set, the whole map is
+    conjugated as H^{-1/2} D H^{1/2} so it is non-expansive in the
     H-metric.
     """
 
@@ -811,7 +805,7 @@ class NetOperator:
     widths: tuple
     nonlinearity: str = "identity"
     rho_bar: float = 1.0
-    conjugate: Union[MetricMatrix, str, None] = None
+    conjugate: Union[np.ndarray, str, None] = None
     enforce_certificate: bool = True
 
     def __post_init__(self):
@@ -825,6 +819,7 @@ class NetOperator:
             raise ContractError("widths must list input and every layer output")
         if self.widths[0] != self.dim or self.widths[-1] != self.dim:
             raise ContractError("network must be a self-map on the state space")
+        self.conjugate = _diag_spec(self.conjugate, self.dim)
         # the last omega certified (by validate_omega or renormalize_for);
         # HyperParams is frozen and its values read-only, so the same object
         # needs no second check
@@ -842,14 +837,6 @@ class NetOperator:
             bb = omega.view(bn).reshape(wout)
             out.append((W, bb))
         return out
-
-    def _conj_diag(self, omega):
-        c = self.conjugate
-        if isinstance(c, MetricMatrix):
-            if c.kind not in ("identity", "diagonal"):
-                raise CapabilityError("network conjugation supports diagonal metrics only")
-            c = np.full(self.dim, c.scale) if c.kind == "identity" else c.entries
-        return None if c is None else _diag(omega, c, self.dim)
 
     def validate_omega(self, omega):
         if not self.enforce_certificate or omega is self._certified:
@@ -869,7 +856,7 @@ class NetOperator:
     def _forward(self, state, omega):
         """Conjugation diagonal g, its root, the layers, pre-activations and activations."""
         phi, _ = _NONLINEARITIES[self.nonlinearity]
-        g = self._conj_diag(omega)
+        g = None if self.conjugate is None else _diag(omega, self.conjugate, self.dim)
         r = np.sqrt(g) if g is not None else None
         z = state if r is None else _col(r, state) * state
         layers, pre, acts = self._layers(omega), [], [z]
@@ -885,39 +872,32 @@ class NetOperator:
         _, r, _, _, acts = self._forward(state, omega)
         return acts[-1] if r is None else acts[-1] / _col(r, acts[-1])
 
-    def apply_vjp(self, state, omega, cot):
+    def apply_vjp(self, state, omega, cot, grad):
         _, dphi = _NONLINEARITIES[self.nonlinearity]
         g, r, layers, pre, acts = self._forward(state, omega)
-        go = np.zeros(omega.dim)
         cz = cot
         if r is not None:
             # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
             cz = cot / _col(r, cot)
-            _acc(go, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
+            _acc(grad, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
         for idx in range(self.nlayers - 1, -1, -1):
             da = dphi(pre[idx]) * cz
-            _acc(go, omega, self.bias_names[idx], da)
+            _acc(grad, omega, self.bias_names[idx], da)
             zin = acts[idx]
-            _acc(go, omega, self.weight_names[idx],
+            _acc(grad, omega, self.weight_names[idx],
                  da @ zin.T if da.ndim > 1 else np.outer(da, zin))
             cz = layers[idx][0].T @ da
         if r is not None:
             # x = r * u: cotangent into u, plus d(r)/dg on the slice
-            _acc(go, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
+            _acc(grad, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
             cz = _col(r, cz) * cz
-        return cz, go
+        return cz
 
     def metric(self, omega):
-        if self.conjugate is None:
-            return MetricMatrix.identity(self.dim)
-        if isinstance(self.conjugate, str):
-            return MetricMatrix.diagonal(self._conj_diag(omega))
-        return self.conjugate
+        return _diag_metric(omega, self.conjugate, self.dim)
 
-    def metric_quad_vjp(self, omega, x, y):
-        go = np.zeros(omega.dim)
-        _acc(go, omega, self.conjugate, x * y)
-        return go
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
+        _acc(grad, omega, self.conjugate, x * y, scale)
 
 
 def _rescale_layers(omega, names, budget):
@@ -1008,24 +988,20 @@ class CompositeOperator:
             z = m.apply(z, omega)
         return z
 
-    def apply_vjp(self, state, omega, cot):
+    def apply_vjp(self, state, omega, cot, grad):
         # the input of every member; the outermost member's output is never read
         inter = [state]
         for m in reversed(self.members[1:]):
             inter.append(m.apply(inter[-1], omega))
-        go = np.zeros(omega.dim)
         cz = cot
-        order = list(reversed(self.members))
-        for idx in range(len(order) - 1, -1, -1):
-            cz, g = order[idx].apply_vjp(inter[idx], omega, cz)
-            go += g
-        return cz, go
+        for m, z in zip(self.members, reversed(inter)):
+            cz = m.apply_vjp(z, omega, cz, grad)
+        return cz
 
-    def metric_quad_vjp(self, omega, x, y):
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
         owner = self._metric_owner()
-        if owner is None:
-            return np.zeros(omega.dim)
-        return owner.metric_quad_vjp(omega, x, y)
+        if owner is not None:
+            owner.metric_quad_vjp(omega, x, y, grad, scale)
 
 
 def renormalize_for(op, omega):

@@ -234,8 +234,7 @@ def gen_deconv(n=64, kernel_sigma=1.0, kernel_width=7, noise_sigma=0.01, seed=0)
                            "kernel_width": kernel_width, "noise_sigma": noise_sigma})
 
 
-def build_deconv_operator(inst, net_widths=(), net_nonlinearity="tanh",
-                          net_rho_bar=1.0, seed=0, identity_net=False):
+def build_deconv_operator(inst, net_widths=(), net_rho_bar=1.0, seed=0, identity_net=False):
     """Composite of a wavelet-domain prox-gradient step and a normalized net.
 
     The smooth term is 1/2 |Qc W^T z - b|^2 in Haar coefficients z, the
@@ -271,10 +270,9 @@ def build_deconv_operator(inst, net_widths=(), net_nonlinearity="tanh",
     omega0 = normalize_net(make_hyperparams(parts), net_rho_bar)
     pg = PgOperator(dim=n, quad=P, lin=q, l1_weights=np.ones(n), gamma=1.0,
                     gdiag="gdiag", thresh="kappa")
-    nonlin = "identity" if identity_net else net_nonlinearity
     net = NetOperator(dim=n, weight_names=tuple(wnames), bias_names=tuple(bnames),
-                      widths=widths, nonlinearity=nonlin, rho_bar=net_rho_bar,
-                      conjugate="gdiag")
+                      widths=widths, nonlinearity="identity" if identity_net else "tanh",
+                      rho_bar=net_rho_bar, conjugate="gdiag")
     op = CompositeOperator(members=(pg, net))
     lo = np.concatenate([np.full(n, g_lo), [1e-4],
                          np.full(omega0.dim - n - 1, -np.inf)])

@@ -4,7 +4,7 @@
 package-level names and the methods of one operator and loss with
 timing wrappers, and a traced run fails on a name that is gone or on an
 expected span that records no call.  Most tests import the harness
-without running it; one runs a tiny traced pass of two workloads.  So a
+without running it; one runs a tiny traced pass of each workload.  So a
 rename in the package, or a layer the wrappers no longer reach, fails
 here as well as in ``bench/selftest.py``.
 """
@@ -48,7 +48,7 @@ def test_every_wrapped_method_exists_on_each_workload(harness, tmp_path):
             tr.restore()
 
 
-@pytest.mark.parametrize("name", ["sep_rollout", "deconv_train"])
+@pytest.mark.parametrize("name", ["sep_rollout", "deconv_train", "sc_train"])
 def test_tiny_traced_pass_is_correct(harness, name, tmp_path):
     # a traced run fails when an expected span (metric.h_norm, say) records no call
     result, raw = harness.run_workload(name, 0, 1.0, 1, tiny=True, out_dir=tmp_path)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gkmbmo import hypergrad
-from gkmbmo.bmo import BmoConfig
+from gkmbmo.bmo import BmoConfig, evaluate_phiK
 from gkmbmo.errors import CapabilityError, ContractError, DivergenceError
-from gkmbmo.hypergrad import (LossDescriptor, estimate_L_ell, fd_hypergradient,
+from gkmbmo.hypergrad import (LossDescriptor, fd_hypergradient,
                               hypergradient, inner_loop, km_iterate)
 from gkmbmo.metric import DomainDescriptor, MetricMatrix, h_norm, min_eigen_estimate
 from gkmbmo.operators import (DladmmOperator, NetOperator, PgOperator, apply_T,
@@ -87,15 +87,15 @@ class TestLoss:
                                    rtol=1e-12, atol=0)
 
     def test_L_ell_identity_quadratic(self):
-        assert estimate_L_ell(LossDescriptor("squared_error", 3)) == 1.0
+        assert LossDescriptor("squared_error", 3).smoothness() == 1.0
 
     def test_L_ell_from_matrix(self):
         Q = np.diag([1.0, 3.0])
         loss = LossDescriptor("quadratic", 2, P=Q.T @ Q)
-        assert estimate_L_ell(loss) == pytest.approx(9.0, rel=1e-6)
+        assert loss.smoothness() == pytest.approx(9.0, rel=1e-6)
 
     def test_L_ell_scale(self):
-        assert estimate_L_ell(LossDescriptor("squared_error", 3, scale=2.5)) == 2.5
+        assert LossDescriptor("squared_error", 3, scale=2.5).smoothness() == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,22 @@ class TestInnerLoop:
         np.testing.assert_array_equal(u, u0)
         assert tape.steps == []
         assert recs == []
+
+    def test_starts_from_cfg_u0(self, rng):
+        # without a u0 argument the loop starts where train and evaluate_phiK do,
+        # so the FD oracle differentiates the phi_K whose tape train sweeps
+        W = rng.standard_normal((2, 2))
+        om = make_hyperparams([("W0", W * (0.8 / np.linalg.norm(W, 2)), "layer-matrix"),
+                               ("b0", 0.3 * rng.standard_normal(2), "layer-bias")])
+        op = NetOperator(dim=2, weight_names=("W0",), bias_names=("b0",), widths=(2, 2),
+                         nonlinearity="tanh")
+        loss = LossDescriptor("squared_error", 2, target=np.array([1.0, 0.5]))
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.2, K=5, u0=np.array([3.0, -4.0]))
+        _, tape, _ = inner_loop(op, loss, om, cfg)
+        np.testing.assert_array_equal(tape.u0, cfg.u0)
+        assert tape.loss_value == evaluate_phiK(op, loss, om, cfg)
+        np.testing.assert_allclose(fd_hypergradient(op, loss, om, cfg), hypergradient(tape),
+                                   rtol=1e-6, atol=1e-9)
 
     def test_mu_boundary_rejected(self):
         op, om = identity_net(1)

@@ -3,13 +3,14 @@ import pytest
 
 from conftest import checked_apply, fd_vjp_check, lipschitz_ratio
 from gkmbmo import bmo, operators
+from gkmbmo.bmo import BmoConfig
 from gkmbmo.cli import ExperimentConfig, bmo_config
 from gkmbmo.errors import CapabilityError, ContractError
-from gkmbmo.metric import MetricMatrix, h_norm, spectral_norm_estimate
+from gkmbmo.hypergrad import km_iterate
+from gkmbmo.metric import h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
-                              GkmConfig, HyperParams, NetOperator, ParamSlice,
-                              PgOperator, apply_T, make_hyperparams, normalize_net,
-                              renormalize_for)
+                              HyperParams, NetOperator, ParamSlice, PgOperator,
+                              apply_T, make_hyperparams, normalize_net, renormalize_for)
 from gkmbmo.tasks import build_deconv_operator, gen_deconv
 
 
@@ -135,13 +136,12 @@ class TestPg:
                         gamma="gam")
         U = rng.standard_normal((3, 5)) * 2.0
         cot = rng.standard_normal((3, 5))
-        cs, go = op.apply_vjp(U, om, cot)
+        go = np.zeros(om.dim)
+        cs = op.apply_vjp(U, om, cot, go)
         cs_cols = np.empty_like(U)
         go_sum = np.zeros(om.dim)
         for j in range(5):
-            c, g = op.apply_vjp(U[:, j], om, cot[:, j])
-            cs_cols[:, j] = c
-            go_sum += g
+            cs_cols[:, j] = op.apply_vjp(U[:, j], om, cot[:, j], go_sum)
         np.testing.assert_allclose(cs, cs_cols, atol=1e-12)
         np.testing.assert_allclose(go, go_sum, atol=1e-12)
 
@@ -325,7 +325,7 @@ class TestAlm:
         state = rng.standard_normal(5)
         op.validate_omega(om)
         op.apply(state, om)
-        op.apply_vjp(state, om, rng.standard_normal(5))
+        op.apply_vjp(state, om, rng.standard_normal(5), np.zeros(om.dim))
         assert op.metric(om) is ctx["H"]
         assert op.prepare(om) is ctx
         # an equal omega that is another object is prepared anew, once
@@ -333,6 +333,11 @@ class TestAlm:
         fresh = op.prepare(other)
         assert fresh is not ctx and op.prepare(other) is fresh
         np.testing.assert_array_equal(fresh["Kss_inv"], ctx["Kss_inv"])
+
+    def test_integer_group_mask_refused(self):
+        with pytest.raises(ContractError, match="boolean"):
+            AlmOperator(nprimal=3, ndual=1, A=np.zeros((1, 3)), bvec=np.zeros(1),
+                        l1_weights=np.ones(3), thresh_groups=(("k", np.array([0, 2])),))
 
     def test_overlapping_thresh_groups_refused(self):
         w = np.ones(3)
@@ -603,15 +608,31 @@ class TestNet:
         assert len(calls) == 2
 
     def test_conjugated_vjp_and_metric(self, rng):
-        H = MetricMatrix.diagonal([1.0, 2.0, 4.0])
+        g = np.array([1.0, 2.0, 4.0])
         W = rng.standard_normal((3, 3))
         Ws = [W * (0.8 / spectral_norm_estimate(W))]
         om = net_omega(Ws, [rng.standard_normal(3)])
-        op = net_op(3, [3, 3], nonlinearity="tanh", conjugate=H)
-        assert op.metric(om) is H
+        op = net_op(3, [3, 3], nonlinearity="tanh", conjugate=g)
+        H = op.metric(om)
+        assert H.kind == "diagonal"
+        np.testing.assert_array_equal(H.entries, g)
         fd_vjp_check(op, rng.standard_normal(3), om, rng)
         ratio = lipschitz_ratio(op, om, H, 300, rng)
         assert ratio <= 1.0 + 1e-9
+
+
+    @pytest.mark.parametrize("spec", [None, np.array([1.0, 2.0, 4.0]), "g"],
+                             ids=["identity", "fixed", "slice"])
+    def test_conjugate_takes_the_gdiag_spec(self, spec):
+        om = make_hyperparams([("g", np.array([1.5, 2.0, 3.0]), "metric-diagonal")])
+        Hn = net_op(3, [3, 3], conjugate=spec).metric(om)
+        Hp = PgOperator(dim=3, gdiag=spec).metric(om)
+        assert Hn.kind == Hp.kind
+        np.testing.assert_array_equal(Hn.apply(np.ones(3)), Hp.apply(np.ones(3)))
+
+    def test_conjugate_of_wrong_shape_refused(self):
+        with pytest.raises(ContractError, match="shape"):
+            net_op(3, [3, 3], conjugate=np.ones(2))
 
 
 class TestNormalizeNet:
@@ -719,7 +740,7 @@ class TestComposite:
                                ("W0", 0.5 * np.eye(2), "layer-matrix"),
                                ("b0", np.zeros(2), "layer-bias")])
         pg = PgOperator(dim=2, gdiag="g")
-        net = net_op(2, [2, 2], conjugate=MetricMatrix.diagonal([2.0, 3.0]))
+        net = net_op(2, [2, 2], conjugate=np.array([2.0, 3.0]))
         comp = CompositeOperator(members=(pg, net))
         H = comp.metric(om)
         assert H.kind == "diagonal"
@@ -737,7 +758,6 @@ class TestComposite:
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)
-        H = MetricMatrix.diagonal(g)
         W = rng.standard_normal((3, 3))
         W *= 0.9 / spectral_norm_estimate(W)
         om = make_hyperparams([("g", g, "metric-diagonal"),
@@ -748,7 +768,7 @@ class TestComposite:
         gam = 0.9 * 2.0 * float(np.min(g)) / spectral_norm_estimate(quad)
         pg = PgOperator(dim=3, quad=quad, l1_weights=np.ones(3),
                         gamma=gam, gdiag="g")
-        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate=H)
+        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate=g)
         comp = CompositeOperator(members=(pg, net))
         comp.validate_omega(om)
         ratio = lipschitz_ratio(comp, om, comp.metric(om), 400, rng)
@@ -763,8 +783,7 @@ class TestComposite:
                                ("b0", rng.standard_normal(3), "layer-bias")])
         pg = PgOperator(dim=3, quad=np.eye(3) * 0.4, l1_weights=np.ones(3),
                         gamma=0.5, gdiag="g")
-        net = net_op(3, [3, 3], nonlinearity="tanh",
-                     conjugate=MetricMatrix.diagonal(g))
+        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate=g)
         comp = CompositeOperator(members=(pg, net))
         fd_vjp_check(comp, rng.standard_normal(3), om, rng)
 
@@ -780,9 +799,97 @@ class TestComposite:
         for key, m in (("outer", outer), ("inner", inner)):
             monkeypatch.setattr(m, "apply", lambda z, omega, _f=m.apply, _k=key:
                                 calls.__setitem__(_k, calls[_k] + 1) or _f(z, omega))
-        cs, _ = comp.apply_vjp(rng.standard_normal(2), om, np.ones(2))
+        cs = comp.apply_vjp(rng.standard_normal(2), om, np.ones(2), np.zeros(om.dim))
         assert calls == {"outer": 0, "inner": 1}
         np.testing.assert_allclose(cs, 0.25 * np.ones(2))
+
+
+def reverse_case(name, rng):
+    """An operator and an admissible omega for each reverse-rule case."""
+    g = ("g", rng.uniform(1.0, 2.0, 3), "metric-diagonal")
+    W = rng.standard_normal((3, 3))
+    net_parts = [("W0", W * (0.8 / spectral_norm_estimate(W)), "layer-matrix"),
+                 ("b0", rng.standard_normal(3), "layer-bias")]
+    pg = PgOperator(dim=3, quad=np.eye(3) * 0.4, lin=rng.standard_normal(3),
+                    l1_weights=np.ones(3), gamma="gam", gdiag="g", thresh="kap")
+    pg_parts = [g, ("gam", 0.5, "step-size"), ("kap", 0.3, "threshold")]
+    if name == "pg":
+        return pg, make_hyperparams(pg_parts)
+    if name == "net":
+        return net_op(3, [3, 3], nonlinearity="tanh", conjugate="g"), make_hyperparams(
+            [g] + net_parts)
+    if name == "composite":
+        # both members write the gradient of the shared slice g
+        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate="g")
+        return CompositeOperator(members=(pg, net)), make_hyperparams(pg_parts + net_parts)
+    if name == "dladmm":
+        Q = rng.standard_normal((3, 4))
+        op = dladmm_op(Q / np.linalg.norm(Q, axis=0), rng.standard_normal(3))
+        return op, dladmm_omega(beta=0.3, gamma=0.8, rho_mult1=1.4, rho_mult2=1.3,
+                                k1=0.2, k2=0.3, LQ=op.lipschitz_Q)
+    n, w = 4, np.array([0.0, 0.0, 1.0, 1.0])
+    smooth = w == 0
+    quad = np.diag([1.0, 0.8, 0.0, 0.0])
+    # the second row of A touches one l1 coordinate only, so the l1 block decouples in K
+    A = np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 1.7]])
+    kwargs = dict(nprimal=n, ndual=2, A=A, bvec=rng.standard_normal(2), quad=quad,
+                  lin=rng.standard_normal(n), l1_weights=w, beta="beta",
+                  thresh_groups=(("kap", ~smooth),))
+    parts = [("beta", 0.5, "penalty"), ("kap", 0.3, "threshold")]
+    if name == "alm-slice":
+        return AlmOperator(gmode="slice", gdiag="g", **kwargs), make_hyperparams(
+            parts + [("g", rng.uniform(1.0, 2.0, n), "metric-diagonal")])
+    return AlmOperator(gmode="rho-lin", rho_groups=(("rho_s", smooth), ("rho_l", ~smooth)),
+                       **kwargs), make_hyperparams(
+        parts + [("rho_s", 2.2, "penalty"), ("rho_l", 1.9, "penalty")])
+
+
+REVERSE_CASES = ["pg", "alm-slice", "alm-rho-lin", "dladmm", "net", "composite"]
+
+
+class TestReverseContract:
+    """Both reverse rules add into a gradient the caller owns."""
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("case", REVERSE_CASES)
+    def test_metric_quad_vjp_matches_fd(self, case, batch, rng):
+        op, om = reverse_case(case, rng)
+        op.validate_omega(om)
+        shape = (op.dim,) if batch is None else (op.dim, batch)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        grad = np.zeros(om.dim)
+        op.metric_quad_vjp(om, x, y, grad, 0.37)
+
+        def quad(values):
+            return float(np.sum(x * op.metric(om.with_values(values)).apply(y)))
+
+        fd = np.zeros(om.dim)
+        for i in range(om.dim):
+            h = 1e-6 * (abs(om.values[i]) + 1.0)
+            vp, vm = om.values.copy(), om.values.copy()
+            vp[i] += h
+            vm[i] -= h
+            fd[i] = (quad(vp) - quad(vm)) / (2 * h)
+        assert np.any(fd != 0)
+        np.testing.assert_allclose(grad, 0.37 * fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("case", REVERSE_CASES)
+    def test_rules_add_to_what_grad_holds(self, case, rng):
+        op, om = reverse_case(case, rng)
+        op.validate_omega(om)
+        state, cot = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
+        x, y = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
+        g0 = rng.standard_normal(om.dim)
+        for rule in (lambda grad: op.apply_vjp(state, om, cot, grad),
+                     lambda grad: op.metric_quad_vjp(om, x, y, grad, 0.37)):
+            fresh, grad = np.zeros(om.dim), g0.copy()
+            out = rule(fresh)
+            assert np.any(fresh != 0)
+            if out is None:
+                assert rule(grad) is None
+            else:
+                np.testing.assert_array_equal(rule(grad), out)
+            np.testing.assert_allclose(grad, g0 + fresh, rtol=1e-12, atol=1e-12)
 
 
 class TestWorkPerOuterStep:
@@ -829,25 +936,26 @@ class TestApplyT:
         op = net_op(2, [2, 2])
         u = rng.standard_normal(2)
         for alpha in (0.1, 0.5, 0.9):
-            np.testing.assert_allclose(apply_T(op, u, om, GkmConfig(alpha)), u)
+            np.testing.assert_allclose(apply_T(op, u, om, BmoConfig(alpha=alpha)), u)
 
     def test_zero_map(self):
         om = net_omega([np.zeros((1, 1))], [np.zeros(1)])
         op = net_op(1, [1, 1])
-        out = apply_T(op, np.array([2.0]), om, GkmConfig(0.5))
+        out = apply_T(op, np.array([2.0]), om, BmoConfig(alpha=0.5))
         np.testing.assert_allclose(out, [1.0])
 
     def test_half_map(self):
         om = net_omega([0.5 * np.eye(1)], [np.zeros(1)])
         op = net_op(1, [1, 1])
-        out = apply_T(op, np.array([1.0]), om, GkmConfig(0.9))
+        out = apply_T(op, np.array([1.0]), om, BmoConfig(alpha=0.9))
         np.testing.assert_allclose(out, [0.55])
 
     def test_alpha_range(self):
-        with pytest.raises(ContractError):
-            GkmConfig(0.0)
-        with pytest.raises(ContractError):
-            GkmConfig(1.0)
+        om = net_omega([0.5 * np.eye(1)], [np.zeros(1)])
+        op = net_op(1, [1, 1])
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ContractError, match="alpha"):
+                km_iterate(op, om, BmoConfig(alpha=alpha), np.ones(1), 3)
 
     def test_averaged_operator_inequality(self, rng):
         # |u1-u2|^2_H - |Tu1-Tu2|^2_H >= (1-a)/a |(u1-Tu1)-(u2-Tu2)|^2_H
@@ -859,7 +967,7 @@ class TestApplyT:
                           LQ=op.lipschitz_Q)
         H = op.metric(om)
         alpha = 0.7
-        cfg = GkmConfig(alpha)
+        cfg = BmoConfig(alpha=alpha)
         for _ in range(500):
             u1 = rng.standard_normal(op.dim) * 2.0
             u2 = u1 + rng.standard_normal(op.dim)
@@ -873,7 +981,7 @@ class TestApplyT:
         om = normalize_net(net_omega([W], [rng.standard_normal(3) * 0.3]), 0.8)
         op = net_op(3, [3, 3], nonlinearity="tanh", rho_bar=0.8)
         assert op.contraction_factor(om) <= 0.8 + 1e-9
-        cfg = GkmConfig(0.6)
+        cfg = BmoConfig(alpha=0.6)
         xs = []
         for start in (rng.standard_normal(3) * 5, rng.standard_normal(3) * 5):
             u = start
