@@ -213,7 +213,7 @@ def train(op, loss, omega0, cfg):
 def evaluate_phiK(op, loss, omega, cfg):
     """phi_K(omega) = loss at the K-th inner iterate; deterministic given omega."""
     u, _, _ = inner_loop(op, loss, omega, cfg, build_tape=False, record=False)
-    return loss.value(u, omega)
+    return loss.value(u)
 
 
 def envelope_shape(k):

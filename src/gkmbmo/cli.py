@@ -294,14 +294,14 @@ def cmd_eval(cfg, out, instance_path, report_path, baseline_report=None):
                 omega = _load_omega(rpt, bundle.omega0)
             run_cfg = bmo_config(cfg, bundle)
             u, _, _ = inner_loop(bundle.op, bundle.loss, omega, run_cfg,
-                                 u0=bundle.u0, build_tape=False, record=False)
+                                 build_tape=False, record=False)
             rows.append((method, "heldout_feasibility_loss", bundle.loss.value(u)))
     else:
         bundle = build_bundle(cfg, inst)
         omega = _load_omega(report_path, bundle.omega0)
         run_cfg = bmo_config(cfg, bundle)
         u, _, _ = inner_loop(bundle.op, bundle.loss, omega, run_cfg,
-                             u0=bundle.u0, build_tape=False, record=False)
+                             build_tape=False, record=False)
         if task == "deconv":
             rec = inst.W.T @ u
             truth = inst.u_star
@@ -352,15 +352,13 @@ def cmd_diagnose(cfg, out, instance_path, report_path=None):
     K = int(cfg.get("bmo.K"))
     rollout_K = K * int(cfg.get("diag.rollout_factor"))
     run_cfg = bmo_config(cfg, bundle, K=rollout_K)
-    _, _, recs = inner_loop(bundle.op, bundle.loss, omega, run_cfg,
-                            u0=bundle.u0, build_tape=False)
+    _, _, recs = inner_loop(bundle.op, bundle.loss, omega, run_cfg, build_tape=False)
     lines = [TRAJECTORY_HEADER]
     for r in recs:
         lines.append(f"inner,0,{r.k},{r.residual_hlb_sq!r},{r.rel_step!r},{r.loss!r},")
     for i, kk in enumerate(k_list):
         ck = bmo_config(cfg, bundle, K=kk)
-        _, tape, _ = inner_loop(bundle.op, bundle.loss, omega, ck, u0=bundle.u0,
-                                record=False)
+        _, tape, _ = inner_loop(bundle.op, bundle.loss, omega, ck, record=False)
         gnorm = float(np.linalg.norm(hypergradient(tape)))
         lines.append(f"outer,{i},{kk},,,{tape.loss_value!r},{gnorm!r}")
     env_line = ""

@@ -4,12 +4,13 @@ The inner loop interleaves the averaged fixed-point update with a
 metric-scaled descent step on the upper loss,
 
     v_l = T(u, omega)
-    v_u = u - s_k H(omega)^{-1} dl/du(u, omega),   s_k = s / (k + 1)
+    v_u = u - s_k H(omega)^{-1} grad l(u),   s_k = s / (k + 1)
     u'  = Proj_U( mu v_u + (1 - mu) v_l ),
 
 records every step on a tape, and the reverse sweep accumulates the
-total derivative of l(u^K(omega), omega) with respect to omega.  A
-central-difference oracle over the same forward path validates the
+total derivative of phi_K(omega) = l(u^K(omega)) with respect to omega.
+The upper loss l is one weighted least-squares rule that reads u alone.
+A central-difference oracle over the same forward path validates the
 reverse rules.
 """
 
@@ -25,24 +26,27 @@ from .errors import ContractError, DivergenceError
 from .metric import (DomainDescriptor, MetricMatrix, h_norm, h_project,
                      min_eigen_estimate, projection_jacobian_diag,
                      spectral_norm_estimate)
-from .operators import HyperParams, apply_T
+from .operators import HyperParams, _match_b, apply_T
 
 DIVERGENCE_LIMIT = 1e12
 RECORD_CHUNK = 64     # 1-D iterates whose records are reduced together
 
 
 # ---------------------------------------------------------------------------
-# upper-level losses (quadratic family, exact derivatives)
+# upper-level losses (weighted least squares, exact derivatives)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LossDescriptor:
-    """Convex quadratic-family upper loss with analytic derivatives.
+    """Upper loss l(u) = c/2 * sum w (M u - t)^2, summed over batch columns.
 
-    kind "squared_error": l(u) = scale/2 * sum w (u - target)^2
-    kind "feasibility":   l(u) = 1/(2B) |Q u1 + u2 - b|_F^2 on a stacked
-                          (u1, u2, lam) state; the dual block carries no loss
-    kind "quadratic":     l(u) = 1/2 u^T P u + q^T u + const
+    kind "squared_error": M u = u, t = target (default 0), c = scale
+    kind "feasibility":   M u = Q u1 + u2 on a stacked (u1, u2, lam) state,
+                          t = bmat, c = scale / B for a state of B columns;
+                          the dual block carries no loss
+    w is ``weight`` (default 1) and scale defaults to 1.  The loss reads u
+    alone, so the reverse sweep has no dl/domega term to add.  Its data is
+    aligned against the state by the rule the operators use.
     """
 
     kind: str
@@ -52,131 +56,82 @@ class LossDescriptor:
     weight: Optional[np.ndarray] = None
     Q: Optional[np.ndarray] = None
     bmat: Optional[np.ndarray] = None
-    P: Optional[np.ndarray] = None
-    q: Optional[np.ndarray] = None
-    const: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("squared_error", "feasibility", "quadratic"):
-            raise ContractError(f"unsupported loss kind {self.kind!r}")
         if self.kind == "squared_error":
-            if self.target is None:
-                self.target = np.zeros(self.dim)
-            self.target = np.asarray(self.target, dtype=float)
-            if self.scale <= 0:
-                raise ContractError("squared error scale must be positive")
-            if self.weight is not None:
-                self.weight = np.asarray(self.weight, dtype=float).reshape(-1)
-                if np.any(self.weight < 0):
-                    raise ContractError("loss weights must be nonnegative")
+            t = np.zeros(self.dim) if self.target is None else self.target
+            self._t = self.target = np.asarray(t, dtype=float)
         elif self.kind == "feasibility":
             self.Q = np.asarray(self.Q, dtype=float)
-            self.bmat = np.asarray(self.bmat, dtype=float)
+            self._t = self.bmat = np.asarray(self.bmat, dtype=float)
         else:
-            self.P = np.asarray(self.P, dtype=float)
-            if self.q is not None:
-                self.q = np.asarray(self.q, dtype=float).reshape(-1)
+            raise ContractError(f"unsupported loss kind {self.kind!r}")
+        if self.scale <= 0:
+            raise ContractError("loss scale must be positive")
+        if self.weight is not None:
+            self.weight = np.asarray(self.weight, dtype=float).reshape(-1)
+            if np.any(self.weight < 0):
+                raise ContractError("loss weights must be nonnegative")
 
     # helpers -----------------------------------------------------------
-    def _se_terms(self, u):
-        t = self.target
-        if t.ndim == 1 and u.ndim > 1:
-            t = t[:, None]
-        d = u - t
-        if self.weight is not None:
-            w = self.weight[:, None] if u.ndim > 1 else self.weight
-            return d, w
-        return d, 1.0
+    def _M(self, v):
+        """M v: v itself, or Q v1 + v2 on a stacked (v1, v2, lam) state."""
+        if self.kind == "squared_error":
+            return v
+        m, n = self.Q.shape
+        return self.Q @ v[:n] + v[n:n + m]
 
-    def _feas_parts(self, u, columns=False):
-        n = self.Q.shape[1]
-        m = self.Q.shape[0]
-        u1, u2 = u[:n], u[n:n + m]
-        b = self.bmat
-        if b.ndim > 1 and (u.ndim == 1 or columns):
-            b = b[:, 0]
-        if b.ndim == 1 and u.ndim > 1:
-            b = b[:, None]
-        # columns of 1-D states are separate states, not one batch
-        B = u.shape[1] if u.ndim > 1 and not columns else 1
-        r = (self.Q @ u1 + u2 - b) / B
-        return u1, u2, r, B
+    def _weigh(self, r, ref):
+        """c w r for a residual r of the state ``ref``.
+
+        The division by B comes last, so a batched gradient is the same
+        for every B.
+        """
+        w = 1.0 if self.weight is None else _match_b(self.weight, ref)
+        z = self.scale * w * r
+        B = ref.shape[1] if self.kind == "feasibility" and ref.ndim > 1 else 1
+        return z if B == 1 else z / B
+
+    def _Mt(self, z, ref):
+        """M^T z, shaped as the state ``ref``."""
+        if self.kind == "squared_error":
+            return z
+        m, n = self.Q.shape
+        out = np.zeros_like(ref)
+        out[:n] = self.Q.T @ z
+        out[n:n + m] = z
+        return out
 
     # interface ----------------------------------------------------------
-    def value(self, u, omega=None, columns=False):
+    def value(self, u, columns=False):
         """l(u); with ``columns``, the (n,) losses of n 1-D states stacked as columns."""
         u = np.asarray(u, dtype=float)
-        if columns:
-            return self._column_values(u)
-        if self.kind == "squared_error":
-            d, w = self._se_terms(u)
-            return float(0.5 * self.scale * np.sum(w * d * d))
-        if self.kind == "feasibility":
-            _, _, r, B = self._feas_parts(u)
-            return float(0.5 * B * np.sum(r * r))
-        quad = 0.5 * float(np.sum(u * (self.P @ u)))
-        linear = float(np.sum(self.q[:, None] * u)) if (self.q is not None and u.ndim > 1) \
-            else (float(self.q @ u) if self.q is not None else 0.0)
-        return quad + linear + self.const
+        ref = u[:, :1] if columns else u     # a column is one 1-D state
+        r = self._M(u) - _match_b(self._t, ref)
+        out = 0.5 * np.sum(r * self._weigh(r, ref), axis=0 if columns else None)
+        return out if columns else float(out)
 
-    def _column_values(self, u):
-        if self.kind == "squared_error":
-            d, w = self._se_terms(u)
-            return 0.5 * self.scale * np.sum(w * d * d, axis=0)
-        if self.kind == "feasibility":
-            r = self._feas_parts(u, columns=True)[2]
-            return 0.5 * np.sum(r * r, axis=0)
-        vals = 0.5 * np.sum(u * (self.P @ u), axis=0)
-        if self.q is not None:
-            vals += self.q @ u
-        return vals + self.const
-
-    def grad_u(self, u, omega=None):
+    def grad_u(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "squared_error":
-            d, w = self._se_terms(u)
-            return self.scale * w * d
-        if self.kind == "feasibility":
-            _, _, r, _ = self._feas_parts(u)
-            g = np.zeros_like(u)
-            n, m = self.Q.shape[1], self.Q.shape[0]
-            g[:n] = self.Q.T @ r
-            g[n:n + m] = r
-            return g
-        g = self.P @ u
-        if self.q is not None:
-            g = g + (self.q[:, None] if u.ndim > 1 else self.q)
-        return g
+        return self._Mt(self._weigh(self._M(u) - _match_b(self._t, u), u), u)
 
-    def hess_vec(self, u, v):
+    def hess_vec(self, v):
+        """The u-Hessian c M^T diag(w) M applied to v; it does not depend on u."""
         v = np.asarray(v, dtype=float)
-        if self.kind == "squared_error":
-            if self.weight is not None:
-                w = self.weight[:, None] if v.ndim > 1 else self.weight
-                return self.scale * w * v
-            return self.scale * v
-        if self.kind == "feasibility":
-            n, m = self.Q.shape[1], self.Q.shape[0]
-            B = v.shape[1] if v.ndim > 1 else 1
-            rv = (self.Q @ v[:n] + v[n:n + m]) / B
-            out = np.zeros_like(v)
-            out[:n] = self.Q.T @ rv
-            out[n:n + m] = rv
-            return out
-        return self.P @ v
+        return self._Mt(self._weigh(self._M(v), v), v)
 
     def smoothness(self):
-        """L_ell, the largest eigenvalue of the u-Hessian."""
+        """L_ell = c max(w) sigma_max(M)^2, with B the column count of bmat.
+
+        This is the largest eigenvalue of the u-Hessian (an upper bound on
+        it for a feasibility loss with uneven weights).
+        """
+        L = self.scale * (1.0 if self.weight is None else float(np.max(self.weight)))
         if self.kind == "squared_error":
-            if self.weight is not None:
-                return self.scale * float(np.max(self.weight))
-            return self.scale
-        if self.kind == "feasibility":
-            m, n = self.Q.shape
-            stacked = np.hstack([self.Q, np.eye(m)])
-            B = self.bmat.shape[1] if self.bmat.ndim > 1 else 1
-            return spectral_norm_estimate(stacked) ** 2 / B
-        return spectral_norm_estimate(self.P)
+            return L
+        m = self.Q.shape[0]
+        B = self.bmat.shape[1] if self.bmat.ndim > 1 else 1
+        return L * spectral_norm_estimate(np.hstack([self.Q, np.eye(m)])) ** 2 / B
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +207,12 @@ def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
     supplies alpha and mu.
     """
     v_l = apply_T(op, u, omega, cfg)
-    hg = H.solve(loss.grad_u(u, omega))
+    hg = H.solve(loss.grad_u(u))
     pre = cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l
     return v_l, hg, pre, h_project(H, domain, pre)
 
 
-def _record(ks, hlb, res, u, u_prev, loss, omega, columns=False):
+def _record(ks, hlb, res, u, u_prev, loss, columns=False):
     """InnerRecords of iterates u given their residuals u - T(u) and predecessors u_prev.
 
     With ``columns`` the arrays stack 1-D iterates as columns, the iterate
@@ -269,7 +224,7 @@ def _record(ks, hlb, res, u, u_prev, loss, omega, columns=False):
     denom = np.atleast_1d(np.linalg.norm(u_prev, axis=axis))
     denom[denom == 0.0] = 1.0
     step = np.linalg.norm(u - u_prev, axis=axis) / denom
-    vals = (np.atleast_1d(loss.value(u, omega, columns)) if loss is not None
+    vals = (np.atleast_1d(loss.value(u, columns)) if loss is not None
             else np.full(len(ks), math.nan))
     return [InnerRecord(k, float(r), float(s), float(v))
             for k, r, s, v in zip(ks, res_sq, step, vals)]
@@ -284,8 +239,8 @@ class _Recorder:
     A batched iterate already fills a chunk, so it is recorded at once.
     """
 
-    def __init__(self, hlb, loss, omega, K):
-        self.hlb, self.loss, self.omega = hlb, loss, omega
+    def __init__(self, hlb, loss, K):
+        self.hlb, self.loss = hlb, loss
         self.records = []
         self.ks = []
         self.rows = min(K, RECORD_CHUNK)
@@ -293,7 +248,7 @@ class _Recorder:
 
     def add(self, k, u, t_u, u_prev):
         if u.ndim > 1:
-            self.records += _record([k], self.hlb, u - t_u, u, u_prev, self.loss, self.omega)
+            self.records += _record([k], self.hlb, u - t_u, u, u_prev, self.loss)
             return
         if self.bufs is None:
             self.bufs = tuple(np.empty((3, self.rows, u.shape[0])))
@@ -311,7 +266,7 @@ class _Recorder:
         if self.ks:
             res, cur, prev = (b[:len(self.ks)].T for b in self.bufs)
             self.records += _record(self.ks, self.hlb, res, cur, prev,
-                                    self.loss, self.omega, columns=True)
+                                    self.loss, columns=True)
             self.ks = []
         return self.records
 
@@ -350,7 +305,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     u0 = cfg.u0 if u0 is None else u0
     u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
     steps = []
-    recorder = _Recorder(hlb, loss, omega, cfg.K)
+    recorder = _Recorder(hlb, loss, cfg.K)
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
@@ -369,7 +324,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     if build_tape:
         tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, domain, H,
                     cfg.grad_through_metric,
-                    u0, steps, u, loss.value(u, omega))
+                    u0, steps, u, loss.value(u))
     return u, tape, records
 
 
@@ -385,7 +340,7 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
     op.validate_omega(omega)
     hlb = h_lb if h_lb is not None else op.metric(omega)
     u = np.array(u0, dtype=float)
-    recorder = _Recorder(hlb, loss, omega, K)
+    recorder = _Recorder(hlb, loss, K)
     prev = None
     for k in range(1, K + 1):
         v_l = apply_T(op, u, omega, cfg)
@@ -403,14 +358,14 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
 # ---------------------------------------------------------------------------
 
 def hypergradient(tape, corrupt_rule=False):
-    """Total derivative d l(u^K(omega), omega) / d omega by a reverse sweep.
+    """Total derivative d l(u^K(omega)) / d omega by a reverse sweep.
 
     ``corrupt_rule`` deliberately mis-scales one reverse rule (the
     loss-Hessian term of the descent direction); it exists so the
     finite-difference harness can prove it would catch a broken rule.
     """
     loss, omega, H = tape.loss, tape.omega, tape.metric
-    cu = loss.grad_u(tape.uK, omega)
+    cu = loss.grad_u(tape.uK)
     go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
     hess_scale = 0.5 if corrupt_rule else 1.0
     for st in reversed(tape.steps):
@@ -421,7 +376,7 @@ def hypergradient(tape, corrupt_rule=False):
         cs = tape.op.apply_vjp(st.u_prev, omega, tape.alpha * cvl, go)
         cu = (1.0 - tape.alpha) * cvl + cs
         hv = H.solve(cvu)
-        cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(st.u_prev, hv)
+        cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(hv)
         if tape.grad_through_metric:
             tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
     return go
@@ -441,6 +396,6 @@ def fd_hypergradient(op, loss, omega, cfg, u0=None, h=None):
             vals[i] += sgn * h[i]
             u, _, _ = inner_loop(op, loss, omega.with_values(vals), cfg, u0=u0,
                                  build_tape=False, record=False)
-            out[i] += sgn * loss.value(u, omega.with_values(vals))
+            out[i] += sgn * loss.value(u)
         out[i] /= 2.0 * h[i]
     return out

@@ -44,7 +44,7 @@ PARAM_ROLES = frozenset(
     {"step-size", "penalty", "threshold", "metric-diagonal", "layer-matrix", "layer-bias"}
 )
 
-_POSITIVE_ROLES = frozenset({"step-size", "penalty"})
+_POSITIVE_ROLES = frozenset({"step-size", "penalty", "metric-diagonal"})
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,9 @@ class HyperParams:
 
     The layout tiles ``values`` exactly: slices are contiguous, ordered,
     and leave no gaps.  Every value must be finite, and slices carrying
-    step sizes or penalties must be strictly positive (the box constraints
-    on the feasible set keep them that way during training).
+    step sizes, penalties or metric diagonals must be strictly positive
+    (the box constraints on the feasible set keep them that way during
+    training).
     """
 
     values: np.ndarray
@@ -935,9 +936,10 @@ def normalize_net(omega, rho_bar):
 class CompositeOperator:
     """Right-to-left composition: members[0] is the outermost map.
 
-    The composite metric is the outermost numerical member's metric; Net
-    members must either be conjugated to that metric or the metric must
-    be the identity, otherwise the certificate does not compose.
+    The composite metric is the outermost numerical member's metric (the
+    identity when there is none).  Every Net member's metric must equal
+    it, both the identity or both diagonals with equal entries; otherwise
+    the certificate does not compose.
     """
 
     members: tuple
@@ -967,14 +969,16 @@ class CompositeOperator:
         return owner.metric(omega)
 
     def validate_omega(self, omega):
-        owner = self._metric_owner()
         H = self.metric(omega)
         for m in self.members:
             m.validate_omega(omega)
-            if isinstance(m, NetOperator) and owner is not None and H.kind != "identity":
-                if m.conjugate is None:
+            if isinstance(m, NetOperator):
+                G = m.metric(omega)
+                same = (G.kind == H.kind == "identity" and G.scale == H.scale) or (
+                    G.kind == H.kind == "diagonal" and np.array_equal(G.entries, H.entries))
+                if not same:
                     raise ContractError(
-                        "network member must be conjugated to the numerical member's metric")
+                        "network member must be conjugated to the composite metric")
 
     def contraction_factor(self, omega):
         f = 1.0

@@ -63,11 +63,10 @@ class TestLoss:
         np.testing.assert_array_equal(g[8:], 0.0)
 
     @pytest.mark.parametrize("case", ["squared_error", "weighted", "feasibility",
-                                      "feasibility_2d_b", "quadratic"])
+                                      "feasibility_2d_b"])
     def test_column_values_match_per_column_loop(self, case, rng):
         # a feasibility column is one 1-D state: no division by the column count
         Q = rng.standard_normal((3, 5))
-        P = rng.standard_normal((6, 6))
         loss = {
             "squared_error": lambda: LossDescriptor("squared_error", 6,
                                                     target=rng.standard_normal(6), scale=1.5),
@@ -77,22 +76,64 @@ class TestLoss:
                                                   bmat=rng.standard_normal(3)),
             "feasibility_2d_b": lambda: LossDescriptor("feasibility", 11, Q=Q,
                                                        bmat=rng.standard_normal((3, 1))),
-            "quadratic": lambda: LossDescriptor("quadratic", 6, P=P @ P.T,
-                                                q=rng.standard_normal(6), const=0.7),
         }[case]()
         U = rng.standard_normal((7, loss.dim)).T
         got = loss.value(U, columns=True)
         assert got.shape == (7,)
         np.testing.assert_allclose(got, [loss.value(U[:, j]) for j in range(7)],
                                    rtol=1e-12, atol=0)
+        # read as one batched state, feasibility divides by its 7 columns
+        B = 7 if loss.kind == "feasibility" else 1
+        assert loss.value(U) == pytest.approx(np.sum(got) / B, rel=1e-12)
+
+    @staticmethod
+    def loss_case(case, rng):
+        """A loss and a state of its shape for each derivative case."""
+        Q = rng.standard_normal((3, 5))
+        if case == "squared_error":
+            return LossDescriptor("squared_error", 6, target=rng.standard_normal(6)), (6,)
+        if case == "weighted":
+            return LossDescriptor("squared_error", 6, target=rng.standard_normal(6),
+                                  weight=rng.uniform(0.0, 2.0, 6), scale=2.5), (6,)
+        if case == "feasibility":
+            return LossDescriptor("feasibility", 11, Q=Q, bmat=rng.standard_normal(3)), (11,)
+        return LossDescriptor("feasibility", 11, Q=Q, bmat=rng.standard_normal((3, 3))), (11, 3)
+
+    @pytest.mark.parametrize("case", ["squared_error", "weighted", "feasibility",
+                                      "feasibility_batched"])
+    def test_derivatives_match_central_differences(self, case, rng):
+        loss, shape = self.loss_case(case, rng)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        h = 1e-5
+        # l is quadratic in u, so both differences are exact up to rounding
+        dval = (loss.value(u + h * v) - loss.value(u - h * v)) / (2 * h)
+        assert np.sum(loss.grad_u(u) * v) == pytest.approx(dval, rel=1e-7, abs=1e-9)
+        dgrad = (loss.grad_u(u + h * v) - loss.grad_u(u - h * v)) / (2 * h)
+        np.testing.assert_allclose(loss.hess_vec(v), dgrad, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["squared_error", "weighted", "feasibility"])
+    def test_smoothness_is_top_hessian_eigenvalue(self, case, rng):
+        # a 1-D state has B = 1
+        loss, (dim,) = self.loss_case(case, rng)
+        hess = np.column_stack([loss.hess_vec(e) for e in np.eye(dim)])
+        np.testing.assert_allclose(hess, hess.T, atol=1e-12)
+        assert loss.smoothness() == pytest.approx(np.linalg.eigvalsh(hess)[-1], rel=1e-6)
+
+    def test_misaligned_batch_refused(self, rng):
+        Q = rng.standard_normal((3, 5))
+        loss = LossDescriptor("feasibility", 11, Q=Q, bmat=rng.standard_normal((3, 3)))
+        with pytest.raises(ContractError):
+            loss.value(rng.standard_normal(11))      # a 1-D state against 3 columns
+        with pytest.raises(ContractError):
+            loss.grad_u(rng.standard_normal((11, 4)))
 
     def test_L_ell_identity_quadratic(self):
         assert LossDescriptor("squared_error", 3).smoothness() == 1.0
 
     def test_L_ell_from_matrix(self):
-        Q = np.diag([1.0, 3.0])
-        loss = LossDescriptor("quadratic", 2, P=Q.T @ Q)
-        assert loss.smoothness() == pytest.approx(9.0, rel=1e-6)
+        # sigma_max([Q, I])^2 / B = (9 + 1) / 2
+        loss = LossDescriptor("feasibility", 6, Q=np.diag([1.0, 3.0]), bmat=np.zeros((2, 2)))
+        assert loss.smoothness() == pytest.approx(5.0, rel=1e-6)
 
     def test_L_ell_scale(self):
         assert LossDescriptor("squared_error", 3, scale=2.5).smoothness() == 2.5
@@ -338,13 +379,13 @@ class TestHypergradient:
         g_off = hypergradient(tape_off)
         assert np.linalg.norm(g_on - g_off) > 1e-8
 
-    def test_fd_exact_on_linear_phi(self):
-        # phi linear in omega -> central differences are exact
+    def test_fd_exact_on_quadratic_phi(self):
+        # at K = 1 phi is quadratic in omega -> central differences are exact
         op = NetOperator(dim=1, weight_names=("W0",), bias_names=("b0",),
                          widths=(1, 1))
         om = make_hyperparams([("W0", np.array([[0.5]]), "layer-matrix"),
                                ("b0", np.array([0.2]), "layer-bias")])
-        loss = LossDescriptor("quadratic", 1, P=np.zeros((1, 1)), q=np.ones(1))
+        loss = LossDescriptor("squared_error", 1, target=np.ones(1))
         cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.5, K=1)
         u0 = np.array([1.0])
         g_fd = fd_hypergradient(op, loss, om, cfg, u0=u0)
@@ -421,7 +462,7 @@ def per_step_records(op, omega, cfg, hlb, loss, iterates):
         denom = float(np.linalg.norm(prev)) or 1.0
         out.append((k, h_norm(hlb, u - apply_T(op, u, omega, cfg)) ** 2,
                     float(np.linalg.norm(u - prev)) / denom,
-                    loss.value(u, omega) if loss is not None else math.nan))
+                    loss.value(u) if loss is not None else math.nan))
     return out
 
 

@@ -44,6 +44,8 @@ class TestHyperParams:
             make_hyperparams([("beta", 0.0, "penalty")])
         with pytest.raises(ContractError):
             make_hyperparams([("s", -1.0, "step-size")])
+        with pytest.raises(ContractError, match="'g' \\(metric-diagonal\\) must be strictly"):
+            make_hyperparams([("g", [1.0, -1.0], "metric-diagonal")])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_by_slice(self, bad):
@@ -755,6 +757,22 @@ class TestComposite:
         comp = CompositeOperator(members=(pg, net))
         with pytest.raises(ContractError):
             checked_apply(comp, rng.standard_normal(2), om)
+
+    def test_net_with_another_metric_rejected(self, rng):
+        # the net is non-expansive in diag(1, 100, 0.01), not in the composite's diag(g)
+        W = rng.standard_normal((3, 3))
+        om = make_hyperparams([("g", np.ones(3), "metric-diagonal"),
+                               ("W0", W / spectral_norm_estimate(W), "layer-matrix"),
+                               ("b0", np.zeros(3), "layer-bias")])
+        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate=np.array([1.0, 100.0, 0.01]))
+        for pg in (PgOperator(dim=3, gdiag="g"), PgOperator(dim=3)):
+            with pytest.raises(ContractError, match="conjugated to the composite metric"):
+                CompositeOperator(members=(pg, net)).validate_omega(om)
+        # with no numerical member the composite metric is the identity
+        with pytest.raises(ContractError, match="conjugated to the composite metric"):
+            CompositeOperator(members=(net,)).validate_omega(om)
+        CompositeOperator(members=(PgOperator(dim=3, gdiag="g"),
+                                   net_op(3, [3, 3], conjugate="g"))).validate_omega(om)
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)
