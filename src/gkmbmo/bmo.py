@@ -112,10 +112,6 @@ class Trajectory:
                 raise DivergenceError(f"outer record out of range at t={t}", outer_step=t)
         self.outer.append((t, phi, grad_norm, omega_hash(omega)))
 
-    def residuals(self, t=None):
-        t_sel = t if t is not None else (self.inner[-1][0] if self.inner else 0)
-        return [(k, r) for (tt, k, r, _, _) in self.inner if tt == t_sel]
-
     def to_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
@@ -128,7 +124,6 @@ class Trajectory:
 @dataclass
 class TrainReport:
     omega_final: HyperParams
-    uK_final: np.ndarray
     trajectory: Trajectory
     envelope_C: Optional[float]
 
@@ -177,11 +172,10 @@ def train(op, loss, omega0, cfg):
     op.validate_omega(omega)
     traj = Trajectory()
     adam = _Adam(omega.dim) if cfg.optimizer == "adam" else None
-    uK = np.zeros(op.dim) if cfg.u0 is None else np.array(cfg.u0, dtype=float)
     last_records = []
     for t in range(cfg.T):
         try:
-            uK, tape, records = inner_loop(op, loss, omega, cfg, record=cfg.record_inner)
+            _, tape, records = inner_loop(op, loss, omega, cfg, record=cfg.record_inner)
         except DivergenceError as err:
             err.outer_step = t
             raise
@@ -207,7 +201,7 @@ def train(op, loss, omega0, cfg):
     if len(last_records) >= 16:
         env_C, _ = residual_envelope_check(
             [(r.k, r.residual_hlb_sq) for r in last_records])
-    return TrainReport(omega, uK, traj, env_C)
+    return TrainReport(omega, traj, env_C)
 
 
 def evaluate_phiK(op, loss, omega, cfg):

@@ -16,8 +16,9 @@ configuration, 4 missing artifact.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,7 @@ def cmd_diagnose(cfg, out, instance_path, report_path=None):
     for r in recs:
         lines.append(f"inner,0,{r.k},{r.residual_hlb_sq!r},{r.rel_step!r},{r.loss!r},")
     for i, kk in enumerate(k_list):
-        ck = bmo_config(cfg, bundle, K=kk)
+        ck = replace(run_cfg, K=kk)
         _, tape, _ = inner_loop(bundle.op, bundle.loss, omega, ck, record=False)
         gnorm = float(np.linalg.norm(hypergradient(tape)))
         lines.append(f"outer,{i},{kk},,,{tape.loss_value!r},{gnorm!r}")
@@ -393,6 +394,8 @@ def cmd_diagnose(cfg, out, instance_path, report_path=None):
 def cmd_fdcheck(cfg, out):
     count = int(cfg.get("fdcheck.instances"))
     tol = float(cfg.get("fdcheck.tolerance"))
+    if not 0 < tol < math.inf:
+        raise FormatError(f"field 'fdcheck.tolerance' must be positive and finite, got {tol!r}")
     corrupt = bool(cfg.get("fdcheck.corrupt"))
     if count == 0:
         print("warning: empty finite-difference suite; vacuous pass")
@@ -418,10 +421,9 @@ def cmd_fdcheck(cfg, out):
         g = hypergradient(tape, corrupt_rule=corrupt)
         g_fd = fd_hypergradient(op, loss, omega, run, u0=u0)
         rel = float(np.max(np.abs(g - g_fd))) / max(float(np.max(np.abs(g_fd))), 1e-6)
-        worst = max(worst, rel)
+        worst = rel if not rel <= worst else worst   # a NaN error is the worst
         status = "ok" if rel <= tol else "FAIL"
-        if rel > tol:
-            failed += 1
+        failed += status == "FAIL"
         print(f"{i:>8}  {n:>3}  {run.K:>3}  {rel:.3e}  {status}")
     print(f"worst relative error: {worst:.3e}")
     if failed:

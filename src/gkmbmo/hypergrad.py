@@ -36,6 +36,14 @@ RECORD_CHUNK = 64     # 1-D iterates whose records are reduced together
 # upper-level losses (weighted least squares, exact derivatives)
 # ---------------------------------------------------------------------------
 
+def _finite_field(name, x):
+    """``x`` as a float array; a non-finite entry is refused by ``name``."""
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ContractError(f"loss {name} has a non-finite entry")
+    return a
+
+
 @dataclass
 class LossDescriptor:
     """Upper loss l(u) = c/2 * sum w (M u - t)^2, summed over batch columns.
@@ -60,16 +68,16 @@ class LossDescriptor:
     def __post_init__(self):
         if self.kind == "squared_error":
             t = np.zeros(self.dim) if self.target is None else self.target
-            self._t = self.target = np.asarray(t, dtype=float)
+            self._t = self.target = _finite_field("target", t)
         elif self.kind == "feasibility":
-            self.Q = np.asarray(self.Q, dtype=float)
-            self._t = self.bmat = np.asarray(self.bmat, dtype=float)
+            self.Q = _finite_field("Q", self.Q)
+            self._t = self.bmat = _finite_field("bmat", self.bmat)
         else:
             raise ContractError(f"unsupported loss kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ContractError("loss scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ContractError(f"loss scale must be positive and finite, got {self.scale!r}")
         if self.weight is not None:
-            self.weight = np.asarray(self.weight, dtype=float).reshape(-1)
+            self.weight = _finite_field("weight", self.weight).reshape(-1)
             if np.any(self.weight < 0):
                 raise ContractError("loss weights must be nonnegative")
 
@@ -328,7 +336,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     return u, tape, records
 
 
-def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
+def km_iterate(op, omega, cfg, u0, K, h_lb=None):
     """Plain averaged fixed-point iteration u <- T(u); diagnostics only.
 
     This is the mu = 0 path: no loss-descent direction is mixed in, so
@@ -340,7 +348,7 @@ def km_iterate(op, omega, cfg, u0, K, h_lb=None, loss=None):
     op.validate_omega(omega)
     hlb = h_lb if h_lb is not None else op.metric(omega)
     u = np.array(u0, dtype=float)
-    recorder = _Recorder(hlb, loss, K)
+    recorder = _Recorder(hlb, None, K)
     prev = None
     for k in range(1, K + 1):
         v_l = apply_T(op, u, omega, cfg)

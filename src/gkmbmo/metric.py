@@ -41,8 +41,8 @@ class MetricMatrix:
     """Positive-definite H stored by kind.
 
     kind:
-        "identity"  -- entries is None, optionally scaled (scale field)
-        "diagonal"  -- entries is the (dim,) diagonal
+        "diagonal"  -- entries is the (dim,) diagonal; c I is the diagonal
+                       of c's that ``identity(dim, c)`` builds
         "block"     -- entries is a tuple of MetricMatrix blocks
         "dense"     -- entries is a symmetric (dim, dim) array; its smallest
                        eigenvalue is cached at construction, its inverse
@@ -52,18 +52,13 @@ class MetricMatrix:
     kind: str
     dim: int
     entries: object = None
-    scale: float = 1.0
     _lam_min: float = field(default=math.nan, init=False, repr=False, compare=False)
     _inv: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ContractError("metric dimension must be positive")
-        if self.kind == "identity":
-            if not 0 < self.scale < math.inf:
-                raise ContractError(f"identity metric scale must be positive and finite, "
-                                    f"got {self.scale!r}")
-        elif self.kind == "diagonal":
+        if self.kind == "diagonal":
             d = np.asarray(self.entries, dtype=float)
             if d.shape != (self.dim,):
                 raise ContractError("diagonal entries must have shape (dim,)")
@@ -98,7 +93,7 @@ class MetricMatrix:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def identity(dim, scale=1.0):
-        return MetricMatrix("identity", dim, scale=scale)
+        return MetricMatrix.diagonal(np.full(dim, scale, dtype=float))
 
     @staticmethod
     def diagonal(diag):
@@ -120,8 +115,6 @@ class MetricMatrix:
         """H @ u, columnwise for batched input."""
         u = np.asarray(u, dtype=float)
         _check_dim(self.dim, u)
-        if self.kind == "identity":
-            return self.scale * u
         if self.kind == "diagonal":
             return (self.entries.T * u.T).T if u.ndim > 1 else self.entries * u
         if self.kind == "dense":
@@ -137,8 +130,6 @@ class MetricMatrix:
         """H^{-1} @ u."""
         u = np.asarray(u, dtype=float)
         _check_dim(self.dim, u)
-        if self.kind == "identity":
-            return u / self.scale
         if self.kind == "diagonal":
             return (u.T / self.entries).T if u.ndim > 1 else u / self.entries
         if self.kind == "dense":
@@ -240,25 +231,25 @@ def h_norm(H, u, columns=False):
 def h_project(H, U, u):
     """Projection onto U in the H-metric, for the supported (H, U) pairings.
 
-    full space -> identity; box with identity/diagonal H -> componentwise
-    clamp; ball with identity H -> radial scaling.  Anything else (a
-    general quadratic program) is rejected rather than silently
-    approximated.
+    full space -> identity; box with diagonal H -> componentwise clamp;
+    ball with a diagonal H of equal entries (c I) -> radial scaling.
+    Anything else (a general quadratic program) is rejected rather than
+    silently approximated.
     """
     u = np.asarray(u, dtype=float)
     _check_dim(U.dim, u)
     if U.kind == "full":
         return u.copy()
     if U.kind == "box":
-        if H.kind not in ("identity", "diagonal"):
-            raise CapabilityError("box projection requires an identity or diagonal metric")
+        if H.kind != "diagonal":
+            raise CapabilityError("box projection requires a diagonal metric")
         lo, hi = U.lower, U.upper
         if u.ndim > 1:
             lo, hi = lo[:, None], hi[:, None]
         return np.clip(u, lo, hi)
     if U.kind == "ball":
-        if H.kind != "identity":
-            raise CapabilityError("ball projection requires the identity metric")
+        if H.kind != "diagonal" or np.ptp(H.entries) != 0:
+            raise CapabilityError("ball projection requires a multiple of the identity metric")
         c = U.center[:, None] if u.ndim > 1 else U.center
         d = u - c
         nrm = np.linalg.norm(d, axis=0)
@@ -287,11 +278,9 @@ def projection_jacobian_diag(U, u):
 def min_eigen_estimate(H):
     """Smallest eigenvalue of H, exact.
 
-    Identity, diagonal and block metrics are read off their entries; a
-    dense block reads the spectrum it computed when it was built.
+    Diagonal and block metrics are read off their entries; a dense
+    block reads the spectrum it computed when it was built.
     """
-    if H.kind == "identity":
-        return float(H.scale)
     if H.kind == "diagonal":
         return float(np.min(H.entries))
     if H.kind == "block":

@@ -201,34 +201,25 @@ def _resolve(omega, spec, default=None):
 
 
 def _diag_spec(spec, dim):
-    """Check a diagonal-metric spec: None, an omega slice name, or a fixed (dim,) array."""
-    if spec is None or isinstance(spec, str):
+    """Check a diagonal-metric spec: a slice name, a fixed (dim,) array, or None for ones."""
+    if isinstance(spec, str):
         return spec
-    d = np.asarray(spec, dtype=float)
+    d = np.ones(dim) if spec is None else np.asarray(spec, dtype=float)
     if d.shape != (dim,):
         raise ContractError(f"a fixed metric diagonal must have shape ({dim},), got {d.shape}")
     return d
 
 
 def _diag(omega, spec, dim):
-    """A metric diagonal of length ``dim`` given by ``spec``.
+    """A metric diagonal of length ``dim`` given by a ``_diag_spec``-checked spec.
 
-    None is the identity; a string names an omega slice, a scalar slice
-    being broadcast; an array is a fixed diagonal.
+    A string names an omega slice, a scalar slice being broadcast; an
+    array is a fixed diagonal.
     """
-    if spec is None:
-        return np.ones(dim)
     if isinstance(spec, str):
         g = omega.view(spec).reshape(-1)
         return np.full(dim, float(g[0])) if g.size == 1 else g.astype(float)
     return spec
-
-
-def _diag_metric(omega, spec, dim):
-    """The identity for a None spec, else the diagonal metric the spec gives."""
-    if spec is None:
-        return MetricMatrix.identity(dim)
-    return MetricMatrix.diagonal(_diag(omega, spec, dim))
 
 
 def _colsum(x):
@@ -378,7 +369,7 @@ class PgOperator:
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
-        return _diag_metric(omega, self.gdiag, self.dim)
+        return MetricMatrix.diagonal(_diag(omega, self.gdiag, self.dim))
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
         _acc(grad, omega, self.gdiag, x * y, scale)
@@ -404,7 +395,7 @@ class AlmOperator:
     the primal step solves with K = quad + diag(gd) + (1 - ell) beta A^T A.
     ``gmode`` sets ell and where gd comes from:
       * "fixed" and "slice" (ell = 0) are one path: ``gdiag`` decides, as
-        None (the identity), a fixed array, or the name of an omega slice;
+        a fixed array, the name of an omega slice, or None for ones;
       * "rho-lin" (ell = 1): gd = sum_j rho_j mask_j, and G subtracts
         beta A^T A, which turns the augmented quadratic into a plain
         per-block prox (the linearized splitting form) while keeping the
@@ -436,7 +427,6 @@ class AlmOperator:
             self.lin = np.asarray(self.lin, dtype=float).reshape(self.nprimal)
         if self.l1_weights is not None:
             self.l1_weights = np.asarray(self.l1_weights, dtype=float).reshape(self.nprimal)
-        self.gdiag = _diag_spec(self.gdiag, self.nprimal)
         if self.gmode not in ("fixed", "slice", "rho-lin"):
             raise ContractError(f"unknown prox-metric mode {self.gmode!r}")
         self._ell = self.gmode == "rho-lin"  # ell of G = diag(gd) - ell beta A^T A
@@ -446,6 +436,7 @@ class AlmOperator:
         if not self._ell and self.rho_groups:
             raise ContractError(f"rho_groups are read only in prox-metric mode 'rho-lin', "
                                 f"not {self.gmode!r}")
+        self.gdiag = None if self._ell else _diag_spec(self.gdiag, self.nprimal)
         self.rho_groups = tuple((name, self._as_mask(mask)) for name, mask in self.rho_groups)
         self.thresh_groups = tuple((name, self._as_mask(mask)) for name, mask in self.thresh_groups)
         # the VJP credits each group alone with the factor on its coordinates
@@ -516,7 +507,7 @@ class AlmOperator:
             if self._ell:
                 G = MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
             else:
-                G = _diag_metric(omega, self.gdiag, self.nprimal)
+                G = MetricMatrix.diagonal(gd)
         except ContractError as err:
             raise ContractError(f"prox metric G(omega): {err}") from None
         ctx = {
@@ -794,10 +785,10 @@ class NetOperator:
     apply() checks the certificate once per omega object and rejects
     unnormalized layers unless ``enforce_certificate`` is switched off
     (the normalization-ablation mode).  ``conjugate`` is a diagonal-metric
-    spec, as ``gdiag`` is elsewhere: None, a fixed (dim,) diagonal, or the
-    name of a metric-diagonal omega slice.  When set, the whole map is
-    conjugated as H^{-1/2} D H^{1/2} so it is non-expansive in the
-    H-metric.
+    spec, as ``gdiag`` is elsewhere: a fixed (dim,) diagonal, the name of
+    a metric-diagonal omega slice, or None for ones (which change nothing).
+    The whole map is conjugated as H^{-1/2} D H^{1/2} so it is
+    non-expansive in the H-metric.
     """
 
     dim: int
@@ -857,9 +848,9 @@ class NetOperator:
     def _forward(self, state, omega):
         """Conjugation diagonal g, its root, the layers, pre-activations and activations."""
         phi, _ = _NONLINEARITIES[self.nonlinearity]
-        g = None if self.conjugate is None else _diag(omega, self.conjugate, self.dim)
-        r = np.sqrt(g) if g is not None else None
-        z = state if r is None else _col(r, state) * state
+        g = _diag(omega, self.conjugate, self.dim)
+        r = np.sqrt(g)
+        z = _col(r, state) * state
         layers, pre, acts = self._layers(omega), [], [z]
         for W, bb in layers:
             pre.append(W @ z + _col(bb, z))
@@ -871,16 +862,14 @@ class NetOperator:
         if self.enforce_certificate and omega is not self._certified:
             self.validate_omega(omega)
         _, r, _, _, acts = self._forward(state, omega)
-        return acts[-1] if r is None else acts[-1] / _col(r, acts[-1])
+        return acts[-1] / _col(r, acts[-1])
 
     def apply_vjp(self, state, omega, cot, grad):
         _, dphi = _NONLINEARITIES[self.nonlinearity]
         g, r, layers, pre, acts = self._forward(state, omega)
-        cz = cot
-        if r is not None:
-            # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
-            cz = cot / _col(r, cot)
-            _acc(grad, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
+        # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
+        cz = cot / _col(r, cot)
+        _acc(grad, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
         for idx in range(self.nlayers - 1, -1, -1):
             da = dphi(pre[idx]) * cz
             _acc(grad, omega, self.bias_names[idx], da)
@@ -888,14 +877,12 @@ class NetOperator:
             _acc(grad, omega, self.weight_names[idx],
                  da @ zin.T if da.ndim > 1 else np.outer(da, zin))
             cz = layers[idx][0].T @ da
-        if r is not None:
-            # x = r * u: cotangent into u, plus d(r)/dg on the slice
-            _acc(grad, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
-            cz = _col(r, cz) * cz
-        return cz
+        # x = r * u: cotangent into u, plus d(r)/dg on the slice
+        _acc(grad, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
+        return _col(r, cz) * cz
 
     def metric(self, omega):
-        return _diag_metric(omega, self.conjugate, self.dim)
+        return MetricMatrix.diagonal(_diag(omega, self.conjugate, self.dim))
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
         _acc(grad, omega, self.conjugate, x * y, scale)
@@ -937,9 +924,9 @@ class CompositeOperator:
     """Right-to-left composition: members[0] is the outermost map.
 
     The composite metric is the outermost numerical member's metric (the
-    identity when there is none).  Every Net member's metric must equal
-    it, both the identity or both diagonals with equal entries; otherwise
-    the certificate does not compose.
+    identity, a diagonal of ones, when there is none).  Every Net member's
+    metric, a diagonal, must equal it entry for entry; otherwise the
+    certificate does not compose.
     """
 
     members: tuple
@@ -973,10 +960,7 @@ class CompositeOperator:
         for m in self.members:
             m.validate_omega(omega)
             if isinstance(m, NetOperator):
-                G = m.metric(omega)
-                same = (G.kind == H.kind == "identity" and G.scale == H.scale) or (
-                    G.kind == H.kind == "diagonal" and np.array_equal(G.entries, H.entries))
-                if not same:
+                if H.kind != "diagonal" or not np.array_equal(m.metric(omega).entries, H.entries):
                     raise ContractError(
                         "network member must be conjugated to the composite metric")
 

@@ -2,6 +2,7 @@ import functools
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from gkmbmo import cli, tasks
@@ -212,6 +213,8 @@ MALFORMED_VALUES = {
     "report_omega_not_numbers": ("eval", "", "abc", "omega"),
     "report_omega_nan": ("eval", "", "nan,0.0", "slice 'W0'"),
     "report_omega_inf": ("eval", "", "0.5,inf", "slice 'b0'"),
+    "fdcheck_tolerance_nan": ("fdcheck", "fdcheck.tolerance = nan", None, "fdcheck.tolerance"),
+    "fdcheck_tolerance_zero": ("fdcheck", "fdcheck.tolerance = 0", None, "fdcheck.tolerance"),
 }
 
 
@@ -281,6 +284,18 @@ class TestEvalDiagnose:
         burn = 5
         assert all(rel[i + 1] <= rel[i] * (1 + 1e-9) for i in range(burn, len(rel) - 1))
 
+    def test_diagnose_builds_run_config_once(self, tmp_path, monkeypatch):
+        # with bmo.s = auto each build measures the loss's smoothness; K is all that varies
+        calls = []
+        build = cli.bmo_config
+        monkeypatch.setattr(cli, "bmo_config", lambda *a, **k: calls.append(1) or build(*a, **k))
+        cfg = write_config(tmp_path, "task = toy\nbmo.K = 4\ndiag.k_list = 2,3,4\n"
+                                     "diag.ablation = false\n")
+        assert run(["diagnose", "--config", cfg, "--out", tmp_path]) == 0
+        outer = [l for l in (tmp_path / "diagnostics.csv").read_text().splitlines()
+                 if l.startswith("outer")]
+        assert len(calls) == 1 and [l.split(",")[2] for l in outer] == ["2", "3", "4"]
+
     def test_deconv_eval_metrics(self, tmp_path):
         run(["gen", "--task", "deconv", "--seed", 4, "--out", tmp_path])
         cfg = write_config(tmp_path, "task = deconv\nbmo.T = 2\nbmo.K = 5\n"
@@ -303,6 +318,16 @@ class TestFdcheck:
         cfg = write_config(tmp_path, "task = toy\nfdcheck.instances = 5\n"
                                      "fdcheck.corrupt = true\n")
         assert run(["fdcheck", "--config", cfg, "--out", tmp_path]) != 0
+
+    def test_every_fail_row_counts(self, tmp_path, capsys, monkeypatch):
+        # a NaN relative error prints FAIL, so it must fail the run as well
+        monkeypatch.setattr(cli, "fd_hypergradient",
+                            lambda op, loss, omega, *a, **k: np.full(omega.dim, np.nan))
+        cfg = write_config(tmp_path, "task = toy\nfdcheck.instances = 3\n")
+        assert run(["fdcheck", "--config", cfg, "--out", tmp_path]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 3 and "3 instance(s) exceeded" in out
+        assert "worst relative error: nan" in out
 
     def test_empty_suite_vacuous_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "task = toy\nfdcheck.instances = 0\n")

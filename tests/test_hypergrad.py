@@ -127,6 +127,19 @@ class TestLoss:
         with pytest.raises(ContractError):
             loss.grad_u(rng.standard_normal((11, 4)))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("scale", {"scale": math.nan}),
+        ("scale", {"scale": math.inf}),
+        ("weight", {"weight": np.array([1.0, math.nan])}),
+        ("target", {"target": np.array([0.0, math.inf])}),
+        ("Q", {"kind": "feasibility", "Q": np.array([[1.0, math.nan]]), "bmat": np.zeros(1)}),
+        ("bmat", {"kind": "feasibility", "Q": np.ones((1, 1)), "bmat": np.array([-math.inf])}),
+    ], ids=["scale-nan", "scale-inf", "weight-nan", "target-inf", "Q-nan", "bmat-inf"])
+    def test_non_finite_refused_by_name(self, field, kwargs):
+        kwargs = {"kind": "squared_error", **kwargs}
+        with pytest.raises(ContractError, match=field):
+            LossDescriptor(dim=2, **kwargs)
+
     def test_L_ell_identity_quadratic(self):
         assert LossDescriptor("squared_error", 3).smoothness() == 1.0
 

@@ -103,6 +103,14 @@ class TestHProject:
         U = DomainDescriptor.ball(np.zeros(2), 1.0)
         np.testing.assert_allclose(h_project(H, U, np.array([0.0, 2.0])), [0.0, 1.0])
 
+    def test_ball_needs_equal_diagonal(self):
+        U = DomainDescriptor.ball(np.zeros(2), 1.0)
+        with pytest.raises(CapabilityError):
+            h_project(MetricMatrix.diagonal([1.0, 2.0]), U, np.array([0.0, 2.0]))
+        # c I is a diagonal of equal entries, and its projection is radial for every c
+        np.testing.assert_allclose(h_project(MetricMatrix.identity(2, 2.5), U,
+                                             np.array([0.0, 2.0])), [0.0, 1.0])
+
     def test_dense_box_rejected(self):
         H = MetricMatrix.dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
         U = DomainDescriptor.box([0.0, 0.0], [1.0, 1.0])

@@ -194,8 +194,9 @@ class TestAlm:
         H = op.metric(om)
         assert H.kind == "block"
         g, dual = H.entries
-        assert g.kind == "identity" and g.scale == 1.0
-        assert dual.kind == "identity" and dual.scale == pytest.approx(0.5)
+        assert g.kind == dual.kind == "diagonal"
+        np.testing.assert_array_equal(g.entries, np.ones(2))
+        np.testing.assert_array_equal(dual.entries, np.full(2, 0.5))
 
     def test_firmly_nonexpansive(self, rng):
         n = 4
@@ -531,7 +532,9 @@ class TestNet:
 
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
-        assert op.metric(net_omega([np.eye(2)], [np.zeros(2)])).kind == "identity"
+        H = op.metric(net_omega([np.eye(2)], [np.zeros(2)]))
+        assert H.kind == "diagonal"
+        np.testing.assert_array_equal(H.entries, np.ones(2))
 
     def test_vjp_matches_fd(self, rng):
         Ws = []

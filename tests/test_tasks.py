@@ -204,7 +204,8 @@ class TestSeparation:
                                    om.scalar("rho_ur") * np.eye(n) - beta * D.T @ D)
         np.testing.assert_allclose(np.diag(G)[2 * n:3 * n], om.scalar("rho_vb") - beta)
         np.testing.assert_allclose(np.diag(G)[3 * n:], om.scalar("rho_vr") - beta)
-        assert H.entries[1].scale == pytest.approx(1.0 / beta)
+        assert H.entries[1].kind == "diagonal"
+        np.testing.assert_allclose(H.entries[1].entries, np.full(2 * n, 1.0 / beta))
 
     def test_beta_above_bound_rejected(self):
         inst = gen_separation(n=8, seed=5)
