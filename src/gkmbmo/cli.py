@@ -276,10 +276,13 @@ def cmd_train(cfg, out, instance_path):
 
 
 def cmd_eval(cfg, out, instance_path, report_path, baseline_report=None):
+    task = cfg.task
+    if task == "toy":
+        raise FormatError("the toy task has no ground truth; eval takes "
+                          "sparse_coding, deconv or separation")
     if report_path is None or not Path(report_path).exists():
         raise FileNotFoundError(report_path or "report.txt")
     inst = _load(cfg, instance_path)
-    task = cfg.task
     _require_instance(task, inst)
     rows = []
     if task == "sparse_coding":
@@ -306,12 +309,10 @@ def cmd_eval(cfg, out, instance_path, report_path, baseline_report=None):
         if task == "deconv":
             rec = inst.W.T @ u
             truth = inst.u_star
-        elif task == "separation":
+        else:
             n = inst.b.shape[0]
             rec = u[:n]
             truth = inst.u_b
-        else:
-            rec, truth = u, np.zeros_like(u)
         peak = float(np.max(np.abs(truth))) or 1.0
         rows.append(("bmo", "psnr", psnr(rec, truth, peak=peak)))
         rows.append(("bmo", "ssim", ssim(rec, truth, peak=peak)))

@@ -50,7 +50,7 @@ class LossDescriptor:
 
     kind "squared_error": M u = u, t = target (default 0), c = scale
     kind "feasibility":   M u = Q u1 + u2 on a stacked (u1, u2, lam) state,
-                          t = bmat, c = scale / B for a state of B columns;
+                          t = bmat, c = scale / B for a bmat of B columns;
                           the dual block carries no loss
     w is ``weight`` (default 1) and scale defaults to 1.  The loss reads u
     alone, so the reverse sweep has no dl/domega term to add.  Its data is
@@ -69,9 +69,11 @@ class LossDescriptor:
         if self.kind == "squared_error":
             t = np.zeros(self.dim) if self.target is None else self.target
             self._t = self.target = _finite_field("target", t)
+            self._B = 1
         elif self.kind == "feasibility":
             self.Q = _finite_field("Q", self.Q)
             self._t = self.bmat = _finite_field("bmat", self.bmat)
+            self._B = self.bmat.shape[1] if self.bmat.ndim > 1 else 1
         else:
             raise ContractError(f"unsupported loss kind {self.kind!r}")
         if not 0 < self.scale < math.inf:
@@ -92,13 +94,12 @@ class LossDescriptor:
     def _weigh(self, r, ref):
         """c w r for a residual r of the state ``ref``.
 
-        The division by B comes last, so a batched gradient is the same
-        for every B.
+        The division by B, the column count of bmat, comes last, so a
+        batched gradient is the same for every B.
         """
         w = 1.0 if self.weight is None else _match_b(self.weight, ref)
         z = self.scale * w * r
-        B = ref.shape[1] if self.kind == "feasibility" and ref.ndim > 1 else 1
-        return z if B == 1 else z / B
+        return z if self._B == 1 else z / self._B
 
     def _Mt(self, z, ref):
         """M^T z, shaped as the state ``ref``."""
@@ -138,8 +139,7 @@ class LossDescriptor:
         if self.kind == "squared_error":
             return L
         m = self.Q.shape[0]
-        B = self.bmat.shape[1] if self.bmat.ndim > 1 else 1
-        return L * spectral_norm_estimate(np.hstack([self.Q, np.eye(m)])) ** 2 / B
+        return L * spectral_norm_estimate(np.hstack([self.Q, np.eye(m)])) ** 2 / self._B
 
 
 # ---------------------------------------------------------------------------

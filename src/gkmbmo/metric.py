@@ -4,11 +4,12 @@ Every operator in this package certifies its Lipschitz properties with
 respect to an inner product ``<u, H v>`` induced by a positive-definite
 matrix H.  This module holds the matrix representation, the induced
 inner product / norm, projections onto simple sets, and the spectral
-quantities used by step-size bounds.  A dense block computes its
-spectrum once, when it is built, which proves it positive definite and
-gives its exact smallest eigenvalue; it computes its inverse once, at its
-first solve, so a block that is only applied (a lower bound h_lb) never
-holds one.
+quantities used by step-size bounds.  Every H is a dense lead block
+over the leading coordinates followed by a positive diagonal tail.  The
+lead computes its spectrum once, when it is built, which proves it
+positive definite and gives its exact smallest eigenvalue; it computes
+its inverse once, at its first solve, so a metric that is only applied
+(a lower bound h_lb) never holds one.
 
 Vectors may be passed as shape ``(dim,)`` or batched as ``(dim, B)``;
 batched norms reduce over all entries (the metric of the stacked state
@@ -36,44 +37,37 @@ def _check_dim(dim, u):
         raise ContractError(f"dimension mismatch: metric dim {dim}, vector dim {u.shape[0]}")
 
 
+_NO_LEAD = np.zeros((0, 0))
+
+
 @dataclass(frozen=True)
 class MetricMatrix:
-    """Positive-definite H stored by kind.
+    """Positive-definite H = blockdiag(lead, diag(tail)).
 
-    kind:
-        "diagonal"  -- entries is the (dim,) diagonal; c I is the diagonal
-                       of c's that ``identity(dim, c)`` builds
-        "block"     -- entries is a tuple of MetricMatrix blocks
-        "dense"     -- entries is a symmetric (dim, dim) array; its smallest
-                       eigenvalue is cached at construction, its inverse
-                       at the first solve
+    ``lead`` is a symmetric (p, p) block over the first p coordinates
+    (p may be 0); its smallest eigenvalue is cached at construction, its
+    inverse at the first solve.  ``tail`` is the strictly positive
+    diagonal over the other dim - p coordinates; c I is the tail of c's
+    that ``identity(dim, c)`` builds.
     """
 
-    kind: str
-    dim: int
-    entries: object = None
-    _lam_min: float = field(default=math.nan, init=False, repr=False, compare=False)
+    lead: np.ndarray
+    tail: np.ndarray
+    dim: int = field(init=False)
+    _lead_min: float = field(default=math.inf, init=False, repr=False, compare=False)
     _inv: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim <= 0:
+        a = np.asarray(self.lead, dtype=float)
+        d = np.asarray(self.tail, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or d.ndim != 1:
+            raise ContractError("a metric is a square lead block and a 1-D diagonal tail")
+        p = a.shape[0]
+        if p + d.shape[0] <= 0:
             raise ContractError("metric dimension must be positive")
-        if self.kind == "diagonal":
-            d = np.asarray(self.entries, dtype=float)
-            if d.shape != (self.dim,):
-                raise ContractError("diagonal entries must have shape (dim,)")
-            if not np.all((d > 0) & (d < math.inf)):
-                raise ContractError("diagonal metric requires strictly positive, finite entries")
-            object.__setattr__(self, "entries", d)
-        elif self.kind == "block":
-            blocks = tuple(self.entries)
-            if sum(b.dim for b in blocks) != self.dim:
-                raise ContractError("block dims do not tile the metric dimension")
-            object.__setattr__(self, "entries", blocks)
-        elif self.kind == "dense":
-            a = np.asarray(self.entries, dtype=float)
-            if a.shape != (self.dim, self.dim):
-                raise ContractError("dense entries must be (dim, dim)")
+        if not np.all((d > 0) & (d < math.inf)):
+            raise ContractError("diagonal metric requires strictly positive, finite entries")
+        if p:
             if not np.all(np.isfinite(a)):
                 raise ContractError("dense metric has non-finite entries")
             sym_err = np.max(np.abs(a - a.T)) / max(1.0, np.max(np.abs(a)))
@@ -81,14 +75,13 @@ class MetricMatrix:
                 raise ContractError(f"dense metric not symmetric (relative error {sym_err:.2e})")
             a = 0.5 * (a + a.T)
             w = np.linalg.eigvalsh(a)
-            object.__setattr__(self, "entries", a)
-            object.__setattr__(self, "_lam_min", float(w[0]))
-            lam = min_eigen_estimate(self)
             # below this floor the block is numerically singular
-            if lam <= self.dim * np.finfo(float).eps * np.max(np.abs(w)):
-                raise ContractError(f"dense metric is not positive definite (lambda_min={lam:.3e})")
-        else:
-            raise ContractError(f"unknown metric kind {self.kind!r}")
+            if w[0] <= p * np.finfo(float).eps * np.max(np.abs(w)):
+                raise ContractError(f"dense metric is not positive definite (lambda_min={w[0]:.3e})")
+            object.__setattr__(self, "_lead_min", float(w[0]))
+        object.__setattr__(self, "lead", a)
+        object.__setattr__(self, "tail", d)
+        object.__setattr__(self, "dim", p + d.shape[0])
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -97,50 +90,39 @@ class MetricMatrix:
 
     @staticmethod
     def diagonal(diag):
-        diag = np.asarray(diag, dtype=float)
-        return MetricMatrix("diagonal", diag.shape[0], diag)
+        return MetricMatrix(_NO_LEAD, diag)
 
-    @staticmethod
-    def block_diagonal(blocks):
-        blocks = tuple(blocks)
-        return MetricMatrix("block", sum(b.dim for b in blocks), blocks)
-
-    @staticmethod
-    def dense(mat):
-        mat = np.asarray(mat, dtype=float)
-        return MetricMatrix("dense", mat.shape[0], mat)
+    @property
+    def is_diagonal(self):
+        return self.lead.shape[0] == 0
 
     # -- application ----------------------------------------------------
     def apply(self, u):
         """H @ u, columnwise for batched input."""
         u = np.asarray(u, dtype=float)
         _check_dim(self.dim, u)
-        if self.kind == "diagonal":
-            return (self.entries.T * u.T).T if u.ndim > 1 else self.entries * u
-        if self.kind == "dense":
-            return self.entries @ u
-        out = np.empty_like(u, dtype=float)
-        off = 0
-        for b in self.entries:
-            out[off:off + b.dim] = b.apply(u[off:off + b.dim])
-            off += b.dim
+        p = self.lead.shape[0]
+        d = self.tail[:, None] if u.ndim > 1 else self.tail
+        if not p:
+            return d * u
+        out = np.empty_like(u)
+        out[:p] = self.lead @ u[:p]
+        out[p:] = d * u[p:]
         return out
 
     def solve(self, u):
         """H^{-1} @ u."""
         u = np.asarray(u, dtype=float)
         _check_dim(self.dim, u)
-        if self.kind == "diagonal":
-            return (u.T / self.entries).T if u.ndim > 1 else u / self.entries
-        if self.kind == "dense":
-            if self._inv is None:
-                object.__setattr__(self, "_inv", np.linalg.inv(self.entries))
-            return self._inv @ u
-        out = np.empty_like(u, dtype=float)
-        off = 0
-        for b in self.entries:
-            out[off:off + b.dim] = b.solve(u[off:off + b.dim])
-            off += b.dim
+        p = self.lead.shape[0]
+        d = self.tail[:, None] if u.ndim > 1 else self.tail
+        if not p:
+            return u / d
+        if self._inv is None:
+            object.__setattr__(self, "_inv", np.linalg.inv(self.lead))
+        out = np.empty_like(u)
+        out[:p] = self._inv @ u[:p]
+        out[p:] = u[p:] / d
         return out
 
 
@@ -241,21 +223,20 @@ def h_project(H, U, u):
     if U.kind == "full":
         return u.copy()
     if U.kind == "box":
-        if H.kind != "diagonal":
+        if not H.is_diagonal:
             raise CapabilityError("box projection requires a diagonal metric")
         lo, hi = U.lower, U.upper
         if u.ndim > 1:
             lo, hi = lo[:, None], hi[:, None]
         return np.clip(u, lo, hi)
-    if U.kind == "ball":
-        if H.kind != "diagonal" or np.ptp(H.entries) != 0:
-            raise CapabilityError("ball projection requires a multiple of the identity metric")
-        c = U.center[:, None] if u.ndim > 1 else U.center
-        d = u - c
-        nrm = np.linalg.norm(d, axis=0)
-        factor = np.minimum(1.0, U.radius / np.maximum(nrm, 1e-300))
-        return c + d * factor
-    raise CapabilityError(f"unsupported projection pairing ({H.kind}, {U.kind})")
+    # a ball
+    if not H.is_diagonal or np.ptp(H.tail) != 0:
+        raise CapabilityError("ball projection requires a multiple of the identity metric")
+    c = U.center[:, None] if u.ndim > 1 else U.center
+    d = u - c
+    nrm = np.linalg.norm(d, axis=0)
+    factor = np.minimum(1.0, U.radius / np.maximum(nrm, 1e-300))
+    return c + d * factor
 
 
 def projection_jacobian_diag(U, u):
@@ -278,14 +259,10 @@ def projection_jacobian_diag(U, u):
 def min_eigen_estimate(H):
     """Smallest eigenvalue of H, exact.
 
-    Diagonal and block metrics are read off their entries; a dense
-    block reads the spectrum it computed when it was built.
+    The lead's is the one it computed when it was built (inf for an
+    empty lead); the tail's is its least entry.
     """
-    if H.kind == "diagonal":
-        return float(np.min(H.entries))
-    if H.kind == "block":
-        return min(min_eigen_estimate(b) for b in H.entries)
-    return H._lam_min
+    return min(H._lead_min, float(np.min(H.tail, initial=math.inf)))
 
 
 def spectral_norm_estimate(A, tol=1e-6, max_iter=_POWER_CAP, seed=_POWER_SEED):

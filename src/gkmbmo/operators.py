@@ -502,18 +502,11 @@ class AlmOperator:
                 raise CapabilityError(
                     "l1 coordinates do not decouple in the total quadratic; "
                     "no closed-form primal step for this configuration")
-        # G is proven positive definite before Kss, which contains it, is inverted
-        try:
-            if self._ell:
-                G = MetricMatrix.dense(np.diag(gd) - beta * self._AtA)
-            else:
-                G = MetricMatrix.diagonal(gd)
-        except ContractError as err:
-            raise ContractError(f"prox metric G(omega): {err}") from None
         ctx = {
             "beta": beta,
             "w": self._weights(omega),
-            "H": MetricMatrix.block_diagonal([G, MetricMatrix.identity(self.ndual, scale=1.0 / beta)]),
+            # G is proven positive definite before Kss, which contains it, is inverted
+            "H": self._metric(beta, gd),
             "Kss_inv": np.linalg.inv(K[np.ix_(S, S)]),
             "dL": np.diag(K)[L],
             "gd": gd,
@@ -610,9 +603,22 @@ class AlmOperator:
         return np.concatenate([cu, clam_out + Adc], axis=0)
 
     # metric ----------------------------------------------------------
+    def _metric(self, beta, gd):
+        """blockdiag(G, I / beta), G = diag(gd) - ell beta A^T A proven positive definite."""
+        dual = np.full(self.ndual, 1.0 / beta)
+        try:
+            if self._ell:
+                return MetricMatrix(np.diag(gd) - beta * self._AtA, dual)
+            return MetricMatrix.diagonal(np.concatenate([gd, dual]))
+        except ContractError as err:
+            raise ContractError(f"prox metric G(omega): {err}") from None
+
     def metric(self, omega):
-        """blockdiag(G(omega), I / beta), built once per omega in its context."""
-        return self.prepare(omega)["H"]
+        """blockdiag(G(omega), I / beta): a prepared omega's is read from its
+        context; any other omega's is built alone, without the primal step."""
+        if omega is self._prepared[0]:
+            return self._prepared[1]["H"]
+        return self._metric(_resolve(omega, self.beta), self._gd(omega))
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
         beta = _resolve(omega, self.beta)
@@ -744,13 +750,10 @@ class DladmmOperator:
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
+        """blockdiag(rho1 I - beta Q^T Q, rho2 I, I / (gamma beta))."""
         beta, gamma, rho1, rho2, _, _ = self._params(omega)
-        top = rho1 * np.eye(self.n) - beta * self._QtQ
-        return MetricMatrix.block_diagonal([
-            MetricMatrix.dense(top),
-            MetricMatrix.identity(self.m, scale=rho2),
-            MetricMatrix.identity(self.m, scale=1.0 / (gamma * beta)),
-        ])
+        return MetricMatrix(rho1 * np.eye(self.n) - beta * self._QtQ,
+                            np.repeat([rho2, 1.0 / (gamma * beta)], self.m))
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
         beta, gamma, rho1, rho2, _, _ = self._params(omega)
@@ -960,7 +963,7 @@ class CompositeOperator:
         for m in self.members:
             m.validate_omega(omega)
             if isinstance(m, NetOperator):
-                if H.kind != "diagonal" or not np.array_equal(m.metric(omega).entries, H.entries):
+                if not H.is_diagonal or not np.array_equal(m.metric(omega).tail, H.tail):
                     raise ContractError(
                         "network member must be conjugated to the composite metric")
 

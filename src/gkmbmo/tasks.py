@@ -36,9 +36,10 @@ def task_rng(seed, stream=0):
 class TaskBundle:
     """Operator plus everything the trainer needs to run it.
 
-    ``h_lb`` is a metric lower bound valid over the whole omega box; the
-    step-size rule and recorded residuals use it so they stay meaningful
-    while training moves omega.
+    ``h_lb`` is a metric lower bound valid over the whole omega box, the
+    operator's own H at the box corner where H is lowest; the step-size
+    rule and recorded residuals use it so they stay meaningful while
+    training moves omega.
     """
 
     op: object
@@ -47,6 +48,23 @@ class TaskBundle:
     loss: LossDescriptor
     u0: Optional[np.ndarray] = None
     h_lb: Optional[MetricMatrix] = None
+
+
+# beta and gamma lower H(omega) as they grow, every rho and metric diagonal
+# as it shrinks; the thresholds do not enter H
+_H_LOWERING_UPPER_END = frozenset({"beta", "gamma"})
+
+
+def _h_lowest(op, omega0, bounds):
+    """H at the corner of the omega box where it is lowest, a lower bound over the box.
+
+    Coordinates of an unbounded box side (network layers, which do not
+    enter H) stay at omega0.
+    """
+    upper = np.concatenate([np.full(s.size, s.name in _H_LOWERING_UPPER_END)
+                            for s in omega0.layout])
+    corner = np.where(upper, bounds.upper, bounds.lower)
+    return op.metric(omega0.with_values(np.where(np.isfinite(corner), corner, omega0.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +170,8 @@ def build_sparse_coding_operator(inst, learnable="all", beta=0.1, gamma=1.0,
     else:
         raise ContractError(f"unknown learnable set {learnable!r}")
     loss = LossDescriptor("feasibility", op.dim, Q=inst.Q, bmat=b)
-    m, n = inst.Q.shape
-    gamma_ub = 1.0
-    h_lb = MetricMatrix.block_diagonal([
-        MetricMatrix.dense(rho1_floor * np.eye(n) - beta_ub * inst.Q.T @ inst.Q),
-        MetricMatrix.identity(m, scale=rho2_floor),
-        MetricMatrix.identity(m, scale=1.0 / (gamma_ub * beta_ub)),
-    ])
-    return TaskBundle(op, omega0, bounds, loss,
-                      u0=np.zeros((op.dim, b.shape[1])), h_lb=h_lb)
+    return TaskBundle(op, omega0, bounds, loss, u0=np.zeros((op.dim, b.shape[1])),
+                      h_lb=_h_lowest(op, omega0, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +292,7 @@ def build_deconv_operator(inst, net_widths=(), net_rho_bar=1.0, seed=0, identity
     bounds = OmegaBox(lo, hi)
     loss = LossDescriptor("squared_error", n, target=W @ inst.u_star)
     return TaskBundle(op, omega0, bounds, loss, u0=W @ inst.b,
-                      h_lb=MetricMatrix.identity(n, scale=g_lo))
+                      h_lb=_h_lowest(op, omega0, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +395,7 @@ def build_separation_operator(inst, beta=0.2):
     target = np.concatenate([inst.u_b, inst.u_r, np.zeros(4 * n)])
     loss = LossDescriptor("squared_error", op.dim, target=target, weight=weight)
     u0 = np.concatenate([inst.b, np.zeros(5 * n)])
-    G_lb = np.diag(np.full(4 * n, rho_floor)) - beta_ub * A.T @ A
-    h_lb = MetricMatrix.block_diagonal([
-        MetricMatrix.dense(G_lb),
-        MetricMatrix.identity(2 * n, scale=1.0 / beta_ub),
-    ])
-    return TaskBundle(op, omega0, bounds, loss, u0=u0, h_lb=h_lb)
+    return TaskBundle(op, omega0, bounds, loss, u0=u0, h_lb=_h_lowest(op, omega0, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,7 @@ def save_instance(inst, path):
 
 
 def load_instance(path):
-    """Read an instance container; any malformed or truncated part is a FormatError."""
+    """Read an instance container; any malformed, truncated or non-finite part is a FormatError."""
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != MAGIC:
@@ -523,6 +529,9 @@ def load_instance(path):
             scalars = {k: float(manifest["scalars"][k]) for k in _INSTANCE_SCALARS[task]}
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"malformed instance manifest: {err!r}") from err
+        for name, value in scalars.items():
+            if not math.isfinite(value):
+                raise FormatError(f"instance scalar {name!r} is not finite: {value!r}")
         if (sorted(shapes) != sorted(_INSTANCE_FIELDS[task]) or len(shapes) != len(specs)
                 or any(d < 0 for shape in shapes.values() for d in shape)):
             raise FormatError(f"instance manifest must list each of {_INSTANCE_FIELDS[task]} "
@@ -534,6 +543,8 @@ def load_instance(path):
             if len(raw) != count * 8:
                 raise FormatError("truncated instance payload")
             fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(fields[name]).all():
+                raise FormatError(f"instance array {name!r} has a non-finite entry")
         if fh.read(1):
             raise FormatError("trailing bytes after the instance payload")
     if task == "sparse_coding":

@@ -210,9 +210,9 @@ MALFORMED_VALUES = {
     "s_not_a_number": ("train", "bmo.s = foo", None, "bmo.s"),
     "net_widths_not_ints": ("train", "op.net_widths = a", None, "op.net_widths"),
     "k_list_not_ints": ("diagnose", "diag.k_list = x", None, "diag.k_list"),
-    "report_omega_not_numbers": ("eval", "", "abc", "omega"),
-    "report_omega_nan": ("eval", "", "nan,0.0", "slice 'W0'"),
-    "report_omega_inf": ("eval", "", "0.5,inf", "slice 'b0'"),
+    "report_omega_not_numbers": ("diagnose", "", "abc", "omega"),
+    "report_omega_nan": ("diagnose", "", "nan,0.0", "slice 'W0'"),
+    "report_omega_inf": ("diagnose", "", "0.5,inf", "slice 'b0'"),
     "fdcheck_tolerance_nan": ("fdcheck", "fdcheck.tolerance = nan", None, "fdcheck.tolerance"),
     "fdcheck_tolerance_zero": ("fdcheck", "fdcheck.tolerance = 0", None, "fdcheck.tolerance"),
 }
@@ -248,6 +248,14 @@ class TestEvalDiagnose:
         assert lines[0] == "method,metric,value"
         methods = {l.split(",")[0] for l in lines[1:]}
         assert methods == {"bmo", "ladmm"}
+
+    def test_eval_refuses_toy_by_name(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("omega = 0.5,0.0\n")
+        assert run(["eval", "--task", "toy", "--report", report,
+                    "--out", tmp_path]) == cli.EXIT_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "toy" in err[0]
 
     def test_eval_missing_report_exit(self, trained, tmp_path):
         root, cfg = trained

@@ -82,9 +82,9 @@ class TestLoss:
         assert got.shape == (7,)
         np.testing.assert_allclose(got, [loss.value(U[:, j]) for j in range(7)],
                                    rtol=1e-12, atol=0)
-        # read as one batched state, feasibility divides by its 7 columns
-        B = 7 if loss.kind == "feasibility" else 1
-        assert loss.value(U) == pytest.approx(np.sum(got) / B, rel=1e-12)
+        # read as one batched state, the loss sums its columns: B counts the
+        # columns of bmat, here one, not those of the state
+        assert loss.value(U) == pytest.approx(np.sum(got), rel=1e-12)
 
     @staticmethod
     def loss_case(case, rng):
@@ -117,6 +117,15 @@ class TestLoss:
         loss, (dim,) = self.loss_case(case, rng)
         hess = np.column_stack([loss.hess_vec(e) for e in np.eye(dim)])
         np.testing.assert_allclose(hess, hess.T, atol=1e-12)
+        assert loss.smoothness() == pytest.approx(np.linalg.eigvalsh(hess)[-1], rel=1e-6)
+
+    def test_smoothness_reads_b_from_bmat(self, rng):
+        # a 1-D bmat on a 4-column state: B = 1, whatever the state's width
+        Q = rng.standard_normal((3, 5))
+        loss = LossDescriptor("feasibility", 11, Q=Q, bmat=rng.standard_normal(3))
+        shape = (11, 4)
+        hess = np.column_stack([loss.hess_vec(e.reshape(shape)).reshape(-1)
+                                for e in np.eye(11 * 4)])
         assert loss.smoothness() == pytest.approx(np.linalg.eigvalsh(hess)[-1], rel=1e-6)
 
     def test_misaligned_batch_refused(self, rng):

@@ -9,6 +9,11 @@ from gkmbmo.metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm,
 from gkmbmo.operators import OmegaBox
 
 
+def dense(M):
+    """A metric that is all lead block, with an empty tail."""
+    return MetricMatrix(M, np.zeros(0))
+
+
 class TestHInner:
     def test_identity(self):
         H = MetricMatrix.identity(2)
@@ -53,12 +58,12 @@ class TestHNorm:
 
 def _metrics(rng):
     A = rng.standard_normal((9, 9))
-    dense = MetricMatrix.dense(A @ A.T + np.eye(9))
+    spd = A @ A.T + np.eye(9)
     return {
         "identity": MetricMatrix.identity(9, scale=1.7),
         "diagonal": MetricMatrix.diagonal(rng.uniform(0.1, 3.0, 9)),
-        "dense": dense,
-        "block": MetricMatrix.block_diagonal([dense, MetricMatrix.identity(4, scale=0.3)]),
+        "dense": dense(spd),
+        "block": MetricMatrix(spd, np.full(4, 0.3)),
     }
 
 
@@ -89,7 +94,7 @@ class TestColumns:
 class TestHProject:
     def test_full_space_identity(self, rng):
         u = rng.standard_normal(5)
-        out = h_project(MetricMatrix.dense(np.eye(5) + 0.1 * np.ones((5, 5))),
+        out = h_project(dense(np.eye(5) + 0.1 * np.ones((5, 5))),
                         DomainDescriptor.full_space(5), u)
         np.testing.assert_array_equal(out, u)
 
@@ -112,7 +117,7 @@ class TestHProject:
                                              np.array([0.0, 2.0])), [0.0, 1.0])
 
     def test_dense_box_rejected(self):
-        H = MetricMatrix.dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        H = dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
         U = DomainDescriptor.box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(CapabilityError):
             h_project(H, U, np.array([2.0, 2.0]))
@@ -147,12 +152,11 @@ class TestMinEigen:
         assert min_eigen_estimate(MetricMatrix.identity(5)) == 1.0
 
     def test_dense_by_hand(self):
-        H = MetricMatrix.dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        H = dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert min_eigen_estimate(H) == pytest.approx(1.0, rel=1e-7)
 
     def test_block_of_diagonals(self):
-        H = MetricMatrix.block_diagonal([MetricMatrix.diagonal([3.0, 2.0]),
-                                         MetricMatrix.identity(2, scale=0.5)])
+        H = MetricMatrix(np.diag([3.0, 2.0]), np.full(2, 0.5))
         assert min_eigen_estimate(H) == 0.5
 
     def test_random_dense_vs_eigh(self, rng):
@@ -160,14 +164,14 @@ class TestMinEigen:
             n = rng.integers(2, 12)
             A = rng.standard_normal((n, n))
             M = A @ A.T + 0.3 * np.eye(n)
-            est = min_eigen_estimate(MetricMatrix.dense(M))
+            est = min_eigen_estimate(dense(M))
             assert est == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-6)
 
     def test_eigen_sandwich(self, rng):
         n = 8
         A = rng.standard_normal((n, n))
         M = A @ A.T + 0.5 * np.eye(n)
-        H = MetricMatrix.dense(M)
+        H = dense(M)
         lo = min_eigen_estimate(H)
         hi = np.linalg.eigvalsh(M)[-1]
         for _ in range(1000):
@@ -189,7 +193,7 @@ class TestDenseFactor:
         for _ in range(10):
             n = int(rng.integers(1, 40))
             M = self.spd(rng, n)
-            H = MetricMatrix.dense(M)
+            H = dense(M)
             for shape in ((n,), (n, 5)):
                 b = rng.standard_normal(shape)
                 ref = np.linalg.solve(M, b)
@@ -199,7 +203,7 @@ class TestDenseFactor:
     def test_min_eigen_exact(self, rng):
         for _ in range(10):
             M = self.spd(rng, int(rng.integers(1, 40)))
-            est = min_eigen_estimate(MetricMatrix.dense(M))
+            est = min_eigen_estimate(dense(M))
             assert est == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-12)
 
     def test_indefinite_rejected(self, rng):
@@ -208,17 +212,49 @@ class TestDenseFactor:
             M = self.spd(rng, n)
             M -= (np.linalg.eigvalsh(M)[0] + 0.1) * np.eye(n)
             with pytest.raises(ContractError, match="not positive definite"):
-                MetricMatrix.dense(M)
+                dense(M)
 
     @pytest.mark.parametrize("n, rank", [(2, 1), (6, 3), (30, 29)])
     def test_singular_rejected(self, rng, n, rank):
         A = rng.standard_normal((n, rank))
         with pytest.raises(ContractError, match="not positive definite"):
-            MetricMatrix.dense(A @ A.T)
+            dense(A @ A.T)
 
     def test_zero_rejected(self):
         with pytest.raises(ContractError, match="not positive definite"):
-            MetricMatrix.dense(np.zeros((3, 3)))
+            dense(np.zeros((3, 3)))
+
+
+class TestLeadTail:
+    """H = blockdiag(lead, diag(tail)): one storage for every metric."""
+
+    def test_apply_and_solve_match_the_full_matrix(self, rng):
+        A = rng.standard_normal((5, 5))
+        lead, tail = A @ A.T + 0.5 * np.eye(5), rng.uniform(0.5, 2.0, 3)
+        H = MetricMatrix(lead, tail)
+        M = np.zeros((8, 8))
+        M[:5, :5] = lead
+        M[5:, 5:] = np.diag(tail)
+        assert H.dim == 8 and not H.is_diagonal
+        for shape in ((8,), (8, 4)):
+            u = rng.standard_normal(shape)
+            np.testing.assert_allclose(H.apply(u), M @ u, rtol=1e-12)
+            np.testing.assert_allclose(H.solve(u), np.linalg.solve(M, u), rtol=1e-10)
+
+    @pytest.mark.parametrize("tail, expected", [([0.1, 5.0], 0.1), ([5.0, 6.0], 1.0)],
+                             ids=["tail-lowest", "lead-lowest"])
+    def test_min_eigen_reads_both_parts(self, tail, expected):
+        H = MetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array(tail))
+        assert min_eigen_estimate(H) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lead, tail", [
+        (np.ones((2, 3)), np.ones(1)),
+        (np.eye(2), np.ones((2, 1))),
+        (np.zeros((0, 0)), np.zeros(0)),
+    ], ids=["non-square-lead", "2-d-tail", "empty"])
+    def test_malformed_rejected(self, lead, tail):
+        with pytest.raises(ContractError):
+            MetricMatrix(lead, tail)
 
 
 class TestSpectralNorm:
@@ -243,11 +279,11 @@ class TestSpectralNorm:
 class TestValidation:
     def test_nonsymmetric_dense_rejected(self):
         with pytest.raises(ContractError):
-            MetricMatrix.dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_indefinite_dense_rejected(self):
         with pytest.raises(ContractError):
-            MetricMatrix.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_nonpositive_diag_rejected(self):
         with pytest.raises(ContractError):

@@ -101,8 +101,8 @@ class TestPg:
         om = make_hyperparams([("g", np.array([1.0, 2.0]), "metric-diagonal")])
         op = PgOperator(dim=2, gdiag="g")
         H = op.metric(om)
-        assert H.kind == "diagonal"
-        np.testing.assert_allclose(H.entries, [1.0, 2.0])
+        assert H.is_diagonal
+        np.testing.assert_allclose(H.tail, [1.0, 2.0])
 
     def test_step_bound_contract(self):
         op = PgOperator(dim=2, quad=np.eye(2), gamma=2.5)
@@ -192,11 +192,9 @@ class TestAlm:
         om = make_hyperparams([("beta", 2.0, "penalty")])
         op = AlmOperator(nprimal=2, ndual=2, A=np.eye(2), bvec=np.zeros(2), beta="beta")
         H = op.metric(om)
-        assert H.kind == "block"
-        g, dual = H.entries
-        assert g.kind == dual.kind == "diagonal"
-        np.testing.assert_array_equal(g.entries, np.ones(2))
-        np.testing.assert_array_equal(dual.entries, np.full(2, 0.5))
+        # G = ones, then the dual block 1/beta: one diagonal
+        assert H.is_diagonal
+        np.testing.assert_array_equal(H.tail, [1.0, 1.0, 0.5, 0.5])
 
     def test_firmly_nonexpansive(self, rng):
         n = 4
@@ -533,8 +531,8 @@ class TestNet:
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
         H = op.metric(net_omega([np.eye(2)], [np.zeros(2)]))
-        assert H.kind == "diagonal"
-        np.testing.assert_array_equal(H.entries, np.ones(2))
+        assert H.is_diagonal
+        np.testing.assert_array_equal(H.tail, np.ones(2))
 
     def test_vjp_matches_fd(self, rng):
         Ws = []
@@ -555,7 +553,7 @@ class TestNet:
                                ("W0", W, "layer-matrix"),
                                ("b0", rng.standard_normal(3), "layer-bias")])
         op = net_op(3, [3, 3], nonlinearity="tanh", conjugate="g")
-        assert op.metric(om).kind == "diagonal"
+        assert op.metric(om).is_diagonal
         fd_vjp_check(op, rng.standard_normal(3), om, rng)
         ratio = lipschitz_ratio(op, om, op.metric(om), 300, rng)
         assert ratio <= 1.0 + 1e-9
@@ -619,8 +617,8 @@ class TestNet:
         om = net_omega(Ws, [rng.standard_normal(3)])
         op = net_op(3, [3, 3], nonlinearity="tanh", conjugate=g)
         H = op.metric(om)
-        assert H.kind == "diagonal"
-        np.testing.assert_array_equal(H.entries, g)
+        assert H.is_diagonal
+        np.testing.assert_array_equal(H.tail, g)
         fd_vjp_check(op, rng.standard_normal(3), om, rng)
         ratio = lipschitz_ratio(op, om, H, 300, rng)
         assert ratio <= 1.0 + 1e-9
@@ -632,7 +630,7 @@ class TestNet:
         om = make_hyperparams([("g", np.array([1.5, 2.0, 3.0]), "metric-diagonal")])
         Hn = net_op(3, [3, 3], conjugate=spec).metric(om)
         Hp = PgOperator(dim=3, gdiag=spec).metric(om)
-        assert Hn.kind == Hp.kind
+        assert Hn.is_diagonal and Hp.is_diagonal
         np.testing.assert_array_equal(Hn.apply(np.ones(3)), Hp.apply(np.ones(3)))
 
     def test_conjugate_of_wrong_shape_refused(self):
@@ -748,8 +746,8 @@ class TestComposite:
         net = net_op(2, [2, 2], conjugate=np.array([2.0, 3.0]))
         comp = CompositeOperator(members=(pg, net))
         H = comp.metric(om)
-        assert H.kind == "diagonal"
-        np.testing.assert_allclose(H.entries, [2.0, 3.0])
+        assert H.is_diagonal
+        np.testing.assert_allclose(H.tail, [2.0, 3.0])
 
     def test_unconjugated_net_rejected(self, rng):
         om = make_hyperparams([("g", np.array([2.0, 3.0]), "metric-diagonal"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ class TestSeparation:
         bundle = build_separation_operator(inst)
         om = bundle.omega0
         H = bundle.op.metric(om)
-        G = H.entries[0].entries
+        G = H.lead
         n = 8
         beta = om.scalar("beta")
         np.testing.assert_allclose(np.diag(G)[:n], om.scalar("rho_ub") - beta)
@@ -204,8 +205,7 @@ class TestSeparation:
                                    om.scalar("rho_ur") * np.eye(n) - beta * D.T @ D)
         np.testing.assert_allclose(np.diag(G)[2 * n:3 * n], om.scalar("rho_vb") - beta)
         np.testing.assert_allclose(np.diag(G)[3 * n:], om.scalar("rho_vr") - beta)
-        assert H.entries[1].kind == "diagonal"
-        np.testing.assert_allclose(H.entries[1].entries, np.full(2 * n, 1.0 / beta))
+        np.testing.assert_allclose(H.tail, np.full(2 * n, 1.0 / beta))
 
     def test_beta_above_bound_rejected(self):
         inst = gen_separation(n=8, seed=5)
@@ -237,38 +237,50 @@ def _dense(H):
     return H.apply(np.eye(H.dim))
 
 
-# beta and gamma lower H(omega) as they grow, every rho as it shrinks;
-# the thresholds do not enter H
+# beta and gamma lower H(omega) as they grow, every rho and metric diagonal
+# as it shrinks; the thresholds do not enter H
 _H_LOWERING_UPPER_END = frozenset({"beta", "gamma"})
 
 
-@pytest.fixture(params=["sparse_coding", "separation"])
+@pytest.fixture(params=["sparse_coding", "sparse_coding_ladmm", "deconv", "separation"])
 def bundle(request):
-    if request.param == "sparse_coding":
-        return build_sparse_coding_operator(gen_sparse_coding(m=16, n=32, batch=4, seed=8))
+    if request.param.startswith("sparse_coding"):
+        learnable = "ladmm" if request.param.endswith("ladmm") else "all"
+        return build_sparse_coding_operator(gen_sparse_coding(m=16, n=32, batch=4, seed=8),
+                                            learnable=learnable)
+    if request.param == "deconv":
+        return build_deconv_operator(gen_deconv(n=16, seed=8), net_widths=(8,))
     return build_separation_operator(gen_separation(n=16, seed=8))
 
 
 class TestLowerBoundMetric:
-    """h_lb <= H(omega) everywhere in the omega box."""
+    """h_lb is H at the box's H-lowest corner, and h_lb <= H(omega) over the box.
+
+    Only the finite box coordinates move: deconv's layer slices, boxed by
+    +-inf, do not enter H and stay at omega0.
+    """
 
     @staticmethod
-    def slack(bundle, values):
-        H = _dense(bundle.op.metric(bundle.omega0.with_values(values)))
-        lam = np.linalg.eigvalsh(H - _dense(bundle.h_lb))[0]
-        return lam / np.linalg.norm(H, 2)
+    def at(bundle, values):
+        lo, hi = bundle.bounds.lower, bundle.bounds.upper
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        om = bundle.omega0.with_values(np.where(finite, values, bundle.omega0.values))
+        return _dense(bundle.op.metric(om))
 
     def test_h_lowest_corner(self, bundle):
-        lo, hi = bundle.bounds.lower, bundle.bounds.upper
-        corner = np.array([hi[s.offset] if s.name in _H_LOWERING_UPPER_END else lo[s.offset]
-                           for s in bundle.omega0.layout])
-        assert self.slack(bundle, corner) >= -1e-10
+        upper = np.concatenate([np.full(s.size, s.name in _H_LOWERING_UPPER_END)
+                                for s in bundle.omega0.layout])
+        corner = np.where(upper, bundle.bounds.upper, bundle.bounds.lower)
+        np.testing.assert_array_equal(self.at(bundle, corner), _dense(bundle.h_lb))
 
     def test_random_points(self, bundle):
         rng = np.random.default_rng(20)
         lo, hi = bundle.bounds.lower, bundle.bounds.upper
+        finite = np.isfinite(lo) & np.isfinite(hi)
         for _ in range(20):
-            assert self.slack(bundle, rng.uniform(lo, hi)) >= -1e-10
+            H = self.at(bundle, rng.uniform(np.where(finite, lo, 0.0), np.where(finite, hi, 0.0)))
+            lam = np.linalg.eigvalsh(H - _dense(bundle.h_lb))[0]
+            assert lam / np.linalg.norm(H, 2) >= -1e-10
 
 
 class TestMetrics:
@@ -326,6 +338,22 @@ class TestContainer:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTANINSTANCE...." + b"\x00" * 32)
         with pytest.raises(FormatError):
+            load_instance(path)
+
+    @pytest.mark.parametrize("inst, scalar", [
+        (gen_sparse_coding(m=4, n=8, batch=2, seed=1), "kappa1"),
+        (gen_deconv(n=16, seed=1), "sigma"),
+        (gen_separation(n=16, seed=1), "kappa_b"),
+    ], ids=["sparse_coding", "deconv", "separation"])
+    def test_non_finite_refused_by_name(self, inst, scalar, tmp_path):
+        path = tmp_path / "i.bin"
+        b = inst.b.copy()
+        b.flat[0] = math.nan
+        save_instance(dataclasses.replace(inst, b=b), path)
+        with pytest.raises(FormatError, match="array 'b'"):
+            load_instance(path)
+        save_instance(dataclasses.replace(inst, **{scalar: math.inf}), path)
+        with pytest.raises(FormatError, match=f"scalar '{scalar}'"):
             load_instance(path)
 
     def test_manifest_records_prng(self, tmp_path):
