@@ -7,12 +7,12 @@ empirically certifies the convergence properties the construction is
 designed around.
 """
 
-from .bmo import (BmoConfig, TrainReport, Trajectory, envelope_shape, evaluate_phiK,
+from .bmo import (BmoConfig, TrainReport, Trajectory, envelope_shape,
                   residual_envelope_check, stationarity_probe, train)
 from .errors import (CapabilityError, ContractError, DivergenceError, FormatError,
                      NumericsError)
-from .hypergrad import (LossDescriptor, Tape, fd_hypergradient, hypergradient,
-                        inner_loop, km_iterate)
+from .hypergrad import (LossDescriptor, Tape, evaluate_phiK, fd_hypergradient,
+                        hypergradient, inner_loop, km_iterate)
 from .metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm, h_project,
                      min_eigen_estimate, spectral_norm_estimate)
 from .operators import (AlmOperator, CompositeOperator, DladmmOperator,

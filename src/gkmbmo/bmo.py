@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .hypergrad import DIVERGENCE_LIMIT, hypergradient, inner_loop
+# evaluate_phiK lives beside inner_loop and is re-exported here
+from .hypergrad import DIVERGENCE_LIMIT, evaluate_phiK, hypergradient, inner_loop
 from .metric import DomainDescriptor, MetricMatrix
 from .operators import HyperParams, OmegaBox, renormalize_for
 
@@ -48,7 +49,6 @@ class BmoConfig:
     domain: Optional[DomainDescriptor] = None
     h_lb: Optional[MetricMatrix] = None
     u0: Optional[np.ndarray] = None
-    grad_through_metric: bool = True
     optimizer: str = "gd"
     record_inner: bool = True
 
@@ -202,12 +202,6 @@ def train(op, loss, omega0, cfg):
         env_C, _ = residual_envelope_check(
             [(r.k, r.residual_hlb_sq) for r in last_records])
     return TrainReport(omega, traj, env_C)
-
-
-def evaluate_phiK(op, loss, omega, cfg):
-    """phi_K(omega) = loss at the K-th inner iterate; deterministic given omega."""
-    u, _, _ = inner_loop(op, loss, omega, cfg, build_tape=False, record=False)
-    return loss.value(u)
 
 
 def envelope_shape(k):

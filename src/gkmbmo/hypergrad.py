@@ -9,6 +9,8 @@ metric-scaled descent step on the upper loss,
 
 records every step on a tape, and the reverse sweep accumulates the
 total derivative of phi_K(omega) = l(u^K(omega)) with respect to omega.
+Without a loss the same loop runs the plain KM iteration u' = Proj_U(T(u)),
+the mu = 0 step.
 The upper loss l is one weighted least-squares rule that reads u alone.
 A central-difference oracle over the same forward path validates the
 reverse rules.
@@ -17,7 +19,7 @@ reverse rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -156,7 +158,6 @@ class TapeStep:
     not the full space.
     """
 
-    k: int
     s_k: float
     u_prev: np.ndarray
     hinv_grad: np.ndarray
@@ -173,26 +174,23 @@ class InnerRecord:
 
 @dataclass
 class Tape:
-    """Unrolled record of one inner loop; forward replay is bit-exact."""
+    """Unrolled record of one inner loop and its ``BmoConfig``; forward replay is bit-exact."""
 
     op: object
     loss: LossDescriptor
     omega: HyperParams
-    alpha: float
-    mu: float
+    cfg: object
     domain: DomainDescriptor
     metric: MetricMatrix
-    grad_through_metric: bool
     u0: np.ndarray
     steps: list
     uK: np.ndarray
     loss_value: float
 
     def replay(self):
-        # the tape carries alpha and mu, so it stands in for the step's cfg
         u = self.u0
         for st in self.steps:
-            u = _gkm_step(self.op, self.loss, self.omega, self, self.metric, self.domain,
+            u = _gkm_step(self.op, self.loss, self.omega, self.cfg, self.metric, self.domain,
                           st.s_k, u)[3]
         return u
 
@@ -201,20 +199,15 @@ class Tape:
 # inner loop
 # ---------------------------------------------------------------------------
 
-def _step_bound(h_lb, loss):
-    L = loss.smoothness()
-    if L <= 0:
-        return math.inf
-    return min_eigen_estimate(h_lb) / L
-
-
 def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
     """One aggregated inner step from u.
 
     Returns (T(u), H^{-1} grad l(u), the pre-projection point, u'); cfg
-    supplies alpha and mu.
+    supplies alpha and mu.  Without a loss the step is mu = 0, u' = Proj_U(T(u)).
     """
     v_l = apply_T(op, u, omega, cfg)
+    if loss is None:
+        return v_l, None, v_l, h_project(H, domain, v_l)
     hg = H.solve(loss.grad_u(u))
     pre = cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l
     return v_l, hg, pre, h_project(H, domain, pre)
@@ -279,35 +272,35 @@ class _Recorder:
         return self.records
 
 
-def _check_finite(u, what, k):
-    # NaN fails the comparison and +-inf exceeds the limit
-    if not np.max(np.abs(u)) <= DIVERGENCE_LIMIT:
-        raise DivergenceError(f"{what} diverged at k={k}", inner_step=k)
-
-
 def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record=True):
     """Run K inner steps; return (uK, tape, records).
 
     cfg is a ``BmoConfig``; it supplies alpha, mu, s, K, and the domain U.
     ``u0`` is the initial iterate (defaults to ``cfg.u0``, then to zeros),
     and ``h_lb`` the metric lower bound used for recorded residuals
-    (defaults to ``cfg.h_lb``, then to the current H(omega)).  Raises
-    ContractError when cfg fails ``cfg.validate()`` or s exceeds its step
-    bound, DivergenceError on non-finite iterates, and CapabilityError,
-    before the first step, when a tape is asked for on a domain whose
+    (defaults to ``cfg.h_lb``, then to the current H(omega)).  Without a
+    ``loss`` it runs the plain KM iteration (``km_iterate``), reads no s
+    or mu and records a NaN loss.  Raises ContractError when cfg fails
+    ``cfg.validate()`` or s exceeds its step bound, DivergenceError on
+    non-finite iterates, and, before the first step, ContractError for a
+    tape without a loss and CapabilityError for a tape on a domain whose
     projection the reverse sweep cannot differentiate.
     """
     cfg.validate()
     domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
     if build_tape:
+        if loss is None:
+            raise ContractError("an inner loop without a loss has nothing to differentiate")
         projection_jacobian_diag(domain, np.zeros(op.dim))  # refuses what the sweep cannot differentiate
     op.validate_omega(omega)
     H = op.metric(omega)
     hlb = h_lb if h_lb is not None else (cfg.h_lb if cfg.h_lb is not None else H)
-    bound = _step_bound(hlb, loss)
-    if not (0.0 < cfg.s < bound):
-        raise ContractError(
-            f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
+    if loss is not None:
+        L = loss.smoothness()
+        bound = min_eigen_estimate(hlb) / L if L > 0 else math.inf
+        if not (0.0 < cfg.s < bound):
+            raise ContractError(
+                f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
     keep_pre = domain.kind != "full"
 
     u0 = cfg.u0 if u0 is None else u0
@@ -321,44 +314,38 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
             recorder.add(k - 1, u, v_l, u_prev)
-        _check_finite(u_next, "inner iterate", k)
+        if not np.max(np.abs(u_next)) <= DIVERGENCE_LIMIT:  # NaN fails it, +-inf exceeds it
+            raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
         if build_tape:
-            steps.append(TapeStep(k, s_k, u, hg, pre if keep_pre else None))
+            steps.append(TapeStep(s_k, u, hg, pre if keep_pre else None))
         u_prev, u = u, u_next
     if record and cfg.K >= 1:
         recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
     records = recorder.finish()
     tape = None
     if build_tape:
-        tape = Tape(op, loss, omega, cfg.alpha, cfg.mu, domain, H,
-                    cfg.grad_through_metric,
-                    u0, steps, u, loss.value(u))
+        tape = Tape(op, loss, omega, cfg, domain, H, u0, steps, u, loss.value(u))
     return u, tape, records
 
 
 def km_iterate(op, omega, cfg, u0, K, h_lb=None):
-    """Plain averaged fixed-point iteration u <- T(u); diagnostics only.
+    """Plain averaged fixed-point iteration u <- Proj_U(T(u)); diagnostics only.
 
-    This is the mu = 0 path: no loss-descent direction is mixed in, so
-    the limit depends on the initial point when the fixed-point set is
-    not a singleton.  cfg is a ``BmoConfig`` and supplies alpha; K is
-    passed apart from it.
+    This is ``inner_loop`` without a loss, the mu = 0 path: no
+    loss-descent direction is mixed in, so the limit depends on the
+    initial point when the fixed-point set is not a singleton.  cfg is a
+    ``BmoConfig`` and supplies alpha and the domain U; K is passed apart
+    from it.  Returns (uK, records).
     """
-    cfg.validate()
-    op.validate_omega(omega)
-    hlb = h_lb if h_lb is not None else op.metric(omega)
-    u = np.array(u0, dtype=float)
-    recorder = _Recorder(hlb, None, K)
-    prev = None
-    for k in range(1, K + 1):
-        v_l = apply_T(op, u, omega, cfg)
-        if k >= 2:
-            recorder.add(k - 1, u, v_l, prev)
-        _check_finite(v_l, "KM iterate", k)
-        prev, u = u, v_l
-    if K >= 1:
-        recorder.add(K, u, apply_T(op, u, omega, cfg), prev)
-    return u, recorder.finish()
+    u, _, records = inner_loop(op, None, omega, replace(cfg, K=K), u0=u0, h_lb=h_lb,
+                               build_tape=False)
+    return u, records
+
+
+def evaluate_phiK(op, loss, omega, cfg, u0=None):
+    """phi_K(omega) = loss at the K-th inner iterate; deterministic given omega."""
+    u, _, _ = inner_loop(op, loss, omega, cfg, u0=u0, build_tape=False, record=False)
+    return loss.value(u)
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +359,20 @@ def hypergradient(tape, corrupt_rule=False):
     loss-Hessian term of the descent direction); it exists so the
     finite-difference harness can prove it would catch a broken rule.
     """
-    loss, omega, H = tape.loss, tape.omega, tape.metric
+    loss, omega, H, cfg = tape.loss, tape.omega, tape.metric, tape.cfg
     cu = loss.grad_u(tape.uK)
     go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
     hess_scale = 0.5 if corrupt_rule else 1.0
     for st in reversed(tape.steps):
         if tape.domain.kind != "full":
             cu = projection_jacobian_diag(tape.domain, st.pre_proj) * cu
-        cvu = tape.mu * cu
-        cvl = (1.0 - tape.mu) * cu
-        cs = tape.op.apply_vjp(st.u_prev, omega, tape.alpha * cvl, go)
-        cu = (1.0 - tape.alpha) * cvl + cs
+        cvu = cfg.mu * cu
+        cvl = (1.0 - cfg.mu) * cu
+        cs = tape.op.apply_vjp(st.u_prev, omega, cfg.alpha * cvl, go)
+        cu = (1.0 - cfg.alpha) * cvl + cs
         hv = H.solve(cvu)
         cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(hv)
-        if tape.grad_through_metric:
-            tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
+        tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
     return go
 
 
@@ -402,8 +388,6 @@ def fd_hypergradient(op, loss, omega, cfg, u0=None, h=None):
         for sgn in (+1.0, -1.0):
             vals = base.copy()
             vals[i] += sgn * h[i]
-            u, _, _ = inner_loop(op, loss, omega.with_values(vals), cfg, u0=u0,
-                                 build_tape=False, record=False)
-            out[i] += sgn * loss.value(u)
+            out[i] += sgn * evaluate_phiK(op, loss, omega.with_values(vals), cfg, u0)
         out[i] /= 2.0 * h[i]
     return out

@@ -32,6 +32,13 @@ def task_rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
 
 
+def _require_sizes(*checks):
+    """Refuse a size below its least buildable value; each check is (config field, size, least)."""
+    for name, size, least in checks:
+        if not size >= least:
+            raise ContractError(f"{name} must be at least {least}, got {size!r}")
+
+
 @dataclass
 class TaskBundle:
     """Operator plus everything the trainer needs to run it.
@@ -111,6 +118,7 @@ def _sparse_batch(rng, Q, n, batch, sparsity, noise_frac):
 def gen_sparse_coding(m=64, n=128, batch=256, sparsity=0.1, noise_frac=0.1,
                       seed=0, kappa1=1.0, kappa2=1.0, test_batch=None):
     """Random dictionary with unit columns; sparse codes; salt-and-pepper noise."""
+    _require_sizes(("gen.m", m, 1), ("gen.batch", batch, 1))
     if m >= n:
         raise ContractError("sparse coding requires an overcomplete dictionary (m < n)")
     if not (0.0 < sparsity < 1.0):
@@ -144,15 +152,17 @@ def build_sparse_coding_operator(inst, learnable="all", beta=0.1, gamma=1.0,
     ``beta_bounds`` to give the penalty more travel.
     """
     b = inst.b_test if test else inst.b
-    LQ = spectral_norm_estimate(inst.Q)
     beta_lb, beta_ub = beta_bounds if beta_bounds is not None else (0.5 * beta, 1.25 * beta)
     if not (0 < beta_lb <= beta <= beta_ub):
         raise ContractError("beta default must lie inside its box")
-    rho1_floor = RHO1_MARGIN * beta_ub * LQ ** 2
+    if learnable not in ("all", "ladmm"):
+        raise ContractError(f"unknown learnable set {learnable!r}")
+    # the operator measures L_Q once; the ladmm baseline pins rho at the floors it sets
+    op = DladmmOperator(Q=inst.Q, bvec=b, beta="beta", gamma="gamma",
+                        rho1="rho1", rho2="rho2", kappa1="kappa1", kappa2="kappa2")
+    rho1_floor = RHO1_MARGIN * beta_ub * op.lipschitz_Q ** 2
     rho2_floor = beta_ub
     if learnable == "all":
-        op = DladmmOperator(Q=inst.Q, bvec=b, beta="beta", gamma="gamma",
-                            rho1="rho1", rho2="rho2", kappa1="kappa1", kappa2="kappa2")
         omega0 = make_hyperparams([
             ("beta", beta, "penalty"), ("gamma", gamma, "step-size"),
             ("rho1", rho1_floor, "penalty"), ("rho2", rho2_floor, "penalty"),
@@ -160,15 +170,11 @@ def build_sparse_coding_operator(inst, learnable="all", beta=0.1, gamma=1.0,
         bounds = OmegaBox(
             np.array([beta_lb, 0.25, rho1_floor, rho2_floor, 1e-3, 1e-3]),
             np.array([beta_ub, 1.0, 4.0 * rho1_floor, 4.0 * rho2_floor, 10.0, 10.0]))
-    elif learnable == "ladmm":
-        op = DladmmOperator(Q=inst.Q, bvec=b, beta="beta", gamma="gamma",
-                            rho1=rho1_floor, rho2=rho2_floor,
-                            kappa1=inst.kappa1, kappa2=inst.kappa2)
+    else:
+        op.rho1, op.rho2, op.kappa1, op.kappa2 = rho1_floor, rho2_floor, inst.kappa1, inst.kappa2
         omega0 = make_hyperparams([("beta", beta, "penalty"),
                                    ("gamma", gamma, "step-size")])
         bounds = OmegaBox(np.array([beta_lb, 0.25]), np.array([beta_ub, 1.0]))
-    else:
-        raise ContractError(f"unknown learnable set {learnable!r}")
     loss = LossDescriptor("feasibility", op.dim, Q=inst.Q, bmat=b)
     return TaskBundle(op, omega0, bounds, loss, u0=np.zeros((op.dim, b.shape[1])),
                       h_lb=_h_lowest(op, omega0, bounds))
@@ -229,6 +235,7 @@ def circulant_sigma_max(kernel, n):
 
 def gen_deconv(n=64, kernel_sigma=1.0, kernel_width=7, noise_sigma=0.01, seed=0):
     """Piecewise-smooth 1-D signal, Gaussian blur kernel, circular observation."""
+    _require_sizes(("gen.n", n, 4), ("gen.kernel_width", kernel_width, 1))
     rng = task_rng(seed)
     t = np.arange(n) / n
     u = 0.6 * np.sin(2 * np.pi * t) + 0.3 * np.sin(6 * np.pi * t + 1.0)
@@ -254,6 +261,7 @@ def build_deconv_operator(inst, net_widths=(), net_rho_bar=1.0, seed=0, identity
     inside its admissible range.  The net is conjugated by G so both
     members certify in the same metric.
     """
+    _require_sizes(*(("op.net_widths", w, 1) for w in net_widths))
     n = inst.u_star.shape[0]
     Qc = circulant(inst.kernel, n)
     W = inst.W
@@ -323,6 +331,8 @@ def forward_diff(n):
 
 def gen_separation(n=64, njumps=3, nspikes=4, seed=0, kappa_b=0.05, kappa_r=0.05):
     """Piecewise-smooth background plus a sparse-gradient streak layer; b is exact."""
+    _require_sizes(("gen.njumps", njumps, 0), ("gen.nspikes", nspikes, 0),
+                   ("gen.n", n, max(njumps + 2, nspikes)))
     rng = task_rng(seed)
     t = np.arange(n) / n
     u_b = 0.8 * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
@@ -461,11 +471,13 @@ def ssim(x, y, peak=1.0):
 # instance container
 # ---------------------------------------------------------------------------
 
+# each task's arrays in container order, with the task's one shape rule: an
+# array's dimensions as letters, each letter one positive size throughout
 _INSTANCE_FIELDS = {
-    "sparse_coding": ("Q", "b", "codes", "noise_mask", "b_test", "codes_test",
-                      "noise_mask_test"),
-    "deconv": ("kernel", "W", "u_star", "b"),
-    "separation": ("u_b", "u_r", "b"),
+    "sparse_coding": {"Q": "mn", "b": "mB", "codes": "nB", "noise_mask": "mB",
+                      "b_test": "mT", "codes_test": "nT", "noise_mask_test": "mT"},
+    "deconv": {"kernel": "w", "W": "nn", "u_star": "n", "b": "n"},
+    "separation": {"u_b": "n", "u_r": "n", "b": "n"},
 }
 
 _INSTANCE_SCALARS = {
@@ -530,12 +542,20 @@ def load_instance(path):
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"malformed instance manifest: {err!r}") from err
         for name, value in scalars.items():
-            if not math.isfinite(value):
-                raise FormatError(f"instance scalar {name!r} is not finite: {value!r}")
-        if (sorted(shapes) != sorted(_INSTANCE_FIELDS[task]) or len(shapes) != len(specs)
-                or any(d < 0 for shape in shapes.values() for d in shape)):
-            raise FormatError(f"instance manifest must list each of {_INSTANCE_FIELDS[task]} "
-                              "once, with nonnegative dimensions")
+            # the scalars are thresholds and a noise level
+            if not 0 <= value < math.inf:
+                raise FormatError(f"instance scalar {name!r} must be finite and "
+                                  f"nonnegative, got {value!r}")
+        rule = _INSTANCE_FIELDS[task]
+        if sorted(shapes) != sorted(rule) or len(shapes) != len(specs):
+            raise FormatError(f"instance manifest must list each of {tuple(rule)} once")
+        sizes = {}
+        for name, letters in rule.items():
+            shape = shapes[name]
+            if len(shape) != len(letters) or any(
+                    d < 1 or sizes.setdefault(c, d) != d for c, d in zip(letters, shape)):
+                raise FormatError(f"instance array {name!r} of shape {list(shape)} breaks "
+                                  f"the {task} shape rule {rule}")
         fields = {}
         for name, shape in shapes.items():
             count = int(np.prod(shape)) if shape else 1

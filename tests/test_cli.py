@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from gkmbmo import cli, tasks
+from gkmbmo import cli, operators
 from gkmbmo.errors import CapabilityError, DivergenceError, FormatError
 from gkmbmo.metric import spectral_norm_estimate
 from gkmbmo.tasks import MAGIC, gen_sparse_coding, load_instance, save_instance
@@ -135,8 +135,8 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ") and "closed-form" in err[0]
 
     def test_numerics_error_exit_diverged_with_one_line(self, tmp_path, monkeypatch, capsys):
-        # a one-iteration cap makes the real power iteration give up
-        monkeypatch.setattr(tasks, "spectral_norm_estimate",
+        # a one-iteration cap makes the operator's power iteration of Q give up
+        monkeypatch.setattr(operators, "spectral_norm_estimate",
                             functools.partial(spectral_norm_estimate, max_iter=1))
         cfg = write_config(tmp_path, "task = sparse_coding\ngen.batch = 4\n"
                                      "gen.m = 8\ngen.n = 16\n")
@@ -215,6 +215,8 @@ MALFORMED_VALUES = {
     "report_omega_inf": ("diagnose", "", "0.5,inf", "slice 'b0'"),
     "fdcheck_tolerance_nan": ("fdcheck", "fdcheck.tolerance = nan", None, "fdcheck.tolerance"),
     "fdcheck_tolerance_zero": ("fdcheck", "fdcheck.tolerance = 0", None, "fdcheck.tolerance"),
+    "grad_through_metric_removed": ("train", "bmo.grad_through_metric = false", None,
+                                    "unknown config field 'bmo.grad_through_metric'"),
 }
 
 
@@ -234,6 +236,51 @@ def test_malformed_value_exits_format_with_one_line(case, tmp_path, capsys):
         args += ["--report", report]
     capsys.readouterr()
     assert run(args) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def _edit_manifest(path, edit):
+    """Rewrite the manifest of the container at ``path`` through ``edit``; the payload stays."""
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", raw[16:20])
+    manifest = json.loads(raw[20:20 + blob_len])
+    edit(manifest)
+    path.write_bytes(_container(manifest) + raw[20 + blob_len:])
+
+
+def _transpose_q(manifest):
+    spec = next(a for a in manifest["arrays"] if a["name"] == "Q")
+    spec["shape"] = spec["shape"][::-1]
+
+
+# (task, config lines, manifest edit after gen or None, text the error names); a
+# case without an edit that gen accepts fails at train
+UNBUILDABLE = {
+    "sparse_coding_zero_batch": ("sparse_coding", "gen.batch = 0", None, "gen.batch"),
+    "deconv_n_1": ("deconv", "gen.n = 1", None, "gen.n"),
+    "separation_n_1": ("separation", "gen.n = 1", None, "gen.n"),
+    "deconv_zero_net_width": ("deconv", "op.net_widths = 0", None, "op.net_widths"),
+    "sparse_coding_q_transposed": ("sparse_coding", "", _transpose_q, "shape rule"),
+    "deconv_negative_sigma": ("deconv", "", lambda m: m["scalars"].update(sigma=-1.0),
+                              "scalar 'sigma'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_unbuildable_input_exits_format_with_one_line(case, tmp_path, capsys):
+    task, lines, edit, named = UNBUILDABLE[case]
+    small = {"sparse_coding": "gen.m = 8\ngen.n = 16\ngen.batch = 4",
+             "deconv": "gen.n = 8", "separation": "gen.n = 8"}[task]
+    cfg = write_config(tmp_path, f"task = {task}\n{small}\nbmo.T = 1\n{lines}\n")
+    codes = [run(["gen", "--config", cfg, "--out", tmp_path])]
+    if codes[0] == 0:
+        if edit is not None:
+            _edit_manifest(tmp_path / "instance.bin", edit)
+        capsys.readouterr()
+        codes.append(run(["train", tmp_path / "instance.bin", "--config", cfg,
+                          "--out", tmp_path]))
+    assert codes[-1] == cli.EXIT_FORMAT and 1 not in codes
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 

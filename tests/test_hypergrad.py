@@ -381,9 +381,9 @@ class TestHypergradient:
         assert rel_good <= 1e-5
         assert rel_bad > 1e-2
 
-    def test_metric_flow_switch(self, rng):
+    def test_metric_flow_matches_fd(self, rng):
         # PG with a learnable metric diagonal: the descent direction
-        # H(omega)^{-1} grad couples omega; fd arbitrates the default path
+        # H(omega)^{-1} grad couples omega, and the sweep follows it
         g = rng.uniform(1.0, 2.0, 3)
         om = make_hyperparams([("g", g, "metric-diagonal")])
         op = PgOperator(dim=3, quad=0.5 * np.eye(3), gamma=0.4, gdiag="g")
@@ -395,11 +395,6 @@ class TestHypergradient:
         g_on = hypergradient(tape)
         g_fd = fd_hypergradient(op, loss, om, cfg, u0=u0)
         np.testing.assert_allclose(g_on, g_fd, rtol=1e-5, atol=1e-10)
-        cfg_off = BmoConfig(alpha=0.5, mu=0.5, s=0.5 * bound, K=5,
-                            grad_through_metric=False)
-        _, tape_off, _ = inner_loop(op, loss, om, cfg_off, u0=u0)
-        g_off = hypergradient(tape_off)
-        assert np.linalg.norm(g_on - g_off) > 1e-8
 
     def test_fd_exact_on_quadratic_phi(self):
         # at K = 1 phi is quadratic in omega -> central differences are exact
@@ -442,6 +437,16 @@ class TestHypergradient:
         u, _, _ = inner_loop(op, loss, om, cfg, u0=np.array([0.2, 0.6]), build_tape=False)
         assert len(calls) > 0 and domain.contains(u)
 
+    def test_loss_free_tape_refused_before_first_apply(self, monkeypatch):
+        op, om = scaling_net(2, 0.5)
+        calls = []
+        apply = op.apply
+        monkeypatch.setattr(op, "apply", lambda *a: calls.append(1) or apply(*a))
+        with pytest.raises(ContractError, match="without a loss"):
+            inner_loop(op, None, om, BmoConfig(alpha=0.5, mu=0.5, s=0.5, K=3),
+                       u0=np.ones(2), build_tape=True)
+        assert calls == []
+
 
 class TestKmIterate:
     def test_plain_km_init_dependent(self, rng):
@@ -454,6 +459,17 @@ class TestKmIterate:
         u2, _ = km_iterate(op, om, cfg, np.array([4.0, 0.0]), 200)
         np.testing.assert_allclose(u1, [-0.5, -0.5], atol=1e-10)
         np.testing.assert_allclose(u2, [2.0, 2.0], atol=1e-10)
+
+    def test_projects_onto_the_domain(self):
+        # km_iterate is inner_loop without a loss, so it keeps to cfg.domain
+        op, om = scaling_net(2, 0.5)
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.1, K=1,
+                        domain=DomainDescriptor.box(-np.ones(2), np.ones(2)))
+        u0 = np.array([4.0, -3.0])
+        want = u0
+        for _ in range(3):
+            want = np.clip(apply_T(op, want, om, cfg), -1.0, 1.0)
+        np.testing.assert_array_equal(km_iterate(op, om, cfg, u0, 3)[0], want)
 
 
 # ---------------------------------------------------------------------------

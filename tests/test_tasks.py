@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import checked_apply, lipschitz_ratio
+from gkmbmo import operators, tasks
 from gkmbmo.errors import ContractError, FormatError
 from gkmbmo.hypergrad import LossDescriptor, inner_loop
 from gkmbmo.bmo import BmoConfig
@@ -307,6 +308,25 @@ class TestMetrics:
         x = rng.standard_normal((16, 16))
         assert ssim(x, x) == pytest.approx(1.0)
         assert ssim(x, x + 0.5) < 1.0
+
+
+class TestSparseCodingBuild:
+    @pytest.mark.parametrize("learnable", ["all", "ladmm"])
+    def test_measures_q_once(self, learnable, monkeypatch):
+        inst = gen_sparse_coding(m=8, n=16, batch=4, seed=2)
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return spectral_norm_estimate(A, *args, **kwargs)
+
+        monkeypatch.setattr(tasks, "spectral_norm_estimate", counting)
+        monkeypatch.setattr(operators, "spectral_norm_estimate", counting)
+        bundle = build_sparse_coding_operator(inst, learnable=learnable)
+        assert calls == [(8, 16)]
+        floor = tasks.RHO1_MARGIN * 0.125 * spectral_norm_estimate(inst.Q) ** 2
+        rho1 = bundle.omega0.scalar("rho1") if learnable == "all" else bundle.op.rho1
+        assert rho1 == floor
 
 
 class TestContainer:
