@@ -8,9 +8,9 @@ normalization ablation), ``fdcheck`` (finite-difference validation of
 the reverse sweep).
 
 Configs are flat UTF-8 ``section.key = value`` files; every field has a
-default except ``task``.  Exit codes: 0 success, 2 divergence or a
-spectral estimate that did not converge, 3 format error or unsupported
-configuration, 4 missing artifact.
+default except ``task``.  Exit codes: 0 success, 2 divergence, arithmetic
+that overflows or a spectral estimate that did not converge, 3 format
+error or unsupported configuration, 4 missing artifact.
 """
 
 from __future__ import annotations
@@ -460,17 +460,20 @@ def main(argv=None):
             overrides["task"] = args.task
         cfg = parse_config(args.config, overrides)
         out.mkdir(parents=True, exist_ok=True)
-        if args.verb == "gen":
-            return cmd_gen(cfg, out)
-        if args.verb == "train":
-            return cmd_train(cfg, out, args.instance)
-        if args.verb == "eval":
-            return cmd_eval(cfg, out, args.instance, args.report,
-                            args.baseline_report)
-        if args.verb == "diagnose":
-            return cmd_diagnose(cfg, out, args.instance, args.report)
-        return cmd_fdcheck(cfg, out)
-    except (DivergenceError, NumericsError) as err:
+        # an overflow, a division by zero or a NaN made from non-NaN numbers raises where it
+        # happens, so a run whose arithmetic breaks ends in one error line
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.verb == "gen":
+                return cmd_gen(cfg, out)
+            if args.verb == "train":
+                return cmd_train(cfg, out, args.instance)
+            if args.verb == "eval":
+                return cmd_eval(cfg, out, args.instance, args.report,
+                                args.baseline_report)
+            if args.verb == "diagnose":
+                return cmd_diagnose(cfg, out, args.instance, args.report)
+            return cmd_fdcheck(cfg, out)
+    except (DivergenceError, NumericsError, FloatingPointError, OverflowError) as err:
         print(f"error: diverged ({err})", file=sys.stderr)
         return EXIT_DIVERGED
     except (FormatError, ContractError, CapabilityError) as err:

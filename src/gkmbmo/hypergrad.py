@@ -153,15 +153,14 @@ class TapeStep:
     """What the reverse sweep reads of inner step k.
 
     u_prev is u^{k-1} and hinv_grad is H(omega)^{-1} grad l(u^{k-1}); u^k is
-    the next step's u_prev (the tape's uK after the last step).  pre_proj,
-    the point handed to the projection, is kept only when the domain is
-    not the full space.
+    the next step's u_prev (the tape's uK after the last step).  A box
+    clamp leaves a coordinate strictly inside the box exactly when the
+    point it clamped was, so u^k also gives the projection's mask.
     """
 
     s_k: float
     u_prev: np.ndarray
     hinv_grad: np.ndarray
-    pre_proj: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -191,7 +190,7 @@ class Tape:
         u = self.u0
         for st in self.steps:
             u = _gkm_step(self.op, self.loss, self.omega, self.cfg, self.metric, self.domain,
-                          st.s_k, u)[3]
+                          st.s_k, u)[2]
         return u
 
 
@@ -202,15 +201,14 @@ class Tape:
 def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
     """One aggregated inner step from u.
 
-    Returns (T(u), H^{-1} grad l(u), the pre-projection point, u'); cfg
-    supplies alpha and mu.  Without a loss the step is mu = 0, u' = Proj_U(T(u)).
+    Returns (T(u), H^{-1} grad l(u), u'); cfg supplies alpha and mu.
+    Without a loss the step is mu = 0, u' = Proj_U(T(u)).
     """
     v_l = apply_T(op, u, omega, cfg)
     if loss is None:
-        return v_l, None, v_l, h_project(H, domain, v_l)
+        return v_l, None, h_project(H, domain, v_l)
     hg = H.solve(loss.grad_u(u))
-    pre = cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l
-    return v_l, hg, pre, h_project(H, domain, pre)
+    return v_l, hg, h_project(H, domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l)
 
 
 def _record(ks, hlb, res, u, u_prev, loss, columns=False):
@@ -301,7 +299,6 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
         if not (0.0 < cfg.s < bound):
             raise ContractError(
                 f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
-    keep_pre = domain.kind != "full"
 
     u0 = cfg.u0 if u0 is None else u0
     u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
@@ -310,14 +307,14 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
-        v_l, hg, pre, u_next = _gkm_step(op, loss, omega, cfg, H, domain, s_k, u)
+        v_l, hg, u_next = _gkm_step(op, loss, omega, cfg, H, domain, s_k, u)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
             recorder.add(k - 1, u, v_l, u_prev)
         if not np.max(np.abs(u_next)) <= DIVERGENCE_LIMIT:  # NaN fails it, +-inf exceeds it
             raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
         if build_tape:
-            steps.append(TapeStep(s_k, u, hg, pre if keep_pre else None))
+            steps.append(TapeStep(s_k, u, hg))
         u_prev, u = u, u_next
     if record and cfg.K >= 1:
         recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
@@ -363,9 +360,11 @@ def hypergradient(tape, corrupt_rule=False):
     cu = loss.grad_u(tape.uK)
     go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
     hess_scale = 0.5 if corrupt_rule else 1.0
+    u_k = tape.uK  # u^k, the iterate written by the step being reversed
     for st in reversed(tape.steps):
         if tape.domain.kind != "full":
-            cu = projection_jacobian_diag(tape.domain, st.pre_proj) * cu
+            cu = projection_jacobian_diag(tape.domain, u_k) * cu
+        u_k = st.u_prev
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu
         cs = tape.op.apply_vjp(st.u_prev, omega, cfg.alpha * cvl, go)

@@ -824,6 +824,11 @@ class NetOperator:
     def nlayers(self):
         return len(self.weight_names)
 
+    @property
+    def budget(self):
+        """The per-layer spectral-norm budget rho_bar^(1/L) of this net's L layers."""
+        return self.rho_bar ** (1.0 / self.nlayers)
+
     def _layers(self, omega):
         out = []
         for wn, bn, win, wout in zip(self.weight_names, self.bias_names,
@@ -836,13 +841,12 @@ class NetOperator:
     def validate_omega(self, omega):
         if not self.enforce_certificate or omega is self._certified:
             return
-        budget = self.rho_bar ** (1.0 / self.nlayers)
         for W, _ in self._layers(omega):
             sig = spectral_norm_estimate(W)
-            if sig > budget + 1e-8:
+            if sig > self.budget + 1e-8:
                 raise ContractError(
-                    f"layer sigma_max={sig:g} exceeds the per-layer budget {budget:g}; "
-                    "call normalize_net first")
+                    f"layer sigma_max={sig:g} exceeds the per-layer budget {self.budget:g}; "
+                    "call renormalize_for(op, omega) first")
         self._certified = omega
 
     def contraction_factor(self, omega):
@@ -908,7 +912,11 @@ def normalize_net(omega, rho_bar):
 
     Each W becomes W * min(1, rho_bar^(1/L) / sigma_max(W)) where L counts the
     layer-matrix slices; already-contractive layers are left untouched.
-    Non-layer slices are copied through unchanged.
+    Non-layer slices are copied through unchanged.  Every layer slice in
+    omega counts as one stack: with the layers of several nets, L is their
+    total and a layer may exceed its own net's budget rho_bar^(1/L_net),
+    which that net then refuses.  ``renormalize_for(op, omega)`` holds
+    each net to its own budget.
     """
     if not (0.0 < rho_bar <= 1.0):
         raise ContractError("target Lipschitz rho_bar must lie in (0, 1]")
@@ -926,10 +934,10 @@ def normalize_net(omega, rho_bar):
 class CompositeOperator:
     """Right-to-left composition: members[0] is the outermost map.
 
-    The composite metric is the outermost numerical member's metric (the
-    identity, a diagonal of ones, when there is none).  Every Net member's
-    metric, a diagonal, must equal it entry for entry; otherwise the
-    certificate does not compose.
+    The composite metric H is the outermost member's metric.  A
+    composition of maps that are each non-expansive in H is non-expansive
+    in H, so every member must have exactly that metric, lead and tail;
+    otherwise the certificate does not compose.
     """
 
     members: tuple
@@ -946,26 +954,20 @@ class CompositeOperator:
     def dim(self):
         return self.members[0].dim
 
-    def _metric_owner(self):
-        for m in self.members:
-            if not isinstance(m, NetOperator):
-                return m
-        return None
-
     def metric(self, omega):
-        owner = self._metric_owner()
-        if owner is None:
-            return MetricMatrix.identity(self.dim)
-        return owner.metric(omega)
+        return self.members[0].metric(omega)
 
     def validate_omega(self, omega):
-        H = self.metric(omega)
+        # validated first, a prepared member reads its metric from its context
         for m in self.members:
             m.validate_omega(omega)
-            if isinstance(m, NetOperator):
-                if not H.is_diagonal or not np.array_equal(m.metric(omega).tail, H.tail):
-                    raise ContractError(
-                        "network member must be conjugated to the composite metric")
+        H = self.metric(omega)
+        for i, m in enumerate(self.members[1:], start=1):
+            Hm = m.metric(omega)
+            if not (np.array_equal(Hm.lead, H.lead) and np.array_equal(Hm.tail, H.tail)):
+                raise ContractError(
+                    f"member {i} ({type(m).__name__}) must be conjugated to the composite "
+                    "metric, its outermost member's")
 
     def contraction_factor(self, omega):
         f = 1.0
@@ -990,28 +992,23 @@ class CompositeOperator:
         return cz
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
-        owner = self._metric_owner()
-        if owner is not None:
-            owner.metric_quad_vjp(omega, x, y, grad, scale)
+        self.members[0].metric_quad_vjp(omega, x, y, grad, scale)
 
 
 def renormalize_for(op, omega):
     """Re-run spectral normalization for every network member of ``op``.
 
     Called after each hyper-parameter update so the per-layer Lipschitz
-    certificates stay valid during training.  Every layer of the returned
-    omega has just been measured within its budget or scaled to it, so
-    each network member takes that omega as certified.  Operators without
+    certificates stay valid during training.  A composite's members are
+    walked, and any other operator is its own single member.  Each net's
+    layers are held to that net's own budget, so the returned omega
+    certifies every net, which takes it as certified.  Operators without
     network members return omega unchanged.
     """
-    if isinstance(op, NetOperator):
-        nets = [op]
-    elif isinstance(op, CompositeOperator):
-        nets = [m for m in op.members if isinstance(m, NetOperator)]
-    else:
-        return omega
+    members = op.members if isinstance(op, CompositeOperator) else (op,)
+    nets = [m for m in members if isinstance(m, NetOperator)]
     for net in nets:
-        omega = _rescale_layers(omega, net.weight_names, net.rho_bar ** (1.0 / net.nlayers))
+        omega = _rescale_layers(omega, net.weight_names, net.budget)
     for net in nets:
         net._certified = omega
     return omega

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +29,12 @@ MAGIC = b"GKMBMO-INSTANCE1"
 
 
 def task_rng(seed, stream=0):
-    """Counter-based generator; ``stream`` splits substreams deterministically."""
+    """Counter-based generator; ``stream`` splits substreams deterministically.
+
+    The seed is the generator's 64-bit key, so one outside [0, 2**64) is refused.
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise ContractError(f"seed must lie in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
 
 
@@ -236,6 +242,12 @@ def circulant_sigma_max(kernel, n):
 def gen_deconv(n=64, kernel_sigma=1.0, kernel_width=7, noise_sigma=0.01, seed=0):
     """Piecewise-smooth 1-D signal, Gaussian blur kernel, circular observation."""
     _require_sizes(("gen.n", n, 4), ("gen.kernel_width", kernel_width, 1))
+    if n & (n - 1):
+        raise ContractError(f"gen.n must be a power of two, the Haar transform's length, got {n}")
+    if not 0 < kernel_sigma < math.inf:
+        raise ContractError(f"gen.kernel_sigma must be positive and finite, got {kernel_sigma!r}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ContractError(f"gen.noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
     rng = task_rng(seed)
     t = np.arange(n) / n
     u = 0.6 * np.sin(2 * np.pi * t) + 0.3 * np.sin(6 * np.pi * t + 1.0)
@@ -556,17 +568,17 @@ def load_instance(path):
                     d < 1 or sizes.setdefault(c, d) != d for c, d in zip(letters, shape)):
                 raise FormatError(f"instance array {name!r} of shape {list(shape)} breaks "
                                   f"the {task} shape rule {rule}")
+        # sized before it is read, so no manifest can ask for more than the file holds
+        counts = {name: math.prod(shape) for name, shape in shapes.items()}
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * sum(counts.values()):
+            raise FormatError(f"instance payload holds {payload} bytes, not the "
+                              f"{8 * sum(counts.values())} its manifest's arrays need")
         fields = {}
         for name, shape in shapes.items():
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise FormatError("truncated instance payload")
-            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            fields[name] = np.frombuffer(fh.read(8 * counts[name]), dtype="<f8").reshape(shape).copy()
             if not np.isfinite(fields[name]).all():
                 raise FormatError(f"instance array {name!r} has a non-finite entry")
-        if fh.read(1):
-            raise FormatError("trailing bytes after the instance payload")
     if task == "sparse_coding":
         fields["noise_mask"] = fields["noise_mask"].astype(bool)
         fields["noise_mask_test"] = fields["noise_mask_test"].astype(bool)

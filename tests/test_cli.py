@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import struct
 
 import numpy as np
@@ -240,13 +241,23 @@ def test_malformed_value_exits_format_with_one_line(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
-def _edit_manifest(path, edit):
-    """Rewrite the manifest of the container at ``path`` through ``edit``; the payload stays."""
-    raw = path.read_bytes()
-    (blob_len,) = struct.unpack("<I", raw[16:20])
-    manifest = json.loads(raw[20:20 + blob_len])
+def _manifest(blob):
+    """The manifest of a container and the offset where its payload starts."""
+    (blob_len,) = struct.unpack("<I", blob[16:20])
+    return json.loads(blob[20:20 + blob_len]), 20 + blob_len
+
+
+def _edit_manifest(blob, edit):
+    """The container ``blob`` with its manifest rewritten through ``edit``; the payload stays."""
+    manifest, start = _manifest(blob)
     edit(manifest)
-    path.write_bytes(_container(manifest) + raw[20 + blob_len:])
+    return _container(manifest) + blob[start:]
+
+
+def _set_entry(blob, index, value):
+    """The container ``blob`` with payload entry ``index`` (over all arrays) set to ``value``."""
+    start = _manifest(blob)[1] + 8 * index
+    return blob[:start] + struct.pack("<d", value) + blob[start + 8:]
 
 
 def _transpose_q(manifest):
@@ -264,6 +275,11 @@ UNBUILDABLE = {
     "sparse_coding_q_transposed": ("sparse_coding", "", _transpose_q, "shape rule"),
     "deconv_negative_sigma": ("deconv", "", lambda m: m["scalars"].update(sigma=-1.0),
                               "scalar 'sigma'"),
+    "deconv_zero_kernel_sigma": ("deconv", "gen.kernel_sigma = 0", None, "gen.kernel_sigma"),
+    "deconv_negative_noise_sigma": ("deconv", "gen.noise_sigma = -1", None, "gen.noise_sigma"),
+    "deconv_n_6": ("deconv", "gen.n = 6", None, "gen.n"),
+    **{f"{task}_negative_seed": (task, "seed = -1", None, "seed")
+       for task in ("sparse_coding", "deconv", "separation")},
 }
 
 
@@ -276,13 +292,41 @@ def test_unbuildable_input_exits_format_with_one_line(case, tmp_path, capsys):
     codes = [run(["gen", "--config", cfg, "--out", tmp_path])]
     if codes[0] == 0:
         if edit is not None:
-            _edit_manifest(tmp_path / "instance.bin", edit)
+            path = tmp_path / "instance.bin"
+            path.write_bytes(_edit_manifest(path.read_bytes(), edit))
         capsys.readouterr()
         codes.append(run(["train", tmp_path / "instance.bin", "--config", cfg,
                           "--out", tmp_path]))
     assert codes[-1] == cli.EXIT_FORMAT and 1 not in codes
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_exits_format_with_one_line(seed, tmp_path, capsys):
+    assert run(["gen", "--task", "deconv", "--seed", seed, "--out", tmp_path]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed must lie in [0, 2**64)")
+
+
+@pytest.mark.parametrize("task, name", [("sparse_coding", "Q"), ("deconv", "kernel"),
+                                        ("deconv", "W")])
+def test_overflowing_payload_exits_diverged_with_one_line(task, name, tmp_path, capsys):
+    # a huge finite entry loads, and the arithmetic on it overflows
+    small = {"sparse_coding": "gen.m = 8\ngen.n = 16\ngen.batch = 4", "deconv": "gen.n = 8"}[task]
+    cfg = write_config(tmp_path, f"task = {task}\n{small}\nbmo.T = 1\n")
+    assert run(["gen", "--config", cfg, "--out", tmp_path]) == 0
+    path = tmp_path / "instance.bin"
+    blob = path.read_bytes()
+    arrays = _manifest(blob)[0]["arrays"]
+    names = [a["name"] for a in arrays]
+    first = sum(math.prod(a["shape"]) for a in arrays[:names.index(name)])
+    path.write_bytes(_set_entry(blob, first, 1e300))
+    capsys.readouterr()
+    assert run(["train", tmp_path / "instance.bin", "--config", cfg,
+                "--out", tmp_path]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: diverged (overflow")
 
 
 class TestEvalDiagnose:
@@ -413,3 +457,131 @@ class TestDeterminism:
             for name in ("trajectory.csv", "report.txt", "metrics.csv"):
                 x, y = (tmp_path / task / sub / name for sub in ("x", "y"))
                 assert x.read_bytes() == y.read_bytes(), (task, name)
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz of the CLI surface
+# ---------------------------------------------------------------------------
+
+FUZZ_TASKS = ("sparse_coding", "deconv", "separation")
+# tiny sizes: one outer step of two inner steps, two short diagnostic tapes
+FUZZ_BASE = {
+    "sparse_coding": "gen.m = 4\ngen.n = 8\ngen.batch = 2",
+    "deconv": "gen.n = 8\nop.net_widths = 4",
+    "separation": "gen.n = 8",
+}
+FUZZ_RUN = "bmo.T = 1\nbmo.K = 2\ndiag.k_list = 1,2\n"
+NUMERIC_KEYS = sorted(k for k, v in cli._DEFAULTS.items()
+                      if isinstance(v, (int, float)) and not isinstance(v, bool))
+
+
+def _fuzz_run(capsys, args):
+    """Run ``gkmbmo`` in-process; the exit code, or a description of what broke the rule."""
+    capsys.readouterr()
+    try:
+        code = run(args)
+    except Exception as err:   # a RuntimeWarning raises too under this suite's filter
+        return None, f"raised {type(err).__name__}: {err}"
+    err = capsys.readouterr().err.splitlines()
+    if code not in (0, 2, 3, 4):
+        return code, f"exit {code}"
+    if code and not (len(err) == 1 and err[0].startswith("error: ")):
+        return code, f"exit {code} with stderr {err!r}"
+    return code, None
+
+
+def _fuzz_config(root, task, line=""):
+    return write_config(root, f"task = {task}\n{FUZZ_BASE[task]}\n{FUZZ_RUN}{line}\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_instances(tmp_path_factory):
+    """One valid tiny instance container per task, as bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    out = {}
+    for task in FUZZ_TASKS:
+        d = root / task
+        d.mkdir()
+        assert run(["gen", "--config", _fuzz_config(d, task), "--out", d]) == 0
+        out[task] = (d / "instance.bin").read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("task", FUZZ_TASKS)
+def test_fuzz_numeric_config_keys(task, fuzz_instances, tmp_path, capsys):
+    # every numeric config key at 0, -1 and NaN: gen, then train and diagnose on what
+    # gen wrote (or on a valid instance when gen refused the value)
+    failures, cases = [], 0
+    for key in NUMERIC_KEYS:
+        for value in ("0", "-1", "nan"):
+            d = tmp_path / f"{key}_{value}"
+            d.mkdir()
+            cfg = _fuzz_config(d, task, f"{key} = {value}")
+            code, bad = _fuzz_run(capsys, ["gen", "--config", cfg, "--out", d])
+            if code != 0:
+                (d / "instance.bin").write_bytes(fuzz_instances[task])
+            for verb in ("train", "diagnose"):
+                bad = bad or _fuzz_run(capsys, [verb, d / "instance.bin", "--config", cfg,
+                                                "--out", d])[1]
+            cases += 1
+            if bad:
+                failures.append((key, value, bad))
+    assert cases >= 90 and not failures, failures
+
+
+SHAPE_EDITS = {
+    "reversed": lambda s: s[::-1],
+    "plus_one": lambda s: [d + 1 for d in s],
+    "zero": lambda s: [0] * len(s),
+    "negative": lambda s: [-d for d in s],
+}
+
+
+def _container_cases(blob, rng):
+    """(name, bytes) mutations of one valid container, drawn from ``rng``."""
+    manifest, start = _manifest(blob)
+    nfloat = (len(blob) - start) // 8
+    cases = []
+    for _ in range(60):
+        pos = int(rng.integers(len(blob)))
+        cases.append((f"flip_{pos}", blob[:pos] + bytes([blob[pos] ^ (1 << int(rng.integers(8)))])
+                      + blob[pos + 1:]))
+    for _ in range(30):
+        # an exponent bit of one payload float: a huge, tiny or non-finite entry
+        i = int(rng.integers(nfloat))
+        (bits,) = struct.unpack("<Q", blob[start + 8 * i:start + 8 * i + 8])
+        (value,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << int(rng.integers(52, 63)))))
+        cases.append((f"exponent_{i}", _set_entry(blob, i, value)))
+    for _ in range(20):
+        cut = int(rng.integers(len(blob)))
+        cases.append((f"truncate_{cut}", blob[:cut]))
+    for value in (math.nan, math.inf, -math.inf, 1e300, -1e300):
+        for i in rng.choice(nfloat, size=8, replace=False):
+            cases.append((f"{value}_{i}", _set_entry(blob, int(i), value)))
+    for j, spec in enumerate(manifest["arrays"]):
+        for edit, change in SHAPE_EDITS.items():
+            def reshape(m, j=j, change=change):
+                m["arrays"][j]["shape"] = change(m["arrays"][j]["shape"])
+            cases.append((f"{spec['name']}_{edit}", _edit_manifest(blob, reshape)))
+
+    def grow_all(m):
+        # every size grown alike keeps the shape rule and asks for exabytes of payload
+        for spec in m["arrays"]:
+            spec["shape"] = [d * 10 ** 8 for d in spec["shape"]]
+    cases.append(("all_huge", _edit_manifest(blob, grow_all)))
+    return cases
+
+
+@pytest.mark.parametrize("task", FUZZ_TASKS)
+def test_fuzz_instance_container(task, fuzz_instances, tmp_path, capsys):
+    # bit flips, truncations, non-finite and huge entries, and broken manifest shapes
+    rng = np.random.default_rng(FUZZ_TASKS.index(task))
+    cfg = _fuzz_config(tmp_path, task)
+    failures, cases = [], _container_cases(fuzz_instances[task], rng)
+    for name, blob in cases:
+        path = tmp_path / "instance.bin"
+        path.write_bytes(blob)
+        _, bad = _fuzz_run(capsys, ["train", path, "--config", cfg, "--out", tmp_path])
+        if bad:
+            failures.append((name, bad))
+    assert len(cases) >= 150 and not failures, failures

@@ -710,6 +710,20 @@ class TestNormalizeNet:
         comp.validate_omega(out.with_values(out.values))
         assert len(calls) == 2
 
+    def test_several_nets_need_renormalize_for(self, rng):
+        # normalize_net counts both one-layer nets as one stack of two layers, so it
+        # scales each layer to 0.9 ** (1/2) = 0.949, above each net's own budget of 0.9
+        om = net_omega([3.0 * rng.standard_normal((4, 4)) for _ in range(2)],
+                       [np.zeros(4), np.zeros(4)])
+        comp = CompositeOperator(members=tuple(
+            NetOperator(dim=4, weight_names=(f"W{i}",), bias_names=(f"b{i}",),
+                        widths=(4, 4), rho_bar=0.9) for i in range(2)))
+        with pytest.raises(ContractError, match=r"call renormalize_for\(op, omega\) first"):
+            comp.validate_omega(normalize_net(om, 0.9))
+        out = renormalize_for(comp, om)
+        # a fresh object, so every layer is measured against its net's budget again
+        comp.validate_omega(out.with_values(out.values))
+
 
 # ---------------------------------------------------------------------------
 # composite and averaging
@@ -769,11 +783,44 @@ class TestComposite:
         for pg in (PgOperator(dim=3, gdiag="g"), PgOperator(dim=3)):
             with pytest.raises(ContractError, match="conjugated to the composite metric"):
                 CompositeOperator(members=(pg, net)).validate_omega(om)
-        # with no numerical member the composite metric is the identity
+        # two numerical members with different metrics do not compose either
         with pytest.raises(ContractError, match="conjugated to the composite metric"):
-            CompositeOperator(members=(net,)).validate_omega(om)
+            CompositeOperator(members=(PgOperator(dim=3, gdiag="g"),
+                                       PgOperator(dim=3, gdiag=np.array([1.0, 1.0, 50.0])))
+                              ).validate_omega(om)
         CompositeOperator(members=(PgOperator(dim=3, gdiag="g"),
                                    net_op(3, [3, 3], conjugate="g"))).validate_omega(om)
+
+    def test_lone_member_composite_keeps_its_metric(self, rng):
+        # a net conjugated by its own diagonal is certified in that metric, alone or composed
+        W = rng.standard_normal((3, 3))
+        d = np.array([1.0, 100.0, 0.01])
+        om = make_hyperparams([("g", d, "metric-diagonal"),
+                               ("W0", W / spectral_norm_estimate(W), "layer-matrix"),
+                               ("b0", np.zeros(3), "layer-bias")])
+        comp = CompositeOperator(members=(net_op(3, [3, 3], nonlinearity="tanh", conjugate="g"),))
+        comp.validate_omega(om)
+        np.testing.assert_array_equal(comp.metric(om).tail, d)
+        assert lipschitz_ratio(comp, om, comp.metric(om), 200, rng) <= 1.0 + 1e-9
+        # and the metric's derivative is the net's, into the slice g
+        x, y, grad = rng.standard_normal(3), rng.standard_normal(3), np.zeros(om.dim)
+        comp.metric_quad_vjp(om, x, y, grad, 0.5)
+        np.testing.assert_array_equal(grad[:3], 0.5 * x * y)
+        assert not np.any(grad[3:])
+
+    def test_mismatched_pg_members_refused(self, rng):
+        # each PG is non-expansive in its own diag(gdiag); the composite stretches pairs
+        # in the outer one's metric, so it is refused before it is applied
+        om = empty_omega()
+        quad = np.array([[1.0, 0.9], [0.9, 1.0]])
+        pgs = tuple(PgOperator(dim=2, quad=quad, gamma=1.0, gdiag=np.array(g))
+                    for g in ((1.0, 1.0), (1.0, 50.0)))
+        comp = CompositeOperator(members=pgs)
+        for m in pgs:
+            m.validate_omega(om)
+        with pytest.raises(ContractError, match=r"member 1 \(PgOperator\)"):
+            comp.validate_omega(om)
+        assert lipschitz_ratio(comp, om, comp.metric(om), 400, rng) > 1.0
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)
