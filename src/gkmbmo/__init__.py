@@ -13,15 +13,15 @@ from .errors import (CapabilityError, ContractError, DivergenceError, FormatErro
                      NumericsError)
 from .hypergrad import (LossDescriptor, Tape, evaluate_phiK, fd_hypergradient,
                         hypergradient, inner_loop, km_iterate)
-from .metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm, h_project,
-                     min_eigen_estimate, spectral_norm_estimate)
+from .metric import (MetricMatrix, h_inner, h_norm, h_project, min_eigen_estimate,
+                     spectral_norm_estimate)
 from .operators import (AlmOperator, CompositeOperator, DladmmOperator,
                         HyperParams, NetOperator, OmegaBox, ParamSlice, PgOperator,
                         apply_T, make_hyperparams, normalize_net, soft_threshold)
 
 __all__ = [
     "AlmOperator", "BmoConfig", "CapabilityError", "CompositeOperator",
-    "ContractError", "DivergenceError", "DladmmOperator", "DomainDescriptor",
+    "ContractError", "DivergenceError", "DladmmOperator",
     "FormatError", "HyperParams", "LossDescriptor", "MetricMatrix",
     "NetOperator", "NumericsError", "OmegaBox", "ParamSlice", "PgOperator",
     "Tape", "TrainReport", "Trajectory", "apply_T", "envelope_shape",

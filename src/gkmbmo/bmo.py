@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractError, DivergenceError
 # evaluate_phiK lives beside inner_loop and is re-exported here
 from .hypergrad import DIVERGENCE_LIMIT, evaluate_phiK, hypergradient, inner_loop
-from .metric import DomainDescriptor, MetricMatrix
+from .metric import MetricMatrix
 from .operators import HyperParams, OmegaBox, renormalize_for
 
 TRAJECTORY_HEADER = "phase,t,k,residual_hlb_sq,rel_step,loss,grad_norm"
@@ -34,7 +34,8 @@ class BmoConfig:
     directions; s: base inner step (s_k = s/(k+1)); gamma: outer learning
     rate; K/T: inner/outer iteration counts.  ``lr_schedule`` is either
     ("constant",) or ("expdecay", rate, period) giving
-    gamma * rate**(t/period).
+    gamma * rate**(t/period).  ``omega_bounds`` boxes omega and ``domain``
+    boxes u; None is the full space.
     """
 
     alpha: float = 0.5
@@ -46,7 +47,7 @@ class BmoConfig:
     omega_bounds: Optional[OmegaBox] = None
     seed: int = 0
     lr_schedule: tuple = ("constant",)
-    domain: Optional[DomainDescriptor] = None
+    domain: Optional[OmegaBox] = None
     h_lb: Optional[MetricMatrix] = None
     u0: Optional[np.ndarray] = None
     optimizer: str = "gd"
@@ -245,7 +246,7 @@ def stationarity_probe(op, loss, omega, cfg, K_list):
     if factor >= 1.0 - 1e-12:
         raise ContractError(
             f"stationarity probe requires a contractive operator (certified factor {factor:g})")
-    if cfg.domain is not None and cfg.domain.kind != "full":
+    if cfg.domain is not None:
         raise ContractError("stationarity probe assumes an unconstrained training variable")
     out = []
     for K in K_list:

@@ -28,7 +28,7 @@ from .errors import (CapabilityError, ContractError, DivergenceError, FormatErro
                      NumericsError)
 from .hypergrad import (LossDescriptor, fd_hypergradient, hypergradient,
                         inner_loop, km_iterate)
-from .metric import min_eigen_estimate, spectral_norm_estimate
+from .metric import min_eigen_estimate
 from .operators import NetOperator, OmegaBox, make_hyperparams
 from .tasks import (TaskBundle, build_deconv_operator, build_separation_operator,
                     build_sparse_coding_operator, gen_deconv, gen_separation,
@@ -327,10 +327,13 @@ def cmd_eval(cfg, out, instance_path, report_path, baseline_report=None):
 
 
 def _expansive_ablation_records(cfg, dim=8, K=40):
-    """Rollout of a raw sigma_max = 2 network with normalization disabled."""
+    """Rollout of the net W = 2 Q, Q a seeded orthogonal matrix, with normalization disabled.
+
+    Every singular value of W is 2, so the averaged map expands about its fixed point 0.
+    """
     rng = task_rng(int(cfg.get("seed")), stream=9)
-    W = rng.standard_normal((dim, dim))
-    W *= 2.0 / spectral_norm_estimate(W)
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
+    W = 2.0 * Q * np.sign(np.diag(R))
     omega = make_hyperparams([("W0", W, "layer-matrix"),
                               ("b0", np.zeros(dim), "layer-bias")])
     op = NetOperator(dim=dim, weight_names=("W0",), bias_names=("b0",),

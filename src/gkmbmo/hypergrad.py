@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metric import (DomainDescriptor, MetricMatrix, h_norm, h_project,
-                     min_eigen_estimate, projection_jacobian_diag,
+from .metric import (MetricMatrix, h_norm, h_project, min_eigen_estimate,
                      spectral_norm_estimate)
 from .operators import HyperParams, _match_b, apply_T
 
@@ -179,7 +178,6 @@ class Tape:
     loss: LossDescriptor
     omega: HyperParams
     cfg: object
-    domain: DomainDescriptor
     metric: MetricMatrix
     u0: np.ndarray
     steps: list
@@ -189,8 +187,7 @@ class Tape:
     def replay(self):
         u = self.u0
         for st in self.steps:
-            u = _gkm_step(self.op, self.loss, self.omega, self.cfg, self.metric, self.domain,
-                          st.s_k, u)[2]
+            u = _gkm_step(self.op, self.loss, self.omega, self.cfg, self.metric, st.s_k, u)[2]
         return u
 
 
@@ -198,17 +195,17 @@ class Tape:
 # inner loop
 # ---------------------------------------------------------------------------
 
-def _gkm_step(op, loss, omega, cfg, H, domain, s_k, u):
+def _gkm_step(op, loss, omega, cfg, H, s_k, u):
     """One aggregated inner step from u.
 
-    Returns (T(u), H^{-1} grad l(u), u'); cfg supplies alpha and mu.
+    Returns (T(u), H^{-1} grad l(u), u'); cfg supplies alpha, mu and U.
     Without a loss the step is mu = 0, u' = Proj_U(T(u)).
     """
     v_l = apply_T(op, u, omega, cfg)
     if loss is None:
-        return v_l, None, h_project(H, domain, v_l)
+        return v_l, None, h_project(H, cfg.domain, v_l)
     hg = H.solve(loss.grad_u(u))
-    return v_l, hg, h_project(H, domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l)
+    return v_l, hg, h_project(H, cfg.domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l)
 
 
 def _record(ks, hlb, res, u, u_prev, loss, columns=False):
@@ -273,23 +270,21 @@ class _Recorder:
 def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record=True):
     """Run K inner steps; return (uK, tape, records).
 
-    cfg is a ``BmoConfig``; it supplies alpha, mu, s, K, and the domain U.
+    cfg is a ``BmoConfig``; it supplies alpha, mu, s, K, and the domain U
+    (an ``OmegaBox``, or None for the full space).
     ``u0`` is the initial iterate (defaults to ``cfg.u0``, then to zeros),
     and ``h_lb`` the metric lower bound used for recorded residuals
     (defaults to ``cfg.h_lb``, then to the current H(omega)).  Without a
     ``loss`` it runs the plain KM iteration (``km_iterate``), reads no s
     or mu and records a NaN loss.  Raises ContractError when cfg fails
     ``cfg.validate()`` or s exceeds its step bound, DivergenceError on
-    non-finite iterates, and, before the first step, ContractError for a
-    tape without a loss and CapabilityError for a tape on a domain whose
-    projection the reverse sweep cannot differentiate.
+    non-finite iterates, CapabilityError for a box domain under a
+    non-diagonal metric, and, before the first step, ContractError for a
+    tape without a loss.
     """
     cfg.validate()
-    domain = cfg.domain if cfg.domain is not None else DomainDescriptor.full_space(op.dim)
-    if build_tape:
-        if loss is None:
-            raise ContractError("an inner loop without a loss has nothing to differentiate")
-        projection_jacobian_diag(domain, np.zeros(op.dim))  # refuses what the sweep cannot differentiate
+    if build_tape and loss is None:
+        raise ContractError("an inner loop without a loss has nothing to differentiate")
     op.validate_omega(omega)
     H = op.metric(omega)
     hlb = h_lb if h_lb is not None else (cfg.h_lb if cfg.h_lb is not None else H)
@@ -307,7 +302,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
-        v_l, hg, u_next = _gkm_step(op, loss, omega, cfg, H, domain, s_k, u)
+        v_l, hg, u_next = _gkm_step(op, loss, omega, cfg, H, s_k, u)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
             recorder.add(k - 1, u, v_l, u_prev)
@@ -321,7 +316,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     records = recorder.finish()
     tape = None
     if build_tape:
-        tape = Tape(op, loss, omega, cfg, domain, H, u0, steps, u, loss.value(u))
+        tape = Tape(op, loss, omega, cfg, H, u0, steps, u, loss.value(u))
     return u, tape, records
 
 
@@ -362,8 +357,8 @@ def hypergradient(tape, corrupt_rule=False):
     hess_scale = 0.5 if corrupt_rule else 1.0
     u_k = tape.uK  # u^k, the iterate written by the step being reversed
     for st in reversed(tape.steps):
-        if tape.domain.kind != "full":
-            cu = projection_jacobian_diag(tape.domain, u_k) * cu
+        if cfg.domain is not None:
+            cu = cfg.domain.interior(u_k) * cu  # the box clamp's almost-everywhere derivative
         u_k = st.u_prev
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu

@@ -3,13 +3,14 @@
 Every operator in this package certifies its Lipschitz properties with
 respect to an inner product ``<u, H v>`` induced by a positive-definite
 matrix H.  This module holds the matrix representation, the induced
-inner product / norm, projections onto simple sets, and the spectral
-quantities used by step-size bounds.  Every H is a dense lead block
-over the leading coordinates followed by a positive diagonal tail.  The
-lead computes its spectrum once, when it is built, which proves it
-positive definite and gives its exact smallest eigenvalue; it computes
-its inverse once, at its first solve, so a metric that is only applied
-(a lower bound h_lb) never holds one.
+inner product / norm, the projection onto a box (an ``OmegaBox``, or
+None for the full space), and the spectral quantities used by step-size
+bounds.  Every H is a dense lead block over the leading coordinates
+followed by a positive diagonal tail.  The lead computes its spectrum
+once, when it is built, which proves it positive definite and gives its
+exact smallest eigenvalue; it computes its inverse once, at its first
+solve, so a metric that is only applied (a lower bound h_lb) never holds
+one.
 
 Vectors may be passed as shape ``(dim,)`` or batched as ``(dim, B)``;
 batched norms reduce over all entries (the metric of the stacked state
@@ -126,67 +127,6 @@ class MetricMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
-    """Feasible set for the training variable: full space, box, or ball."""
-
-    kind: str
-    dim: int
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = None
-    radius: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "full":
-            return
-        if self.kind == "box":
-            lo = np.asarray(self.lower, dtype=float)
-            hi = np.asarray(self.upper, dtype=float)
-            if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                raise ContractError("box bounds must have shape (dim,)")
-            # +-inf bounds leave a coordinate free; NaN bounds would pass lo > hi unseen
-            if np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
-                raise ContractError("box requires non-NaN bounds with lower <= upper componentwise")
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
-        elif self.kind == "ball":
-            c = np.asarray(self.center, dtype=float)
-            if c.shape != (self.dim,) or not np.all(np.isfinite(c)):
-                raise ContractError("ball center must be finite with shape (dim,)")
-            if not 0 < self.radius < math.inf:
-                raise ContractError(f"ball radius must be positive and finite, got {self.radius!r}")
-            object.__setattr__(self, "center", c)
-        else:
-            raise ContractError(f"unknown domain kind {self.kind!r}")
-
-    @staticmethod
-    def full_space(dim):
-        return DomainDescriptor("full", dim)
-
-    @staticmethod
-    def box(lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        return DomainDescriptor("box", lower.shape[0], lower=lower, upper=np.asarray(upper, dtype=float))
-
-    @staticmethod
-    def ball(center, radius):
-        center = np.asarray(center, dtype=float)
-        return DomainDescriptor("ball", center.shape[0], center=center, radius=float(radius))
-
-    def contains(self, u, tol=1e-12):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "full":
-            return True
-        if self.kind == "box":
-            lo, hi = self.lower, self.upper
-            if u.ndim > 1:
-                lo, hi = lo[:, None], hi[:, None]
-            return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
-        d = np.linalg.norm(u - (self.center[:, None] if u.ndim > 1 else self.center), axis=0)
-        return bool(np.all(d <= self.radius + tol))
-
-
 def h_inner(H, u, v, columns=False):
     """<u, H v>; symmetric in u and v.  Batched inputs reduce over all entries.
 
@@ -211,49 +151,19 @@ def h_norm(H, u, columns=False):
 
 
 def h_project(H, U, u):
-    """Projection onto U in the H-metric, for the supported (H, U) pairings.
+    """Projection onto U in the H-metric; U is an ``OmegaBox``, or None for the full space.
 
-    full space -> identity; box with diagonal H -> componentwise clamp;
-    ball with a diagonal H of equal entries (c I) -> radial scaling.
-    Anything else (a general quadratic program) is rejected rather than
-    silently approximated.
+    A box projects by a componentwise clamp, which is the H-projection
+    only for a diagonal H; a box under any other H (a general quadratic
+    program) is rejected rather than silently approximated.
     """
     u = np.asarray(u, dtype=float)
-    _check_dim(U.dim, u)
-    if U.kind == "full":
+    if U is None:
         return u.copy()
-    if U.kind == "box":
-        if not H.is_diagonal:
-            raise CapabilityError("box projection requires a diagonal metric")
-        lo, hi = U.lower, U.upper
-        if u.ndim > 1:
-            lo, hi = lo[:, None], hi[:, None]
-        return np.clip(u, lo, hi)
-    # a ball
-    if not H.is_diagonal or np.ptp(H.tail) != 0:
-        raise CapabilityError("ball projection requires a multiple of the identity metric")
-    c = U.center[:, None] if u.ndim > 1 else U.center
-    d = u - c
-    nrm = np.linalg.norm(d, axis=0)
-    factor = np.minimum(1.0, U.radius / np.maximum(nrm, 1e-300))
-    return c + d * factor
-
-
-def projection_jacobian_diag(U, u):
-    """Almost-everywhere derivative of the supported projections, as a mask.
-
-    Full space -> ones; box -> indicator of inactive coordinates.  Ball is
-    rejected (its derivative is not diagonal off-center).
-    """
-    u = np.asarray(u, dtype=float)
-    if U.kind == "full":
-        return np.ones_like(u)
-    if U.kind == "box":
-        lo, hi = U.lower, U.upper
-        if u.ndim > 1:
-            lo, hi = lo[:, None], hi[:, None]
-        return ((u > lo) & (u < hi)).astype(float)
-    raise CapabilityError("projection derivative supported for full space and box only")
+    _check_dim(U.lower.shape[0], u)
+    if not H.is_diagonal:
+        raise CapabilityError("box projection requires a diagonal metric")
+    return U.clamp(u)
 
 
 def min_eigen_estimate(H):

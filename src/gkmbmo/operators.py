@@ -146,7 +146,12 @@ def make_hyperparams(parts):
 
 @dataclass(frozen=True)
 class OmegaBox:
-    """Per-coordinate box for the compact hyper-parameter set."""
+    """Per-coordinate box: the compact set of omega, or the feasible set U of u.
+
+    The bounds have shape (dim,), and +-inf leaves a coordinate free.
+    Each method takes a (dim,) point or a (dim, B) batch of points as
+    columns.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -154,16 +159,23 @@ class OmegaBox:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape or np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
-            raise ContractError("omega box requires non-NaN lower <= upper of equal shape")
+        if lo.ndim != 1 or lo.shape != hi.shape or np.any(np.isnan(lo) | np.isnan(hi) | (lo > hi)):
+            raise ContractError("a box requires non-NaN lower <= upper of equal shape (dim,)")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     def clamp(self, values):
-        return np.clip(values, self.lower, self.upper)
+        values = np.asarray(values, dtype=float)
+        return np.clip(values, _col(self.lower, values), _col(self.upper, values))
 
     def contains(self, values, tol=1e-12):
-        return bool(np.all(values >= self.lower - tol) and np.all(values <= self.upper + tol))
+        values = np.asarray(values, dtype=float)
+        return bool(np.all(values >= _col(self.lower, values) - tol)
+                    and np.all(values <= _col(self.upper, values) + tol))
+
+    def interior(self, values):
+        """1.0 where a coordinate lies strictly inside its bounds, else 0.0."""
+        return ((values > _col(self.lower, values)) & (values < _col(self.upper, values))).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,13 @@ def _require_sizes(*checks):
             raise ContractError(f"{name} must be at least {least}, got {size!r}")
 
 
+def _require_nonnegative(*checks):
+    """Refuse a value that is not finite and nonnegative; each check is (config field, value)."""
+    for name, value in checks:
+        if not 0 <= value < math.inf:
+            raise ContractError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass
 class TaskBundle:
     """Operator plus everything the trainer needs to run it.
@@ -125,6 +132,7 @@ def gen_sparse_coding(m=64, n=128, batch=256, sparsity=0.1, noise_frac=0.1,
                       seed=0, kappa1=1.0, kappa2=1.0, test_batch=None):
     """Random dictionary with unit columns; sparse codes; salt-and-pepper noise."""
     _require_sizes(("gen.m", m, 1), ("gen.batch", batch, 1))
+    _require_nonnegative(("gen.kappa1", kappa1), ("gen.kappa2", kappa2))
     if m >= n:
         raise ContractError("sparse coding requires an overcomplete dictionary (m < n)")
     if not (0.0 < sparsity < 1.0):
@@ -246,8 +254,7 @@ def gen_deconv(n=64, kernel_sigma=1.0, kernel_width=7, noise_sigma=0.01, seed=0)
         raise ContractError(f"gen.n must be a power of two, the Haar transform's length, got {n}")
     if not 0 < kernel_sigma < math.inf:
         raise ContractError(f"gen.kernel_sigma must be positive and finite, got {kernel_sigma!r}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ContractError(f"gen.noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
+    _require_nonnegative(("gen.noise_sigma", noise_sigma))
     rng = task_rng(seed)
     t = np.arange(n) / n
     u = 0.6 * np.sin(2 * np.pi * t) + 0.3 * np.sin(6 * np.pi * t + 1.0)
@@ -345,6 +352,7 @@ def gen_separation(n=64, njumps=3, nspikes=4, seed=0, kappa_b=0.05, kappa_r=0.05
     """Piecewise-smooth background plus a sparse-gradient streak layer; b is exact."""
     _require_sizes(("gen.njumps", njumps, 0), ("gen.nspikes", nspikes, 0),
                    ("gen.n", n, max(njumps + 2, nspikes)))
+    _require_nonnegative(("gen.kappa_b", kappa_b), ("gen.kappa_r", kappa_r))
     rng = task_rng(seed)
     t = np.arange(n) / n
     u_b = 0.8 * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi))

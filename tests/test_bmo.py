@@ -204,6 +204,14 @@ class TestStationarityProbe:
         with pytest.raises(ContractError):
             stationarity_probe(op, loss, om, cfg, [5])
 
+    def test_box_domain_rejected(self):
+        # the probe's limit is the unconstrained fixed point, so any box is refused
+        op, om, _ = shift_net_toy(bias=0.2)
+        loss = LossDescriptor("squared_error", 1, target=np.ones(1))
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.2, domain=OmegaBox([-1.0], [1.0]))
+        with pytest.raises(ContractError, match="unconstrained"):
+            stationarity_probe(op, loss, om, cfg, [5])
+
 
 class TestValueConvergence:
     def test_loss_approaches_phi(self):

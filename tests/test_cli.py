@@ -278,6 +278,11 @@ UNBUILDABLE = {
     "deconv_zero_kernel_sigma": ("deconv", "gen.kernel_sigma = 0", None, "gen.kernel_sigma"),
     "deconv_negative_noise_sigma": ("deconv", "gen.noise_sigma = -1", None, "gen.noise_sigma"),
     "deconv_n_6": ("deconv", "gen.n = 6", None, "gen.n"),
+    **{f"{task}_negative_{kappa}": (task, f"gen.{kappa} = -1", None, f"gen.{kappa}")
+       for task, kappas in (("sparse_coding", ("kappa1", "kappa2")),
+                            ("separation", ("kappa_b", "kappa_r")))
+       for kappa in kappas},
+    "separation_nan_kappa_b": ("separation", "gen.kappa_b = nan", None, "gen.kappa_b"),
     **{f"{task}_negative_seed": (task, "seed = -1", None, "seed")
        for task in ("sparse_coding", "deconv", "separation")},
 }
@@ -365,10 +370,11 @@ class TestEvalDiagnose:
 
     def test_diagnose_ablation_flags_expansive_net(self, trained, tmp_path, capsys):
         root, cfg = trained
-        run(["diagnose", root / "instance.bin", "--config", cfg, "--out", tmp_path])
-        out = capsys.readouterr().out
-        assert "ablation" in out
-        assert ("diverged" in out) or ("violations" in out)
+        run(["diagnose", root / "instance.bin", "--config", cfg, "--out", tmp_path,
+             "--seed", 0])
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("ablation"))
+        assert (line == "ablation: diverged without normalization"
+                or int(line.rsplit("= ", 1)[1]) > 0)
 
     def test_diagnose_toy_monotone_rel_step(self, tmp_path):
         # bias 0.5 puts the fixed point exactly at the loss target, so the

@@ -5,11 +5,11 @@ import pytest
 
 from gkmbmo import hypergrad
 from gkmbmo.bmo import BmoConfig, evaluate_phiK
-from gkmbmo.errors import CapabilityError, ContractError, DivergenceError
+from gkmbmo.errors import ContractError, DivergenceError
 from gkmbmo.hypergrad import (LossDescriptor, fd_hypergradient,
                               hypergradient, inner_loop, km_iterate)
-from gkmbmo.metric import DomainDescriptor, MetricMatrix, h_norm, min_eigen_estimate
-from gkmbmo.operators import (DladmmOperator, NetOperator, PgOperator, apply_T,
+from gkmbmo.metric import MetricMatrix, h_norm, min_eigen_estimate
+from gkmbmo.operators import (DladmmOperator, NetOperator, OmegaBox, PgOperator, apply_T,
                               make_hyperparams)
 
 
@@ -273,7 +273,7 @@ class TestInnerLoop:
         target = np.array([0.4, -0.2, 0.1])
         loss = LossDescriptor("squared_error", dim, target=target)
         lo, hi = -np.ones(dim), np.ones(dim)
-        domain = DomainDescriptor.box(lo, hi)
+        domain = OmegaBox(lo, hi)
         cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9, K=40, domain=domain)
         u, tape, _ = inner_loop(op, loss, om, cfg, u0=np.array([0.9, -0.9, 0.5]))
         H = tape.metric
@@ -413,7 +413,7 @@ class TestHypergradient:
     def test_box_projection_derivative(self, rng):
         op, om = scaling_net(2, 0.5)
         loss = LossDescriptor("squared_error", 2, target=np.array([2.0, 2.0]))
-        domain = DomainDescriptor.box(-np.ones(2), np.ones(2))
+        domain = OmegaBox(-np.ones(2), np.ones(2))
         bound = 1.0 / loss.smoothness()
         cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9 * bound, K=6, domain=domain)
         u0 = np.array([0.2, 1.6])
@@ -422,20 +422,26 @@ class TestHypergradient:
         g_fd = fd_hypergradient(op, loss, om, cfg, u0=u0)
         np.testing.assert_allclose(g, g_fd, rtol=1e-4, atol=1e-8)
 
-    def test_ball_domain_refused_before_first_apply(self, monkeypatch):
-        op, om = scaling_net(2, 0.5)
-        loss = LossDescriptor("squared_error", 2, target=np.array([2.0, 2.0]))
-        domain = DomainDescriptor.ball(np.zeros(2), 1.0)
-        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.5, K=6, domain=domain)
-        calls = []
-        apply = op.apply
-        monkeypatch.setattr(op, "apply", lambda *a: calls.append(1) or apply(*a))
-        with pytest.raises(CapabilityError, match="full space and box only"):
-            inner_loop(op, loss, om, cfg, u0=np.array([0.2, 0.6]))
-        assert calls == []
-        # forward-only rollouts on a ball stay supported
-        u, _, _ = inner_loop(op, loss, om, cfg, u0=np.array([0.2, 0.6]), build_tape=False)
-        assert len(calls) > 0 and domain.contains(u)
+    def test_batched_box_acts_per_coordinate(self, rng):
+        # with B == dim a (dim,) bound would also broadcast along the batch axis
+        dim = 3
+        op, om = scaling_net(dim, 0.5)
+        loss = LossDescriptor("squared_error", dim, target=np.array([2.0, -2.0, 0.3]))
+        lo, hi = np.array([-1.0, -0.2, -3.0]), np.array([0.4, 1.0, 3.0])
+        domain = OmegaBox(lo, hi)
+        X = rng.uniform(-2.0, 2.0, (dim, dim))
+        want = np.clip(X, lo[:, None], hi[:, None])
+        assert not np.array_equal(want, np.clip(X, lo, hi))
+        np.testing.assert_array_equal(domain.clamp(X), want)
+        np.testing.assert_array_equal(domain.interior(X),
+                                      ((X > lo[:, None]) & (X < hi[:, None])).astype(float))
+        assert domain.contains(domain.clamp(X)) and not domain.contains(X)
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9 / loss.smoothness(), K=6, domain=domain)
+        u0 = rng.uniform(-0.5, 0.5, (dim, dim))
+        uK, tape, _ = inner_loop(op, loss, om, cfg, u0=u0)
+        assert domain.contains(uK) and not np.all(domain.interior(uK))
+        g_fd = fd_hypergradient(op, loss, om, cfg, u0=u0)
+        np.testing.assert_allclose(hypergradient(tape), g_fd, rtol=1e-4, atol=1e-8)
 
     def test_loss_free_tape_refused_before_first_apply(self, monkeypatch):
         op, om = scaling_net(2, 0.5)
@@ -464,7 +470,7 @@ class TestKmIterate:
         # km_iterate is inner_loop without a loss, so it keeps to cfg.domain
         op, om = scaling_net(2, 0.5)
         cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.1, K=1,
-                        domain=DomainDescriptor.box(-np.ones(2), np.ones(2)))
+                        domain=OmegaBox(-np.ones(2), np.ones(2)))
         u0 = np.array([4.0, -3.0])
         want = u0
         for _ in range(3):

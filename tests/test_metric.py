@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gkmbmo.bmo import BmoConfig
 from gkmbmo.errors import CapabilityError, ContractError
-from gkmbmo.metric import (DomainDescriptor, MetricMatrix, h_inner, h_norm,
-                           h_project, min_eigen_estimate, spectral_norm_estimate)
+from gkmbmo.metric import (MetricMatrix, h_inner, h_norm, h_project, min_eigen_estimate,
+                           spectral_norm_estimate)
 from gkmbmo.operators import OmegaBox
 
 
@@ -92,49 +93,28 @@ class TestColumns:
 
 
 class TestHProject:
-    def test_full_space_identity(self, rng):
+    def test_none_is_identity(self, rng):
         u = rng.standard_normal(5)
-        out = h_project(dense(np.eye(5) + 0.1 * np.ones((5, 5))),
-                        DomainDescriptor.full_space(5), u)
+        out = h_project(dense(np.eye(5) + 0.1 * np.ones((5, 5))), None, u)
         np.testing.assert_array_equal(out, u)
 
     def test_box_clamp(self):
         H = MetricMatrix.diagonal([1.0, 2.0])
-        U = DomainDescriptor.box([0.0, 0.0], [1.0, 1.0])
+        U = OmegaBox([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_allclose(h_project(H, U, np.array([2.0, -1.0])), [1.0, 0.0])
-
-    def test_ball_radial(self):
-        H = MetricMatrix.identity(2)
-        U = DomainDescriptor.ball(np.zeros(2), 1.0)
-        np.testing.assert_allclose(h_project(H, U, np.array([0.0, 2.0])), [0.0, 1.0])
-
-    def test_ball_needs_equal_diagonal(self):
-        U = DomainDescriptor.ball(np.zeros(2), 1.0)
-        with pytest.raises(CapabilityError):
-            h_project(MetricMatrix.diagonal([1.0, 2.0]), U, np.array([0.0, 2.0]))
-        # c I is a diagonal of equal entries, and its projection is radial for every c
-        np.testing.assert_allclose(h_project(MetricMatrix.identity(2, 2.5), U,
-                                             np.array([0.0, 2.0])), [0.0, 1.0])
 
     def test_dense_box_rejected(self):
         H = dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        U = DomainDescriptor.box([0.0, 0.0], [1.0, 1.0])
+        U = OmegaBox([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(CapabilityError):
             h_project(H, U, np.array([2.0, 2.0]))
 
-    @pytest.mark.parametrize("pairing", ["full", "box", "ball"])
+    @pytest.mark.parametrize("pairing", ["full", "box"])
     def test_firm_nonexpansiveness(self, pairing, rng):
         # ||ub - u||^2 >= ||ub - Pu||^2 + ||Pu - u||^2 for ub in U
         d = 6
-        if pairing == "full":
-            H = MetricMatrix.diagonal(rng.uniform(0.5, 2.0, d))
-            U = DomainDescriptor.full_space(d)
-        elif pairing == "box":
-            H = MetricMatrix.diagonal(rng.uniform(0.5, 2.0, d))
-            U = DomainDescriptor.box(-np.ones(d), np.ones(d))
-        else:
-            H = MetricMatrix.identity(d)
-            U = DomainDescriptor.ball(np.zeros(d), 1.5)
+        H = MetricMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        U = OmegaBox(-np.ones(d), np.ones(d)) if pairing == "box" else None
         for _ in range(1000):
             u = rng.standard_normal(d) * 3.0
             ub = h_project(H, U, rng.standard_normal(d) * 3.0)
@@ -291,11 +271,7 @@ class TestValidation:
 
     def test_box_order_enforced(self):
         with pytest.raises(ContractError):
-            DomainDescriptor.box([1.0], [0.0])
-
-    def test_ball_radius_positive(self):
-        with pytest.raises(ContractError):
-            DomainDescriptor.ball(np.zeros(2), 0.0)
+            OmegaBox([1.0], [0.0])
 
     @pytest.mark.parametrize("build", [
         lambda: MetricMatrix.identity(2, scale=math.nan),
@@ -304,14 +280,11 @@ class TestValidation:
         lambda: MetricMatrix.diagonal([math.inf, 1.0]),
         lambda: OmegaBox([math.nan, 0.0], [1.0, 1.0]),
         lambda: OmegaBox([0.0, 0.0], [1.0, math.nan]),
-        lambda: DomainDescriptor.box([math.nan, 0.0], [1.0, 1.0]),
-        lambda: DomainDescriptor.box([0.0, 0.0], [1.0, math.nan]),
-        lambda: DomainDescriptor.ball([math.nan, 0.0], 1.0),
-        lambda: DomainDescriptor.ball([0.0, 0.0], math.nan),
+        lambda: BmoConfig(domain=OmegaBox([math.nan, 0.0], [1.0, 1.0])),
+        lambda: BmoConfig(domain=OmegaBox([0.0, 0.0], [1.0, math.nan])),
     ], ids=["identity-nan", "identity-inf", "diagonal-nan", "diagonal-inf",
             "omega-box-lower-nan", "omega-box-upper-nan",
-            "domain-box-lower-nan", "domain-box-upper-nan",
-            "ball-center-nan", "ball-radius-nan"])
+            "domain-box-lower-nan", "domain-box-upper-nan"])
     def test_non_finite_refused_where_it_enters(self, build):
         with pytest.raises(ContractError):
             build()
@@ -320,5 +293,4 @@ class TestValidation:
         # deconv's layer slices are boxed by +-inf
         box = OmegaBox([-math.inf, 0.0], [math.inf, 1.0])
         assert box.contains(np.array([1e300, 0.5]))
-        dom = DomainDescriptor.box([-math.inf, 0.0], [math.inf, 1.0])
-        assert dom.contains(np.array([-1e300, 1.0]))
+        assert box.contains([-1e300, 1.0])
