@@ -21,7 +21,7 @@ from .errors import ContractError, DivergenceError
 # evaluate_phiK lives beside inner_loop and is re-exported here
 from .hypergrad import DIVERGENCE_LIMIT, evaluate_phiK, hypergradient, inner_loop
 from .metric import MetricMatrix
-from .operators import HyperParams, OmegaBox, renormalize_for
+from .operators import HyperParams, OmegaBox, contraction_factor, renormalize_for
 
 TRAJECTORY_HEADER = "phase,t,k,residual_hlb_sq,rel_step,loss,grad_norm"
 
@@ -50,7 +50,6 @@ class BmoConfig:
     domain: Optional[OmegaBox] = None
     h_lb: Optional[MetricMatrix] = None
     u0: Optional[np.ndarray] = None
-    optimizer: str = "gd"
     record_inner: bool = True
 
     def validate(self):
@@ -73,8 +72,6 @@ class BmoConfig:
                 math.isfinite(x) and x > 0 for x in self.lr_schedule[1:]):
             raise ContractError(f"expdecay lr schedule needs a positive rate and period, "
                                 f"got {self.lr_schedule[1:]}")
-        if self.optimizer not in ("gd", "adam"):
-            raise ContractError(f"unknown outer optimizer {self.optimizer!r}")
 
     def lr_at(self, t):
         if self.lr_schedule[0] == "expdecay":
@@ -141,22 +138,6 @@ class TrainReport:
             fh.write("omega = %s\n" % ",".join(repr(float(v)) for v in self.omega_final.values))
 
 
-class _Adam:
-    def __init__(self, dim, b1=0.9, b2=0.999, eps=1e-8):
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-        self.b1, self.b2, self.eps = b1, b2, eps
-        self.t = 0
-
-    def step(self, grad, lr):
-        self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        mh = self.m / (1 - self.b1 ** self.t)
-        vh = self.v / (1 - self.b2 ** self.t)
-        return lr * mh / (np.sqrt(vh) + self.eps)
-
-
 def train(op, loss, omega0, cfg):
     """Run the full two-level loop and return a TrainReport.
 
@@ -172,7 +153,6 @@ def train(op, loss, omega0, cfg):
         raise ContractError("omega0 violates the configured box bounds")
     op.validate_omega(omega)
     traj = Trajectory()
-    adam = _Adam(omega.dim) if cfg.optimizer == "adam" else None
     last_records = []
     for t in range(cfg.T):
         try:
@@ -191,9 +171,7 @@ def train(op, loss, omega0, cfg):
             traj.add_inner(t, records)
             last_records = records
         traj.add_outer(t, phi, gnorm, omega)
-        lr = cfg.lr_at(t)
-        delta = adam.step(grad, lr) if adam is not None else lr * grad
-        values = omega.values - delta
+        values = omega.values - cfg.lr_at(t) * grad
         if cfg.omega_bounds is not None:
             values = cfg.omega_bounds.clamp(values)
         omega = renormalize_for(op, omega.with_values(values))
@@ -242,7 +220,7 @@ def stationarity_probe(op, loss, omega, cfg, K_list):
     strictly below one) so the limiting value function is defined through
     the unique fixed point.
     """
-    factor = op.contraction_factor(omega)
+    factor = contraction_factor(op, omega)
     if factor >= 1.0 - 1e-12:
         raise ContractError(
             f"stationarity probe requires a contractive operator (certified factor {factor:g})")

@@ -53,7 +53,7 @@ _DEFAULTS = {
     "op.sep_beta": 0.2,
     "bmo.alpha": 0.9, "bmo.mu": 0.5, "bmo.s": "auto", "bmo.s_fraction": 0.5,
     "bmo.K": 15, "bmo.T": 100, "bmo.gamma_lr": 0.0002,
-    "bmo.lr_schedule": "expdecay:0.5:30", "bmo.optimizer": "gd",
+    "bmo.lr_schedule": "expdecay:0.5:30",
     "diag.k_list": "5,10,15", "diag.rollout_factor": 2, "diag.ablation": True,
     "fdcheck.instances": 20, "fdcheck.tolerance": 1e-4, "fdcheck.corrupt": False,
     "toy.weight": 0.5, "toy.bias": 0.0,
@@ -207,8 +207,7 @@ def bmo_config(cfg, bundle, K=None, T=None):
                      K=K if K is not None else int(cfg.get("bmo.K")),
                      T=T if T is not None else int(cfg.get("bmo.T")),
                      omega_bounds=bundle.bounds, seed=int(cfg.get("seed")),
-                     lr_schedule=schedule, u0=bundle.u0, h_lb=h_lb,
-                     optimizer=cfg.get("bmo.optimizer"))
+                     lr_schedule=schedule, u0=bundle.u0, h_lb=h_lb)
 
 
 def _load_omega(report_path, omega_template):

@@ -18,14 +18,20 @@ metric H(omega):
 * ``CompositeOperator`` -- right-to-left composition sharing one metric.
 
 States are numpy arrays of shape ``(dim,)`` or ``(dim, B)``; every apply
-is vectorized over trailing batch columns.  All operators expose two
-analytic reverse rules for the unrolled differentiation tape, and both
-add into one omega gradient that the caller owns:
+is vectorized over trailing batch columns.  Each operator writes its map
+once, as a forward/reverse pair in the manner of a custom VJP:
 
-* ``apply_vjp(state, omega, cot, grad)`` adds cot^T dD/domega into
-  ``grad`` and returns the state cotangent cot^T dD/dstate;
-* ``metric_quad_vjp(omega, x, y, grad, scale)`` adds
-  scale * d<x, H(omega) y>/domega into ``grad`` and returns nothing.
+* ``_forward(state, omega) -> (out, res)`` computes the output D(state)
+  and ``res``, the intermediates the reverse rule reads;
+* ``_vjp(res, omega, cot, grad)`` adds cot^T dD/domega into ``grad`` and
+  returns the state cotangent cot^T dD/dstate.
+
+``apply`` and ``apply_vjp(state, omega, cot, grad)`` are written once on
+``_Operator`` over that pair, so a VJP runs the forward exactly once, and
+a composite chains its members' pairs.  The second reverse rule,
+``metric_quad_vjp(omega, x, y, grad, scale)``, adds
+scale * d<x, H(omega) y>/domega into ``grad`` and returns nothing.  Both
+add into one omega gradient that the caller owns.
 """
 
 from __future__ import annotations
@@ -274,12 +280,22 @@ def apply_T(op, state, omega, cfg):
     return state + cfg.alpha * (op.apply(state, omega) - state)
 
 
+class _Operator:
+    """``apply`` and ``apply_vjp`` over a subclass's ``_forward``/``_vjp`` pair."""
+
+    def apply(self, state, omega):
+        return self._forward(state, omega)[0]
+
+    def apply_vjp(self, state, omega, cot, grad):
+        return self._vjp(self._forward(state, omega)[1], omega, cot, grad)
+
+
 # ---------------------------------------------------------------------------
 # proximal gradient operator
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PgOperator:
+class PgOperator(_Operator):
     """One linearized proximal step for f quadratic, g a weighted l1 norm.
 
     f(u) = 1/2 u^T P u + q^T u (either part optional), g(u) = sum_i w_i |u_i|.
@@ -343,30 +359,25 @@ class PgOperator:
         if w is not None and np.any(w < 0):
             raise ContractError("threshold weights must be nonnegative")
 
-    def contraction_factor(self, omega):
-        return 1.0
-
     # evaluation ------------------------------------------------------
-    def apply(self, state, omega):
+    def _forward(self, state, omega):
         gam = _resolve(omega, self.gamma)
         g = _diag(omega, self.gdiag, self.dim)
-        x = state - gam * self._grad_f(state) / _col(g, state)
-        w = self._weights(omega)
-        if w is None:
-            return x
-        return soft_threshold(x, _col(gam * w / g, x))
-
-    def apply_vjp(self, state, omega, cot, grad):
-        gam = _resolve(omega, self.gamma)
-        g = _diag(omega, self.gdiag, self.dim)
-        gcol = _col(g, state)
         gf = self._grad_f(state)
-        x = state - gam * gf / gcol
+        x = state - gam * gf / _col(g, state)
         w = self._weights(omega)
         if w is None:
+            return x, (gam, g, gf, x, None)
+        thr = _col(gam * w / g, x)
+        return soft_threshold(x, thr), (gam, g, gf, x, thr)
+
+    def _vjp(self, res, omega, cot, grad):
+        gam, g, gf, x, thr = res
+        gcol = _col(g, x)
+        if thr is None:
             dx = np.asarray(cot, dtype=float)
         else:
-            dx, dthr = _soft_threshold_vjp(x, _col(gam * w / g, x), cot)
+            dx, dthr = _soft_threshold_vjp(x, thr, cot)
             dthr = _colsum(dthr)
             # thr_i = gam * w0_i * c / g_i
             c = _resolve(omega, self.thresh, 1.0)
@@ -392,7 +403,7 @@ class PgOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AlmOperator:
+class AlmOperator(_Operator):
     """Proximal augmented-Lagrangian step on the joint state (u, lambda).
 
     Solves one primal argmin of
@@ -534,15 +545,11 @@ class AlmOperator:
         if w is not None and np.any(w < 0):
             raise ContractError("l1 weights must be nonnegative")
 
-    def contraction_factor(self, omega):
-        return 1.0
-
     # evaluation ------------------------------------------------------
     def split_state(self, state):
         return state[:self.nprimal], state[self.nprimal:]
 
     def _forward(self, state, omega):
-        """The primal update and the intermediates its VJP reads."""
         ctx = self.prepare(omega)
         beta, w = ctx["beta"], ctx["w"]
         u, lam = self.split_state(state)
@@ -565,20 +572,18 @@ class AlmOperator:
             xL = -c[L] / _col(d, u[L])
             tL = w[L] / d
             up[L] = soft_threshold(xL, _col(tL, xL))
-        return ctx, u, lam, b, c, xL, tL, up
+        feas = self.A @ up - b
+        return (np.concatenate([up, lam + beta * feas], axis=0),
+                (ctx, u, b, c, xL, tL, up, feas))
 
-    def apply(self, state, omega):
-        ctx, _, lam, b, _, _, _, up = self._forward(state, omega)
-        return np.concatenate([up, lam + ctx["beta"] * (self.A @ up - b)], axis=0)
-
-    def apply_vjp(self, state, omega, cot, grad):
-        ctx, u, lam, b, c, xL, tL, up = self._forward(state, omega)
+    def _vjp(self, res, omega, cot, grad):
+        ctx, u, b, c, xL, tL, up, feas = res
         beta, w = ctx["beta"], ctx["w"]
         S, L = self._smooth, self._l1
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
         # lam+ = lam + beta (A u+ - b)
         cup = cu_out + beta * (self.A.T @ clam_out)
-        dbeta = np.sum(clam_out * (self.A @ up - b))
+        dbeta = np.sum(clam_out * feas)
         # cotangents of c and of diag(K); K = quad + diag(gd) + (1 - ell) beta A^T A
         dc = np.zeros_like(u)
         dgd = np.zeros(self.nprimal)
@@ -648,7 +653,7 @@ class AlmOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DladmmOperator:
+class DladmmOperator(_Operator):
     """Three-block linearized ADMM update for kappa-weighted l1 recovery.
 
     State columns are (u1, u2, lam) with u1 in R^n, u2 and lam in R^m:
@@ -703,15 +708,11 @@ class DladmmOperator:
         if k1 < 0 or k2 < 0:
             raise ContractError("kappa weights must be nonnegative")
 
-    def contraction_factor(self, omega):
-        return 1.0
-
     def split_state(self, state):
         n, m = self.n, self.m
         return state[:n], state[n:n + m], state[n + m:]
 
     def _forward(self, state, omega):
-        """(params, intermediates the VJP reads, output blocks) of the update."""
         beta, gamma, rho1, rho2, k1, k2 = params = self._params(omega)
         u1, u2, lam = self.split_state(state)
         b = _match_b(self.bvec, lam)
@@ -724,14 +725,11 @@ class DladmmOperator:
         x2 = u2 - (beta / rho2) * r2
         v2 = soft_threshold(x2, k2 / rho2)
         feas = Qv1 + v2 - b
-        return params, (lam, Qtr, x1, r2, x2, feas), (v1, v2, lam + gamma * beta * feas)
+        return (np.concatenate((v1, v2, lam + gamma * beta * feas), axis=0),
+                (params, lam, Qtr, x1, r2, x2, feas))
 
-    def apply(self, state, omega):
-        return np.concatenate(self._forward(state, omega)[2], axis=0)
-
-    def apply_vjp(self, state, omega, cot, grad):
-        params, (lam, Qtr, x1, r2, x2, feas), _ = self._forward(state, omega)
-        beta, gamma, rho1, rho2, k1, k2 = params
+    def _vjp(self, res, omega, cot, grad):
+        (beta, gamma, rho1, rho2, k1, k2), lam, Qtr, x1, r2, x2, feas = res
         c1, c2, cl = self.split_state(cot)
 
         dv2 = c2 + gamma * beta * cl
@@ -792,16 +790,17 @@ _NONLINEARITIES = {
 
 
 @dataclass
-class NetOperator:
+class NetOperator(_Operator):
     """Stack of affine layers with a 1-Lipschitz componentwise nonlinearity.
 
     Layer matrices live in omega slices (role layer-matrix) and are
     expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L);
-    apply() checks the certificate once per omega object and rejects
-    unnormalized layers unless ``enforce_certificate`` is switched off
-    (the normalization-ablation mode).  ``conjugate`` is a diagonal-metric
-    spec, as ``gdiag`` is elsewhere: a fixed (dim,) diagonal, the name of
-    a metric-diagonal omega slice, or None for ones (which change nothing).
+    the forward pass, of apply and apply_vjp alike, checks the certificate
+    once per omega object and rejects unnormalized layers unless
+    ``enforce_certificate`` is switched off (the normalization-ablation
+    mode).  ``conjugate`` is a diagonal-metric spec, as ``gdiag`` is
+    elsewhere: a fixed (dim,) diagonal, the name of a metric-diagonal
+    omega slice, or None for ones (which change nothing).
     The whole map is conjugated as H^{-1/2} D H^{1/2} so it is
     non-expansive in the H-metric.
     """
@@ -861,11 +860,9 @@ class NetOperator:
                     "call renormalize_for(op, omega) first")
         self._certified = omega
 
-    def contraction_factor(self, omega):
-        return math.prod(spectral_norm_estimate(W) for W, _ in self._layers(omega))
-
     def _forward(self, state, omega):
-        """Conjugation diagonal g, its root, the layers, pre-activations and activations."""
+        if self.enforce_certificate and omega is not self._certified:
+            self.validate_omega(omega)
         phi, _ = _NONLINEARITIES[self.nonlinearity]
         g = _diag(omega, self.conjugate, self.dim)
         r = np.sqrt(g)
@@ -875,17 +872,11 @@ class NetOperator:
             pre.append(W @ z + _col(bb, z))
             z = phi(pre[-1])
             acts.append(z)
-        return g, r, layers, pre, acts
+        return z / _col(r, z), (state, g, r, layers, pre, acts)
 
-    def apply(self, state, omega):
-        if self.enforce_certificate and omega is not self._certified:
-            self.validate_omega(omega)
-        _, r, _, _, acts = self._forward(state, omega)
-        return acts[-1] / _col(r, acts[-1])
-
-    def apply_vjp(self, state, omega, cot, grad):
+    def _vjp(self, res, omega, cot, grad):
         _, dphi = _NONLINEARITIES[self.nonlinearity]
-        g, r, layers, pre, acts = self._forward(state, omega)
+        state, g, r, layers, pre, acts = res
         # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
         cz = cot / _col(r, cot)
         _acc(grad, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
@@ -943,7 +934,7 @@ def normalize_net(omega, rho_bar):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CompositeOperator:
+class CompositeOperator(_Operator):
     """Right-to-left composition: members[0] is the outermost map.
 
     The composite metric H is the outermost member's metric.  A
@@ -981,44 +972,50 @@ class CompositeOperator:
                     f"member {i} ({type(m).__name__}) must be conjugated to the composite "
                     "metric, its outermost member's")
 
-    def contraction_factor(self, omega):
-        f = 1.0
-        for m in self.members:
-            f *= m.contraction_factor(omega)
-        return f
-
-    def apply(self, state, omega):
-        z = state
+    def _forward(self, state, omega):
+        """The innermost member runs first; ``res`` holds each member's, in that order."""
+        z, res = state, []
         for m in reversed(self.members):
-            z = m.apply(z, omega)
-        return z
+            z, r = m._forward(z, omega)
+            res.append(r)
+        return z, res
 
-    def apply_vjp(self, state, omega, cot, grad):
-        # the input of every member; the outermost member's output is never read
-        inter = [state]
-        for m in reversed(self.members[1:]):
-            inter.append(m.apply(inter[-1], omega))
+    def _vjp(self, res, omega, cot, grad):
         cz = cot
-        for m, z in zip(self.members, reversed(inter)):
-            cz = m.apply_vjp(z, omega, cz, grad)
+        for m, r in zip(self.members, reversed(res)):
+            cz = m._vjp(r, omega, cz, grad)
         return cz
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
         self.members[0].metric_quad_vjp(omega, x, y, grad, scale)
 
 
+def _nets(op):
+    """The network members of ``op``: a composite's members are walked, and
+    any other operator is its own single member."""
+    members = op.members if isinstance(op, CompositeOperator) else (op,)
+    return [m for m in members if isinstance(m, NetOperator)]
+
+
+def contraction_factor(op, omega):
+    """The certified Lipschitz factor of ``op`` at omega in its metric.
+
+    PG, ALM and DLADMM are certified non-expansive (factor 1), so the
+    factor is the product of the layer norms of the network members.
+    """
+    return math.prod(spectral_norm_estimate(W) for net in _nets(op) for W, _ in net._layers(omega))
+
+
 def renormalize_for(op, omega):
     """Re-run spectral normalization for every network member of ``op``.
 
     Called after each hyper-parameter update so the per-layer Lipschitz
-    certificates stay valid during training.  A composite's members are
-    walked, and any other operator is its own single member.  Each net's
-    layers are held to that net's own budget, so the returned omega
-    certifies every net, which takes it as certified.  Operators without
-    network members return omega unchanged.
+    certificates stay valid during training.  Each net's layers are held
+    to that net's own budget, so the returned omega certifies every net,
+    which takes it as certified.  Operators without network members
+    return omega unchanged.
     """
-    members = op.members if isinstance(op, CompositeOperator) else (op,)
-    nets = [m for m in members if isinstance(m, NetOperator)]
+    nets = _nets(op)
     for net in nets:
         omega = _rescale_layers(omega, net.weight_names, net.budget)
     for net in nets:

@@ -22,7 +22,7 @@ from .hypergrad import LossDescriptor
 from .metric import MetricMatrix, spectral_norm_estimate
 from .operators import (AlmOperator, CompositeOperator, DladmmOperator,
                         NetOperator, OmegaBox, PgOperator, make_hyperparams,
-                        normalize_net)
+                        renormalize_for)
 
 PRNG_NAME = "philox4x64"
 MAGIC = b"GKMBMO-INSTANCE1"
@@ -305,13 +305,13 @@ def build_deconv_operator(inst, net_widths=(), net_rho_bar=1.0, seed=0, identity
         parts.append((f"b{i}", bl, "layer-bias"))
         wnames.append(f"W{i}")
         bnames.append(f"b{i}")
-    omega0 = normalize_net(make_hyperparams(parts), net_rho_bar)
     pg = PgOperator(dim=n, quad=P, lin=q, l1_weights=np.ones(n), gamma=1.0,
                     gdiag="gdiag", thresh="kappa")
     net = NetOperator(dim=n, weight_names=tuple(wnames), bias_names=tuple(bnames),
                       widths=widths, nonlinearity="identity" if identity_net else "tanh",
                       rho_bar=net_rho_bar, conjugate="gdiag")
     op = CompositeOperator(members=(pg, net))
+    omega0 = renormalize_for(op, make_hyperparams(parts))
     lo = np.concatenate([np.full(n, g_lo), [1e-4],
                          np.full(omega0.dim - n - 1, -np.inf)])
     hi = np.concatenate([np.full(n, 10.0 * max(Lf, 1e-6)), [5.0],

@@ -117,13 +117,6 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="hypergradient diverged at outer step 0"):
             train(op, LossDescriptor("squared_error", 1), om, cfg)
 
-    def test_adam_option_runs(self, rng):
-        op, om, loss, bounds = small_dladmm(rng)
-        cfg = BmoConfig(alpha=0.5, mu=0.5, s=1e-3, gamma=0.01, K=3, T=3,
-                        omega_bounds=bounds, optimizer="adam")
-        report = train(op, loss, om, cfg)
-        assert len(report.trajectory.outer) == 3
-
 
 class TestEvaluatePhiK:
     def test_k_zero_zero_loss(self):

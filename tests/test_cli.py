@@ -218,6 +218,8 @@ MALFORMED_VALUES = {
     "fdcheck_tolerance_zero": ("fdcheck", "fdcheck.tolerance = 0", None, "fdcheck.tolerance"),
     "grad_through_metric_removed": ("train", "bmo.grad_through_metric = false", None,
                                     "unknown config field 'bmo.grad_through_metric'"),
+    "optimizer_removed": ("train", "bmo.optimizer = gd", None,
+                          "unknown config field 'bmo.optimizer'"),
 }
 
 

@@ -10,7 +10,8 @@ from gkmbmo.hypergrad import km_iterate
 from gkmbmo.metric import h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
                               HyperParams, NetOperator, ParamSlice, PgOperator,
-                              apply_T, make_hyperparams, normalize_net, renormalize_for)
+                              apply_T, contraction_factor, make_hyperparams, normalize_net,
+                              renormalize_for)
 from gkmbmo.tasks import build_deconv_operator, gen_deconv
 
 
@@ -528,6 +529,12 @@ class TestNet:
         with pytest.raises(ContractError):
             op.apply(rng.standard_normal(3), om)
 
+    def test_vjp_checks_the_certificate(self, rng):
+        # apply_vjp runs the same forward pass as apply, certificate check included
+        om = net_omega([2.0 * np.eye(3)], [np.zeros(3)])
+        with pytest.raises(ContractError, match="exceeds the per-layer budget"):
+            net_op(3, [3, 3]).apply_vjp(rng.standard_normal(3), om, np.ones(3), np.zeros(om.dim))
+
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
         H = op.metric(net_omega([np.eye(2)], [np.zeros(2)]))
@@ -853,7 +860,7 @@ class TestComposite:
         comp = CompositeOperator(members=(pg, net))
         fd_vjp_check(comp, rng.standard_normal(3), om, rng)
 
-    def test_vjp_skips_outermost_apply(self, rng, monkeypatch):
+    def test_vjp_runs_each_member_forward_once(self, rng, monkeypatch):
         om = make_hyperparams([("W0", 0.5 * np.eye(2), "layer-matrix"),
                                ("b0", np.zeros(2), "layer-bias"),
                                ("W1", 0.5 * np.eye(2), "layer-matrix"),
@@ -863,10 +870,13 @@ class TestComposite:
         comp = CompositeOperator(members=(outer, inner))
         calls = {"outer": 0, "inner": 0}
         for key, m in (("outer", outer), ("inner", inner)):
-            monkeypatch.setattr(m, "apply", lambda z, omega, _f=m.apply, _k=key:
+            monkeypatch.setattr(m, "_forward", lambda z, omega, _f=m._forward, _k=key:
                                 calls.__setitem__(_k, calls[_k] + 1) or _f(z, omega))
+            for name in ("apply", "apply_vjp"):
+                monkeypatch.setattr(m, name, lambda *args, _n=name:
+                                    pytest.fail(f"the composite called a member's {_n}"))
         cs = comp.apply_vjp(rng.standard_normal(2), om, np.ones(2), np.zeros(om.dim))
-        assert calls == {"outer": 0, "inner": 1}
+        assert calls == {"outer": 1, "inner": 1}
         np.testing.assert_allclose(cs, 0.25 * np.ones(2))
 
 
@@ -1046,7 +1056,7 @@ class TestApplyT:
         W = rng.standard_normal((3, 3))
         om = normalize_net(net_omega([W], [rng.standard_normal(3) * 0.3]), 0.8)
         op = net_op(3, [3, 3], nonlinearity="tanh", rho_bar=0.8)
-        assert op.contraction_factor(om) <= 0.8 + 1e-9
+        assert contraction_factor(op, om) <= 0.8 + 1e-9
         cfg = BmoConfig(alpha=0.6)
         xs = []
         for start in (rng.standard_normal(3) * 5, rng.standard_normal(3) * 5):

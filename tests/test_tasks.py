@@ -283,6 +283,28 @@ class TestLowerBoundMetric:
             lam = np.linalg.eigvalsh(H - _dense(bundle.h_lb))[0]
             assert lam / np.linalg.norm(H, 2) >= -1e-10
 
+    def test_h_monotone_toward_the_corner(self, bundle):
+        # the corner is H-lowest because d<x, H x>/domega has one sign per slice
+        # over the box: <= 0 for beta and gamma, >= 0 for every rho and metric
+        # diagonal, and 0 for slices that do not enter H
+        rng = np.random.default_rng(21)
+        lo, hi = bundle.bounds.lower, bundle.bounds.upper
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        for _ in range(20):
+            values = rng.uniform(np.where(finite, lo, 0.0), np.where(finite, hi, 0.0))
+            om = bundle.omega0.with_values(np.where(finite, values, bundle.omega0.values))
+            x = rng.standard_normal(bundle.op.dim)
+            grad = np.zeros(om.dim)
+            bundle.op.metric_quad_vjp(om, x, x, grad, 1.0)
+            for s in om.layout:
+                g = grad[s.offset:s.offset + s.size]
+                if s.name in tasks._H_LOWERING_UPPER_END:
+                    assert np.all(g <= 0), s.name
+                elif s.role in ("penalty", "metric-diagonal"):
+                    assert np.all(g >= 0), s.name
+                else:
+                    assert np.all(g == 0), s.name
+
 
 class TestMetrics:
     def test_psnr_identical_inf(self, rng):
