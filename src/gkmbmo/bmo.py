@@ -164,6 +164,7 @@ def train(op, loss, omega0, cfg):
         if not math.isfinite(phi) or abs(phi) > DIVERGENCE_LIMIT:
             raise DivergenceError(f"phi_K diverged at outer step {t}", outer_step=t)
         grad = hypergradient(tape)
+        del tape  # so step t + 1 builds its tape while no other is held
         gnorm = float(np.linalg.norm(grad))
         if not math.isfinite(gnorm):
             raise DivergenceError(f"hypergradient diverged at outer step {t}", outer_step=t)
@@ -226,13 +227,10 @@ def stationarity_probe(op, loss, omega, cfg, K_list):
             f"stationarity probe requires a contractive operator (certified factor {factor:g})")
     if cfg.domain is not None:
         raise ContractError("stationarity probe assumes an unconstrained training variable")
-    out = []
-    for K in K_list:
-        c = replace(cfg, K=int(K))
-        _, tape, _ = inner_loop(op, loss, omega, c, record=False)
-        out.append((int(K), float(np.linalg.norm(hypergradient(tape)))))
+
+    def grad_norm(K):
+        _, tape, _ = inner_loop(op, loss, omega, replace(cfg, K=K), record=False)
+        return float(np.linalg.norm(hypergradient(tape)))
+
     K_ref = 10 * max(int(k) for k in K_list)
-    c = replace(cfg, K=K_ref)
-    _, tape, _ = inner_loop(op, loss, omega, c, record=False)
-    proxy = (K_ref, float(np.linalg.norm(hypergradient(tape))))
-    return out, proxy
+    return [(int(K), grad_norm(int(K))) for K in K_list], (K_ref, grad_norm(K_ref))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractError, DivergenceError
 from .metric import (MetricMatrix, h_norm, h_project, min_eigen_estimate,
                      spectral_norm_estimate)
-from .operators import HyperParams, _match_b, apply_T
+from .operators import HyperParams, _match_b, apply_T, average
 
 DIVERGENCE_LIMIT = 1e12
 RECORD_CHUNK = 64     # 1-D iterates whose records are reduced together
@@ -107,9 +107,10 @@ class LossDescriptor:
         if self.kind == "squared_error":
             return z
         m, n = self.Q.shape
-        out = np.zeros_like(ref)
+        out = np.empty_like(ref)
         out[:n] = self.Q.T @ z
         out[n:n + m] = z
+        out[n + m:] = 0.0
         return out
 
     # interface ----------------------------------------------------------
@@ -151,15 +152,17 @@ class LossDescriptor:
 class TapeStep:
     """What the reverse sweep reads of inner step k.
 
-    u_prev is u^{k-1} and hinv_grad is H(omega)^{-1} grad l(u^{k-1}); u^k is
-    the next step's u_prev (the tape's uK after the last step).  A box
-    clamp leaves a coordinate strictly inside the box exactly when the
-    point it clamped was, so u^k also gives the projection's mask.
+    res is what the operator's forward pass D(u^{k-1}) kept for its VJP,
+    and hinv_grad is H(omega)^{-1} grad l(u^{k-1}); the iterate u^{k-1}
+    itself is not kept.  With a box domain, interior is the bool mask of
+    the coordinates of u^k strictly inside the box, where the clamp's
+    derivative is one; without one it is None.
     """
 
     s_k: float
-    u_prev: np.ndarray
+    res: object
     hinv_grad: np.ndarray
+    interior: Optional[np.ndarray]
 
 
 @dataclass
@@ -198,14 +201,16 @@ class Tape:
 def _gkm_step(op, loss, omega, cfg, H, s_k, u):
     """One aggregated inner step from u.
 
-    Returns (T(u), H^{-1} grad l(u), u'); cfg supplies alpha, mu and U.
-    Without a loss the step is mu = 0, u' = Proj_U(T(u)).
+    Returns (T(u), H^{-1} grad l(u), u', res), with res what the forward
+    pass D(u) kept for its VJP; cfg supplies alpha, mu and U.  Without a
+    loss the step is mu = 0, u' = Proj_U(T(u)).
     """
-    v_l = apply_T(op, u, omega, cfg)
+    d, res = op.forward(u, omega)
+    v_l = average(u, d, cfg)
     if loss is None:
-        return v_l, None, h_project(H, cfg.domain, v_l)
+        return v_l, None, h_project(H, cfg.domain, v_l), res
     hg = H.solve(loss.grad_u(u))
-    return v_l, hg, h_project(H, cfg.domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l)
+    return v_l, hg, h_project(H, cfg.domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l), res
 
 
 def _record(ks, hlb, res, u, u_prev, loss, columns=False):
@@ -302,14 +307,15 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
-        v_l, hg, u_next = _gkm_step(op, loss, omega, cfg, H, s_k, u)
+        v_l, hg, u_next, res = _gkm_step(op, loss, omega, cfg, H, s_k, u)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
             recorder.add(k - 1, u, v_l, u_prev)
         if not np.max(np.abs(u_next)) <= DIVERGENCE_LIMIT:  # NaN fails it, +-inf exceeds it
             raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
         if build_tape:
-            steps.append(TapeStep(s_k, u, hg))
+            interior = None if cfg.domain is None else cfg.domain.interior(u_next)
+            steps.append(TapeStep(s_k, res, hg, interior))
         u_prev, u = u, u_next
     if record and cfg.K >= 1:
         recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
@@ -355,14 +361,12 @@ def hypergradient(tape, corrupt_rule=False):
     cu = loss.grad_u(tape.uK)
     go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
     hess_scale = 0.5 if corrupt_rule else 1.0
-    u_k = tape.uK  # u^k, the iterate written by the step being reversed
     for st in reversed(tape.steps):
-        if cfg.domain is not None:
-            cu = cfg.domain.interior(u_k) * cu  # the box clamp's almost-everywhere derivative
-        u_k = st.u_prev
+        if st.interior is not None:
+            cu = st.interior * cu  # the box clamp's almost-everywhere derivative
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu
-        cs = tape.op.apply_vjp(st.u_prev, omega, cfg.alpha * cvl, go)
+        cs = tape.op.apply_vjp(st.res, omega, cfg.alpha * cvl, go)
         cu = (1.0 - cfg.alpha) * cvl + cs
         hv = H.solve(cvu)
         cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(hv)

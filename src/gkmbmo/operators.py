@@ -21,14 +21,16 @@ States are numpy arrays of shape ``(dim,)`` or ``(dim, B)``; every apply
 is vectorized over trailing batch columns.  Each operator writes its map
 once, as a forward/reverse pair in the manner of a custom VJP:
 
-* ``_forward(state, omega) -> (out, res)`` computes the output D(state)
+* ``forward(state, omega) -> (out, res)`` computes the output D(state)
   and ``res``, the intermediates the reverse rule reads;
-* ``_vjp(res, omega, cot, grad)`` adds cot^T dD/domega into ``grad`` and
-  returns the state cotangent cot^T dD/dstate.
+* ``apply_vjp(res, omega, cot, grad)`` adds cot^T dD/domega into ``grad``
+  and returns the state cotangent cot^T dD/dstate.
 
-``apply`` and ``apply_vjp(state, omega, cot, grad)`` are written once on
-``_Operator`` over that pair, so a VJP runs the forward exactly once, and
-a composite chains its members' pairs.  The second reverse rule,
+``apply`` is ``forward(...)[0]``, written once on ``_Operator``.  A VJP
+reads the ``res`` its forward kept and runs no forward pass, and a
+composite chains its members' pairs.  A residual holds no view of the
+state, which would keep the whole state alive, and a soft threshold keeps
+only the int8 sign of its output.  The second reverse rule,
 ``metric_quad_vjp(omega, x, y, grad, scale)``, adds
 scale * d<x, H(omega) y>/domega into ``grad`` and returns nothing.  Both
 add into one omega gradient that the caller owns.
@@ -180,8 +182,8 @@ class OmegaBox:
                     and np.all(values <= _col(self.upper, values) + tol))
 
     def interior(self, values):
-        """1.0 where a coordinate lies strictly inside its bounds, else 0.0."""
-        return ((values > _col(self.lower, values)) & (values < _col(self.upper, values))).astype(float)
+        """True where a coordinate lies strictly inside its bounds."""
+        return (values > _col(self.lower, values)) & (values < _col(self.upper, values))
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +267,40 @@ def _acc(grad, omega, spec, value, scale=1.0):
         grad[s.offset:s.offset + s.size] += scale * value.reshape(-1)
 
 
-def _soft_threshold_vjp(x, t, cot):
-    """Cotangents of soft_threshold(x, t) w.r.t. x and t, both shaped like x."""
-    mask = (np.abs(x) > t).astype(float)
-    return mask * cot, -np.sign(x) * mask * cot
+def _survivor_sign(v):
+    """The int8 sign of a soft-threshold output v = soft_threshold(x, t).
+
+    It is sign(x) where |x| > t and 0 elsewhere, all that the reverse
+    rule reads of x and t, in one byte per entry.
+    """
+    return np.sign(v).astype(np.int8)
+
+
+def _soft_threshold_vjp(sgn, cot):
+    """Cotangents of soft_threshold(x, t) w.r.t. x and t, from its survivor sign."""
+    return (sgn != 0) * cot, -sgn * cot
 
 
 # ---------------------------------------------------------------------------
 # GKM averaging
 # ---------------------------------------------------------------------------
 
+def average(state, d, cfg):
+    """T(u) = u + alpha (D(u) - u), the averaged fixed-point update, given
+    d = D(u); cfg supplies alpha."""
+    return state + cfg.alpha * (d - state)
+
+
 def apply_T(op, state, omega, cfg):
-    """T(u) = u + alpha (D(u) - u): the averaged fixed-point update; cfg supplies alpha."""
-    return state + cfg.alpha * (op.apply(state, omega) - state)
+    """T(u), with D(u) from ``op.apply``."""
+    return average(state, op.apply(state, omega), cfg)
 
 
 class _Operator:
-    """``apply`` and ``apply_vjp`` over a subclass's ``_forward``/``_vjp`` pair."""
+    """``apply`` over a subclass's ``forward``."""
 
     def apply(self, state, omega):
-        return self._forward(state, omega)[0]
-
-    def apply_vjp(self, state, omega, cot, grad):
-        return self._vjp(self._forward(state, omega)[1], omega, cot, grad)
+        return self.forward(state, omega)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +373,24 @@ class PgOperator(_Operator):
             raise ContractError("threshold weights must be nonnegative")
 
     # evaluation ------------------------------------------------------
-    def _forward(self, state, omega):
+    def forward(self, state, omega):
         gam = _resolve(omega, self.gamma)
         g = _diag(omega, self.gdiag, self.dim)
         gf = self._grad_f(state)
         x = state - gam * gf / _col(g, state)
         w = self._weights(omega)
         if w is None:
-            return x, (gam, g, gf, x, None)
-        thr = _col(gam * w / g, x)
-        return soft_threshold(x, thr), (gam, g, gf, x, thr)
+            return x, (gam, g, gf, None)
+        v = soft_threshold(x, _col(gam * w / g, x))
+        return v, (gam, g, gf, _survivor_sign(v))
 
-    def _vjp(self, res, omega, cot, grad):
-        gam, g, gf, x, thr = res
-        gcol = _col(g, x)
-        if thr is None:
+    def apply_vjp(self, res, omega, cot, grad):
+        gam, g, gf, sgn = res
+        gcol = _col(g, gf)
+        if sgn is None:
             dx = np.asarray(cot, dtype=float)
         else:
-            dx, dthr = _soft_threshold_vjp(x, thr, cot)
+            dx, dthr = _soft_threshold_vjp(sgn, cot)
             dthr = _colsum(dthr)
             # thr_i = gam * w0_i * c / g_i
             c = _resolve(omega, self.thresh, 1.0)
@@ -549,7 +562,7 @@ class AlmOperator(_Operator):
     def split_state(self, state):
         return state[:self.nprimal], state[self.nprimal:]
 
-    def _forward(self, state, omega):
+    def forward(self, state, omega):
         ctx = self.prepare(omega)
         beta, w = ctx["beta"], ctx["w"]
         u, lam = self.split_state(state)
@@ -566,18 +579,19 @@ class AlmOperator(_Operator):
         up = np.empty_like(u)
         if S.size:
             up[S] = ctx["Kss_inv"] @ -c[S]
-        xL = tL = None
+        sgn = None
         if L.size:
             d = ctx["dL"]
             xL = -c[L] / _col(d, u[L])
-            tL = w[L] / d
-            up[L] = soft_threshold(xL, _col(tL, xL))
+            up[L] = soft_threshold(xL, _col(w[L] / d, xL))
+            sgn = _survivor_sign(up[L])
         feas = self.A @ up - b
+        # u is a view of the state: the copy keeps the rest of it off the residual
         return (np.concatenate([up, lam + beta * feas], axis=0),
-                (ctx, u, b, c, xL, tL, up, feas))
+                (ctx, u.copy(), b, c, sgn, up, feas))
 
-    def _vjp(self, res, omega, cot, grad):
-        ctx, u, b, c, xL, tL, up, feas = res
+    def apply_vjp(self, res, omega, cot, grad):
+        ctx, u, b, c, sgn, up, feas = res
         beta, w = ctx["beta"], ctx["w"]
         S, L = self._smooth, self._l1
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
@@ -593,9 +607,9 @@ class AlmOperator(_Operator):
             dgd[S] = -_colsum(ws * up[S])
         if L.size:
             d = ctx["dL"]
-            dxL, dthr = _soft_threshold_vjp(xL, _col(tL, xL), cup[L])
+            dxL, dthr = _soft_threshold_vjp(sgn, cup[L])
             dthr = _colsum(dthr)
-            dc[L] = -dxL / _col(d, u[L])
+            dc[L] = -dxL / _col(d, dxL)
             # x_i = -c_i / d_i, t_i = w_i / d_i, d_i = K_ii; w_i = base_i * kappa_group
             dgd[L] = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
             for name, gmask in self.thresh_groups:
@@ -712,24 +726,23 @@ class DladmmOperator(_Operator):
         n, m = self.n, self.m
         return state[:n], state[n:n + m], state[n + m:]
 
-    def _forward(self, state, omega):
+    def forward(self, state, omega):
         beta, gamma, rho1, rho2, k1, k2 = params = self._params(omega)
         u1, u2, lam = self.split_state(state)
         b = _match_b(self.bvec, lam)
         e = lam / beta
         Qtr = self.Q.T @ (self.Q @ u1 + u2 - b + e)
-        x1 = u1 - (beta / rho1) * Qtr
-        v1 = soft_threshold(x1, k1 / rho1)
+        v1 = soft_threshold(u1 - (beta / rho1) * Qtr, k1 / rho1)
         Qv1 = self.Q @ v1
         r2 = Qv1 + u2 - b + e
-        x2 = u2 - (beta / rho2) * r2
-        v2 = soft_threshold(x2, k2 / rho2)
+        v2 = soft_threshold(u2 - (beta / rho2) * r2, k2 / rho2)
         feas = Qv1 + v2 - b
+        # lam is a view of the state: the copy keeps the rest of it off the residual
         return (np.concatenate((v1, v2, lam + gamma * beta * feas), axis=0),
-                (params, lam, Qtr, x1, r2, x2, feas))
+                (params, lam.copy(), Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
 
-    def _vjp(self, res, omega, cot, grad):
-        (beta, gamma, rho1, rho2, k1, k2), lam, Qtr, x1, r2, x2, feas = res
+    def apply_vjp(self, res, omega, cot, grad):
+        (beta, gamma, rho1, rho2, k1, k2), lam, Qtr, sgn1, r2, sgn2, feas = res
         c1, c2, cl = self.split_state(cot)
 
         dv2 = c2 + gamma * beta * cl
@@ -737,22 +750,24 @@ class DladmmOperator(_Operator):
         _acc(grad, omega, self.gamma, beta * ip_feas)
         _acc(grad, omega, self.beta, gamma * ip_feas)
 
-        dx2, dt2 = _soft_threshold_vjp(x2, k2 / rho2, dv2)
+        dx2, dt2 = _soft_threshold_vjp(sgn2, dv2)
         s2 = float(np.sum(dt2))
         _acc(grad, omega, self.kappa2, s2 / rho2)
         _acc(grad, omega, self.rho2, -s2 * k2 / rho2 ** 2)
         dr2 = -(beta / rho2) * dx2
-        _acc(grad, omega, self.beta, -np.sum(dx2 * r2) / rho2)
-        _acc(grad, omega, self.rho2, np.sum(dx2 * r2) * beta / rho2 ** 2)
+        ip_r2 = np.sum(dx2 * r2)
+        _acc(grad, omega, self.beta, -ip_r2 / rho2)
+        _acc(grad, omega, self.rho2, ip_r2 * beta / rho2 ** 2)
         dv1 = c1 + gamma * beta * (self.Q.T @ cl) + self.Q.T @ dr2
 
-        dx1, dt1 = _soft_threshold_vjp(x1, k1 / rho1, dv1)
+        dx1, dt1 = _soft_threshold_vjp(sgn1, dv1)
         s1 = float(np.sum(dt1))
         _acc(grad, omega, self.kappa1, s1 / rho1)
         _acc(grad, omega, self.rho1, -s1 * k1 / rho1 ** 2)
         dr = -(beta / rho1) * (self.Q @ dx1)
-        _acc(grad, omega, self.beta, -np.sum(dx1 * Qtr) / rho1)
-        _acc(grad, omega, self.rho1, np.sum(dx1 * Qtr) * beta / rho1 ** 2)
+        ip_qtr = np.sum(dx1 * Qtr)
+        _acc(grad, omega, self.beta, -ip_qtr / rho1)
+        _acc(grad, omega, self.rho1, ip_qtr * beta / rho1 ** 2)
 
         de = dr2 + dr
         _acc(grad, omega, self.beta, -np.sum(de * lam) / beta ** 2)
@@ -795,12 +810,13 @@ class NetOperator(_Operator):
 
     Layer matrices live in omega slices (role layer-matrix) and are
     expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L);
-    the forward pass, of apply and apply_vjp alike, checks the certificate
-    once per omega object and rejects unnormalized layers unless
-    ``enforce_certificate`` is switched off (the normalization-ablation
-    mode).  ``conjugate`` is a diagonal-metric spec, as ``gdiag`` is
-    elsewhere: a fixed (dim,) diagonal, the name of a metric-diagonal
-    omega slice, or None for ones (which change nothing).
+    ``forward`` checks the certificate once per omega object, so no
+    residual exists for an uncertified omega, and rejects unnormalized
+    layers unless ``enforce_certificate`` is switched off (the
+    normalization-ablation mode).  ``conjugate`` is a diagonal-metric
+    spec, as ``gdiag`` is elsewhere: a fixed (dim,) diagonal, the name of
+    a metric-diagonal omega slice, or None for ones (which change
+    nothing).
     The whole map is conjugated as H^{-1/2} D H^{1/2} so it is
     non-expansive in the H-metric.
     """
@@ -860,7 +876,7 @@ class NetOperator(_Operator):
                     "call renormalize_for(op, omega) first")
         self._certified = omega
 
-    def _forward(self, state, omega):
+    def forward(self, state, omega):
         if self.enforce_certificate and omega is not self._certified:
             self.validate_omega(omega)
         phi, _ = _NONLINEARITIES[self.nonlinearity]
@@ -874,7 +890,7 @@ class NetOperator(_Operator):
             acts.append(z)
         return z / _col(r, z), (state, g, r, layers, pre, acts)
 
-    def _vjp(self, res, omega, cot, grad):
+    def apply_vjp(self, res, omega, cot, grad):
         _, dphi = _NONLINEARITIES[self.nonlinearity]
         state, g, r, layers, pre, acts = res
         # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
@@ -972,18 +988,18 @@ class CompositeOperator(_Operator):
                     f"member {i} ({type(m).__name__}) must be conjugated to the composite "
                     "metric, its outermost member's")
 
-    def _forward(self, state, omega):
+    def forward(self, state, omega):
         """The innermost member runs first; ``res`` holds each member's, in that order."""
         z, res = state, []
         for m in reversed(self.members):
-            z, r = m._forward(z, omega)
+            z, r = m.forward(z, omega)
             res.append(r)
         return z, res
 
-    def _vjp(self, res, omega, cot, grad):
+    def apply_vjp(self, res, omega, cot, grad):
         cz = cot
         for m, r in zip(self.members, reversed(res)):
-            cz = m._vjp(r, omega, cz, grad)
+            cz = m.apply_vjp(r, omega, cz, grad)
         return cz
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):

@@ -22,7 +22,7 @@ def fd_vjp_check(op, state, omega, rng, h=1e-6, rtol=1e-5, ndirs=4):
     """
     cot = rng.standard_normal(op.apply(state, omega).shape)
     an_omega = np.zeros(omega.dim)
-    an_state = op.apply_vjp(state, omega, cot, an_omega)
+    an_state = op.apply_vjp(op.forward(state, omega)[1], omega, cot, an_omega)
     worst = 0.0
     for _ in range(ndirs):
         d = rng.standard_normal(state.shape)

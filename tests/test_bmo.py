@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,22 @@ class TestTrain:
         b0 = (tmp_path / "traj0.csv").read_bytes()
         b1 = (tmp_path / "traj1.csv").read_bytes()
         assert b0 == b1
+
+    def test_each_tape_dies_before_the_next_inner_loop(self, rng, monkeypatch):
+        op, om, loss, bounds = small_dladmm(rng)
+        inner, tapes = bmo.inner_loop, []
+
+        def tracking(*args, **kwargs):
+            assert all(ref() is None for ref in tapes), "an earlier step's tape is alive"
+            out = inner(*args, **kwargs)
+            tapes.append(weakref.ref(out[1]))
+            return out
+
+        monkeypatch.setattr(bmo, "inner_loop", tracking)
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=1e-3, gamma=0.05, K=4, T=3,
+                        omega_bounds=bounds)
+        train(op, loss, om, cfg)
+        assert len(tapes) == 3
 
     @pytest.mark.parametrize("field", ["alpha", "mu", "s", "gamma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -11,6 +11,9 @@ from gkmbmo.hypergrad import (LossDescriptor, fd_hypergradient,
 from gkmbmo.metric import MetricMatrix, h_norm, min_eigen_estimate
 from gkmbmo.operators import (DladmmOperator, NetOperator, OmegaBox, PgOperator, apply_T,
                               make_hyperparams)
+from gkmbmo.tasks import (build_deconv_operator, build_separation_operator,
+                          build_sparse_coding_operator, gen_deconv, gen_separation,
+                          gen_sparse_coding)
 
 
 def identity_net(dim):
@@ -19,6 +22,16 @@ def identity_net(dim):
     om = make_hyperparams([("W0", np.eye(dim), "layer-matrix"),
                            ("b0", np.zeros(dim), "layer-bias")])
     return op, om
+
+
+def replayed_iterates(tape):
+    """u^0, ..., u^K of a tape, rebuilt by replaying its steps from ``tape.u0``."""
+    us = [tape.u0]
+    for st in tape.steps:
+        us.append(hypergrad._gkm_step(tape.op, tape.loss, tape.omega, tape.cfg,
+                                      tape.metric, st.s_k, us[-1])[2])
+    np.testing.assert_array_equal(us[-1], tape.uK)
+    return us
 
 
 def scaling_net(dim, factor, rho_bar=1.0):
@@ -280,15 +293,16 @@ class TestInnerLoop:
         lam = min_eigen_estimate(H)
         D = 2.0 * np.sqrt(dim)  # box diameter in the identity metric
         M = np.linalg.norm(np.maximum(np.abs(lo - target), np.abs(hi - target)))
-        # the tape keeps u^{k-1} and H^{-1} grad l(u^{k-1}) of each step k;
-        # u^k is the next step's u_prev and v_u^k = u^{k-1} - s_k H^{-1} grad l
+        # the tape keeps H^{-1} grad l(u^{k-1}) of each step k, and replaying
+        # it gives u^k; v_u^k = u^{k-1} - s_k H^{-1} grad l
         steps = tape.steps
-        u_next = [st.u_prev for st in steps[1:]] + [tape.uK]
-        v_u = [st.u_prev - st.s_k * st.hinv_grad for st in steps]
+        us = replayed_iterates(tape)
+        u_next = us[1:]
+        v_u = [u - st.s_k * st.hinv_grad for u, st in zip(us, steps)]
         for k in range(2, cfg.K - 1):
             lhs = h_norm(H, u_next[k] - u_next[k - 1]) ** 2
-            rhs = (h_norm(H, u_next[k - 1] - steps[k - 1].u_prev) ** 2
-                   + cfg.mu / (k + 1) ** 2 * h_norm(H, steps[k - 1].u_prev - v_u[k - 1]) ** 2
+            rhs = (h_norm(H, u_next[k - 1] - us[k - 1]) ** 2
+                   + cfg.mu / (k + 1) ** 2 * h_norm(H, us[k - 1] - v_u[k - 1]) ** 2
                    + 2 * cfg.mu * cfg.s * D * M / (lam * k * (k + 1)))
             assert lhs <= rhs + 1e-12
 
@@ -446,8 +460,8 @@ class TestHypergradient:
     def test_loss_free_tape_refused_before_first_apply(self, monkeypatch):
         op, om = scaling_net(2, 0.5)
         calls = []
-        apply = op.apply
-        monkeypatch.setattr(op, "apply", lambda *a: calls.append(1) or apply(*a))
+        forward = op.forward
+        monkeypatch.setattr(op, "forward", lambda *a: calls.append(1) or forward(*a))
         with pytest.raises(ContractError, match="without a loss"):
             inner_loop(op, None, om, BmoConfig(alpha=0.5, mu=0.5, s=0.5, K=3),
                        u0=np.ones(2), build_tape=True)
@@ -476,6 +490,108 @@ class TestKmIterate:
         for _ in range(3):
             want = np.clip(apply_T(op, want, om, cfg), -1.0, 1.0)
         np.testing.assert_array_equal(km_iterate(op, om, cfg, u0, 3)[0], want)
+
+
+# ---------------------------------------------------------------------------
+# tape residuals
+# ---------------------------------------------------------------------------
+
+TASKS = ["sparse_coding", "deconv", "separation"]   # DLADMM, PG + net, ALM
+
+
+def task_tape(task):
+    """The tape of 3 inner steps on a small bundle of ``task``."""
+    if task == "sparse_coding":
+        bundle = build_sparse_coding_operator(gen_sparse_coding(m=8, n=16, batch=3, seed=4))
+    elif task == "deconv":
+        bundle = build_deconv_operator(gen_deconv(n=16, seed=4), net_widths=(8,))
+    else:
+        bundle = build_separation_operator(gen_separation(n=12, seed=4))
+    bound = min_eigen_estimate(bundle.op.metric(bundle.omega0)) / bundle.loss.smoothness()
+    cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=3)
+    return inner_loop(bundle.op, bundle.loss, bundle.omega0, cfg, u0=bundle.u0)[1]
+
+
+def box_tape(case, rng):
+    """The box-domain tapes of TestHypergradient, whose clamps are active."""
+    if case == "clamped":
+        op, om = scaling_net(2, 0.5)
+        loss = LossDescriptor("squared_error", 2, target=np.array([2.0, 2.0]))
+        domain = OmegaBox(-np.ones(2), np.ones(2))
+        u0 = np.array([0.2, 1.6])
+    else:
+        op, om = scaling_net(3, 0.5)
+        loss = LossDescriptor("squared_error", 3, target=np.array([2.0, -2.0, 0.3]))
+        domain = OmegaBox(np.array([-1.0, -0.2, -3.0]), np.array([0.4, 1.0, 3.0]))
+        u0 = rng.uniform(-0.5, 0.5, (3, 3))
+    cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9 / loss.smoothness(), K=6, domain=domain)
+    return inner_loop(op, loss, om, cfg, u0=u0)[1]
+
+
+def recomputed_sweep(tape):
+    """The reverse sweep as it ran on u^{k-1} in place of residuals.
+
+    Each step's iterate is replayed from u0 and its forward pass runs
+    again, and the box mask is the float interior of u^k.
+    """
+    op, loss, om, cfg, H = tape.op, tape.loss, tape.omega, tape.cfg, tape.metric
+    us = replayed_iterates(tape)
+    cu = loss.grad_u(tape.uK)
+    go = np.zeros(om.dim)
+    for k in range(len(tape.steps), 0, -1):
+        st = tape.steps[k - 1]
+        if cfg.domain is not None:
+            cu = cfg.domain.interior(us[k]).astype(float) * cu
+        cvu = cfg.mu * cu
+        cvl = (1.0 - cfg.mu) * cu
+        cs = op.apply_vjp(op.forward(us[k - 1], om)[1], om, cfg.alpha * cvl, go)
+        cu = (1.0 - cfg.alpha) * cvl + cs
+        hv = H.solve(cvu)
+        cu = cu + cvu - st.s_k * loss.hess_vec(hv)
+        op.metric_quad_vjp(om, hv, st.hinv_grad, go, st.s_k)
+    return go
+
+
+def arrays_in(res):
+    """Every ndarray a residual holds, through its tuples, lists and dicts."""
+    if isinstance(res, np.ndarray):
+        return [res]
+    if isinstance(res, dict):
+        res = list(res.values())
+    if isinstance(res, (tuple, list)):
+        return [a for r in res for a in arrays_in(r)]
+    return []
+
+
+class TestTapeResiduals:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_sweep_runs_no_forward(self, task, monkeypatch):
+        tape = task_tape(task)
+        want = hypergradient(tape)
+        for m in getattr(tape.op, "members", ()) + (tape.op,):
+            for name in ("forward", "apply"):
+                monkeypatch.setattr(m, name, lambda *a, _n=name:
+                                    pytest.fail(f"the reverse sweep ran {_n}"))
+        np.testing.assert_array_equal(hypergradient(tape), want)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_sweep_bit_identical_to_recomputed_forward(self, task):
+        tape = task_tape(task)
+        np.testing.assert_array_equal(hypergradient(tape), recomputed_sweep(tape))
+
+    @pytest.mark.parametrize("case", ["clamped", "batched"])
+    def test_box_sweep_bit_identical_to_recomputed_forward(self, case, rng):
+        tape = box_tape(case, rng)
+        assert all(st.interior.dtype == bool for st in tape.steps)
+        assert not all(st.interior.all() for st in tape.steps)   # the clamp is active
+        np.testing.assert_array_equal(hypergradient(tape), recomputed_sweep(tape))
+
+    @pytest.mark.parametrize("task", ["sparse_coding", "separation"])
+    def test_residuals_hold_no_view_of_the_state(self, task):
+        # a view of one block would keep the whole iterate alive on the tape
+        tape = task_tape(task)
+        for u, st in zip(replayed_iterates(tape), tape.steps):
+            assert not any(np.shares_memory(a, u) for a in arrays_in(st.res))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +636,7 @@ def assert_records_close(got, want):
 
 
 class _Injecting:
-    """An operator whose n-th apply puts ``value`` into the first coordinate."""
+    """An operator whose n-th forward puts ``value`` into the first coordinate."""
 
     def __init__(self, op, n, value):
         self.op, self.n, self.value, self.calls = op, n, value, 0
@@ -528,13 +644,13 @@ class _Injecting:
     def __getattr__(self, name):
         return getattr(self.op, name)
 
-    def apply(self, state, omega):
-        out = self.op.apply(state, omega)
+    def forward(self, state, omega):
+        out, res = self.op.forward(state, omega)
         self.calls += 1
         if self.calls == self.n:
             out = out.copy()
             out[0] = self.value
-        return out
+        return out, res
 
 
 class TestChunkedRecords:
@@ -545,7 +661,7 @@ class TestChunkedRecords:
         op, om, loss, bound, u0 = dladmm_case(rng)
         cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=K)
         u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
-        iterates = [st.u_prev for st in tape.steps] + [u]
+        iterates = replayed_iterates(tape)
         want = per_step_records(op, om, cfg, op.metric(om), loss, iterates)
         assert len(recs) == K
         assert_records_close(as_rows(recs), want)
@@ -567,7 +683,7 @@ class TestChunkedRecords:
         op, om, loss, bound, u0 = dladmm_case(rng, batch=4)
         cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=70)
         u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
-        iterates = [st.u_prev for st in tape.steps] + [u]
+        iterates = replayed_iterates(tape)
         assert as_rows(recs) == per_step_records(op, om, cfg, op.metric(om), loss, iterates)
 
     @pytest.mark.parametrize("batch, K, calls", [(None, 130, 3), (None, 64, 1), (4, 5, 5)])

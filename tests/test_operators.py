@@ -11,7 +11,7 @@ from gkmbmo.metric import h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
                               HyperParams, NetOperator, ParamSlice, PgOperator,
                               apply_T, contraction_factor, make_hyperparams, normalize_net,
-                              renormalize_for)
+                              renormalize_for, soft_threshold)
 from gkmbmo.tasks import build_deconv_operator, gen_deconv
 
 
@@ -79,6 +79,30 @@ class TestHyperParams:
 
 
 # ---------------------------------------------------------------------------
+# soft threshold
+# ---------------------------------------------------------------------------
+
+def float_rule(x, t, cot):
+    """The soft-threshold VJP read off x and t: a float mask and sign(x)."""
+    mask = (np.abs(x) > t).astype(float)
+    return mask * cot, -np.sign(x) * mask * cot
+
+
+class TestSoftThreshold:
+    @pytest.mark.parametrize("thresholds", ["scalar", "zero", "per_row"])
+    def test_survivor_sign_vjp_equals_the_float_rule(self, thresholds, rng):
+        t = {"scalar": 0.5, "zero": 0.0, "per_row": rng.uniform(0.1, 1.0, (6, 1))}[thresholds]
+        edge = np.broadcast_to(t, (6, 1))
+        x = np.hstack([edge, -edge, np.zeros((6, 1)), np.nextafter(edge, np.inf),
+                       rng.standard_normal((6, 40))])
+        cot = rng.standard_normal(x.shape)
+        sgn = operators._survivor_sign(soft_threshold(x, t))
+        assert sgn.dtype == np.int8
+        for got, want in zip(operators._soft_threshold_vjp(sgn, cot), float_rule(x, t, cot)):
+            np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # proximal gradient operator
 # ---------------------------------------------------------------------------
 
@@ -140,11 +164,11 @@ class TestPg:
         U = rng.standard_normal((3, 5)) * 2.0
         cot = rng.standard_normal((3, 5))
         go = np.zeros(om.dim)
-        cs = op.apply_vjp(U, om, cot, go)
+        cs = op.apply_vjp(op.forward(U, om)[1], om, cot, go)
         cs_cols = np.empty_like(U)
         go_sum = np.zeros(om.dim)
         for j in range(5):
-            cs_cols[:, j] = op.apply_vjp(U[:, j], om, cot[:, j], go_sum)
+            cs_cols[:, j] = op.apply_vjp(op.forward(U[:, j], om)[1], om, cot[:, j], go_sum)
         np.testing.assert_allclose(cs, cs_cols, atol=1e-12)
         np.testing.assert_allclose(go, go_sum, atol=1e-12)
 
@@ -327,7 +351,7 @@ class TestAlm:
         state = rng.standard_normal(5)
         op.validate_omega(om)
         op.apply(state, om)
-        op.apply_vjp(state, om, rng.standard_normal(5), np.zeros(om.dim))
+        op.apply_vjp(op.forward(state, om)[1], om, rng.standard_normal(5), np.zeros(om.dim))
         assert op.metric(om) is ctx["H"]
         assert op.prepare(om) is ctx
         # an equal omega that is another object is prepared anew, once
@@ -529,11 +553,11 @@ class TestNet:
         with pytest.raises(ContractError):
             op.apply(rng.standard_normal(3), om)
 
-    def test_vjp_checks_the_certificate(self, rng):
-        # apply_vjp runs the same forward pass as apply, certificate check included
+    def test_forward_refuses_an_uncertified_omega(self, rng):
+        # a residual, and so a VJP, exists only after the certificate check
         om = net_omega([2.0 * np.eye(3)], [np.zeros(3)])
         with pytest.raises(ContractError, match="exceeds the per-layer budget"):
-            net_op(3, [3, 3]).apply_vjp(rng.standard_normal(3), om, np.ones(3), np.zeros(om.dim))
+            net_op(3, [3, 3]).forward(rng.standard_normal(3), om)
 
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
@@ -860,7 +884,7 @@ class TestComposite:
         comp = CompositeOperator(members=(pg, net))
         fd_vjp_check(comp, rng.standard_normal(3), om, rng)
 
-    def test_vjp_runs_each_member_forward_once(self, rng, monkeypatch):
+    def test_vjp_runs_no_member_forward(self, rng, monkeypatch):
         om = make_hyperparams([("W0", 0.5 * np.eye(2), "layer-matrix"),
                                ("b0", np.zeros(2), "layer-bias"),
                                ("W1", 0.5 * np.eye(2), "layer-matrix"),
@@ -868,15 +892,12 @@ class TestComposite:
         outer = NetOperator(dim=2, weight_names=("W0",), bias_names=("b0",), widths=(2, 2))
         inner = NetOperator(dim=2, weight_names=("W1",), bias_names=("b1",), widths=(2, 2))
         comp = CompositeOperator(members=(outer, inner))
-        calls = {"outer": 0, "inner": 0}
-        for key, m in (("outer", outer), ("inner", inner)):
-            monkeypatch.setattr(m, "_forward", lambda z, omega, _f=m._forward, _k=key:
-                                calls.__setitem__(_k, calls[_k] + 1) or _f(z, omega))
-            for name in ("apply", "apply_vjp"):
+        res = comp.forward(rng.standard_normal(2), om)[1]
+        for m in (outer, inner):
+            for name in ("forward", "apply"):
                 monkeypatch.setattr(m, name, lambda *args, _n=name:
-                                    pytest.fail(f"the composite called a member's {_n}"))
-        cs = comp.apply_vjp(rng.standard_normal(2), om, np.ones(2), np.zeros(om.dim))
-        assert calls == {"outer": 1, "inner": 1}
+                                    pytest.fail(f"the composite VJP called a member's {_n}"))
+        cs = comp.apply_vjp(res, om, np.ones(2), np.zeros(om.dim))
         np.testing.assert_allclose(cs, 0.25 * np.ones(2))
 
 
@@ -956,7 +977,8 @@ class TestReverseContract:
         state, cot = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
         x, y = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
         g0 = rng.standard_normal(om.dim)
-        for rule in (lambda grad: op.apply_vjp(state, om, cot, grad),
+        res = op.forward(state, om)[1]
+        for rule in (lambda grad: op.apply_vjp(res, om, cot, grad),
                      lambda grad: op.metric_quad_vjp(om, x, y, grad, 0.37)):
             fresh, grad = np.zeros(om.dim), g0.copy()
             out = rule(fresh)
