@@ -9,7 +9,7 @@ the reverse sweep).
 
 Configs are flat UTF-8 ``section.key = value`` files; every field has a
 default except ``task``.  Exit codes: 0 success, 2 divergence, arithmetic
-that overflows or a spectral estimate that did not converge, 3 format
+that overflows or the separation build's power iteration failing, 3 format
 error or unsupported configuration, 4 missing artifact.
 """
 

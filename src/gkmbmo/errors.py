@@ -10,7 +10,7 @@ class ContractError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """The power iteration of spectral_norm_estimate failed to converge within its cap."""
+    """The separation build's power iteration for sigma_max(D) did not converge."""
 
 
 class DivergenceError(RuntimeError):

@@ -135,13 +135,13 @@ class LossDescriptor:
         """L_ell = c max(w) sigma_max(M)^2, with B the column count of bmat.
 
         This is the largest eigenvalue of the u-Hessian (an upper bound on
-        it for a feasibility loss with uneven weights).
+        it for a feasibility loss with uneven weights).  A feasibility M is
+        [Q, I], and sigma_max([Q, I])^2 = sigma_max(Q)^2 + 1.
         """
         L = self.scale * (1.0 if self.weight is None else float(np.max(self.weight)))
         if self.kind == "squared_error":
             return L
-        m = self.Q.shape[0]
-        return L * spectral_norm_estimate(np.hstack([self.Q, np.eye(m)])) ** 2 / self._B
+        return L * (spectral_norm_estimate(self.Q) ** 2 + 1.0) / self._B
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +320,10 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     if record and cfg.K >= 1:
         recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
     records = recorder.finish()
-    tape = None
-    if build_tape:
-        tape = Tape(op, loss, omega, cfg, H, u0, steps, u, loss.value(u))
+    phi = loss.value(u) if loss is not None and (build_tape or records) else None
+    if records and phi is not None:
+        records[-1].loss = phi  # phi_K, not the chunk's column-wise reduction of it
+    tape = Tape(op, loss, omega, cfg, H, u0, steps, u, phi) if build_tape else None
     return u, tape, records
 
 

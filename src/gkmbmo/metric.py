@@ -26,11 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError, NumericsError
+from .errors import CapabilityError, ContractError
 
 SYMMETRY_TOL = 1e-12
-_POWER_SEED = 20240915
-_POWER_CAP = 10000
 
 
 def _check_dim(dim, u):
@@ -175,34 +173,9 @@ def min_eigen_estimate(H):
     return min(H._lead_min, float(np.min(H.tail, initial=math.inf)))
 
 
-def spectral_norm_estimate(A, tol=1e-6, max_iter=_POWER_CAP, seed=_POWER_SEED):
-    """Largest singular value of A by power iteration on A^T A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[None, :]
+def spectral_norm_estimate(A):
+    """sigma_max(A) from one SVD, exact to rounding; a 1-D A is one row, an empty A has 0.0."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ContractError("spectral_norm_estimate requires finite entries")
-    if A.size == 0 or not np.any(A):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_prev = None
-    for _ in range(max_iter):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            v = rng.standard_normal(A.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        z = A.T @ (w / nw)
-        sigma = np.linalg.norm(z)
-        if sigma == 0.0:
-            return 0.0
-        v = z / sigma
-        # successive-change stopping understates the true error near
-        # clustered singular values; stop an order tighter than tol
-        if sigma_prev is not None and abs(sigma - sigma_prev) <= 0.1 * tol * sigma:
-            return float(sigma)
-        sigma_prev = sigma
-    raise NumericsError(f"power iteration did not converge in {max_iter} iterations")
+    return float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0

@@ -690,16 +690,12 @@ class DladmmOperator(_Operator):
         self.Q = np.asarray(self.Q, dtype=float)
         self.bvec = np.asarray(self.bvec, dtype=float)
         self.m, self.n = self.Q.shape
-        self._LQ = spectral_norm_estimate(self.Q)
+        self.lipschitz_Q = spectral_norm_estimate(self.Q)
         self._QtQ = self.Q.T @ self.Q
 
     @property
     def dim(self):
         return self.n + 2 * self.m
-
-    @property
-    def lipschitz_Q(self):
-        return self._LQ
 
     def _params(self, omega):
         return (_resolve(omega, self.beta), _resolve(omega, self.gamma),
@@ -714,9 +710,9 @@ class DladmmOperator(_Operator):
             raise ContractError("dual step gamma must lie in (0, 1]")
         if rho1 is None or rho2 is None:
             raise ContractError("rho1 and rho2 are required")
-        if rho1 < beta * self._LQ ** 2 * (1.0 - 1e-12):
-            raise ContractError(
-                f"rho1={rho1:g} below the certified bound beta L_Q^2 = {beta * self._LQ**2:g}")
+        bound = beta * self.lipschitz_Q ** 2
+        if rho1 < bound * (1.0 - 1e-12):
+            raise ContractError(f"rho1={rho1:g} below the certified bound beta L_Q^2 = {bound:g}")
         if rho2 < beta * (1.0 - 1e-12):
             raise ContractError(f"rho2={rho2:g} below the certified bound beta = {beta:g}")
         if k1 < 0 or k2 < 0:
@@ -870,7 +866,7 @@ class NetOperator(_Operator):
             return
         for W, _ in self._layers(omega):
             sig = spectral_norm_estimate(W)
-            if sig > self.budget + 1e-8:
+            if sig > self.budget:
                 raise ContractError(
                     f"layer sigma_max={sig:g} exceeds the per-layer budget {self.budget:g}; "
                     "call renormalize_for(op, omega) first")
@@ -915,22 +911,24 @@ class NetOperator(_Operator):
 
 
 def _rescale_layers(omega, names, budget):
-    """Scale each named layer-matrix slice down to spectral norm ``budget`` if above it."""
+    """Scale each named layer-matrix slice down to at most spectral norm ``budget`` if above it."""
     for name in names:
         W = omega.view(name)
         if W.ndim > 1:
             W = W.reshape(W.shape[0], -1)
         sig = spectral_norm_estimate(W)
         if sig > budget:
-            omega = omega.replace_slice(name, W * (budget / sig))
+            # W * (budget / sig) may measure ~8 ulps above budget; 64 ulps less cannot
+            omega = omega.replace_slice(name, W * (budget / sig * (1.0 - 64 * np.finfo(float).eps)))
     return omega
 
 
 def normalize_net(omega, rho_bar):
     """Rescale every layer-matrix slice so the composition is rho_bar-Lipschitz.
 
-    Each W becomes W * min(1, rho_bar^(1/L) / sigma_max(W)) where L counts the
-    layer-matrix slices; already-contractive layers are left untouched.
+    Each W above rho_bar^(1/L), where L counts the layer-matrix slices,
+    is scaled to a spectral norm of at most that budget; layers within it
+    are left untouched.
     Non-layer slices are copied through unchanged.  Every layer slice in
     omega counts as one stack: with the layers of several nets, L is their
     total and a layer may exceed its own net's budget rho_bar^(1/L_net),

@@ -17,15 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, NumericsError
 from .hypergrad import LossDescriptor
-from .metric import MetricMatrix, spectral_norm_estimate
+from .metric import MetricMatrix, spectral_norm_estimate  # noqa: F401 (the bench traces it)
 from .operators import (AlmOperator, CompositeOperator, DladmmOperator,
                         NetOperator, OmegaBox, PgOperator, make_hyperparams,
                         renormalize_for)
 
 PRNG_NAME = "philox4x64"
 MAGIC = b"GKMBMO-INSTANCE1"
+_PINNED_CAP = 10000  # steps of the separation build's power iteration
 
 
 def task_rng(seed, stream=0):
@@ -348,6 +349,33 @@ def forward_diff(n):
     return D
 
 
+def _pinned_power_norm(D):
+    """sigma_max(D) of ``forward_diff`` by the power iteration the separation build pins.
+
+    It stops below the exact 2 cos(pi / 2n), by 2.8e-5 relative at n = 64, and
+    ``bench/reference.json`` was made with the rho0 it sets; the benchmark
+    change that regenerates that reference deletes this helper.  Raises
+    NumericsError if successive values do not settle in ``_PINNED_CAP`` steps.
+    """
+    if not np.any(D):
+        return 0.0
+    rng = np.random.default_rng(20240915)
+    v = rng.standard_normal(D.shape[1])
+    v /= np.linalg.norm(v)
+    sigma_prev = None
+    for _ in range(_PINNED_CAP):
+        # v is random, then in range(D^T), so neither D v nor D^T D v is 0
+        w = D @ v
+        z = D.T @ (w / np.linalg.norm(w))
+        sigma = np.linalg.norm(z)
+        v = z / sigma
+        # successive change understates the error near clustered values: stop at 0.1 tol
+        if sigma_prev is not None and abs(sigma - sigma_prev) <= 0.1 * 1e-6 * sigma:
+            return float(sigma)
+        sigma_prev = sigma
+    raise NumericsError(f"power iteration did not converge in {_PINNED_CAP} iterations")
+
+
 def gen_separation(n=64, njumps=3, nspikes=4, seed=0, kappa_b=0.05, kappa_r=0.05):
     """Piecewise-smooth background plus a sparse-gradient streak layer; b is exact."""
     _require_sizes(("gen.njumps", njumps, 0), ("gen.nspikes", nspikes, 0),
@@ -403,7 +431,7 @@ def build_separation_operator(inst, beta=0.2):
         blocks[name] = mask
     mask_vb = blocks["rho_vb"]
     mask_vr = blocks["rho_vr"]
-    s2 = spectral_norm_estimate(D) ** 2
+    s2 = _pinned_power_norm(D) ** 2
     beta_lb, beta_ub = 0.5 * beta, 1.25 * beta
     rho_floor = _separation_rho_floor(beta_ub, s2)
     rho0 = 1.1 * rho_floor

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import struct
@@ -6,9 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from gkmbmo import cli, operators
+from gkmbmo import cli, tasks
 from gkmbmo.errors import CapabilityError, DivergenceError, FormatError
-from gkmbmo.metric import spectral_norm_estimate
 from gkmbmo.tasks import MAGIC, gen_sparse_coding, load_instance, save_instance
 
 
@@ -136,11 +134,9 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ") and "closed-form" in err[0]
 
     def test_numerics_error_exit_diverged_with_one_line(self, tmp_path, monkeypatch, capsys):
-        # a one-iteration cap makes the operator's power iteration of Q give up
-        monkeypatch.setattr(operators, "spectral_norm_estimate",
-                            functools.partial(spectral_norm_estimate, max_iter=1))
-        cfg = write_config(tmp_path, "task = sparse_coding\ngen.batch = 4\n"
-                                     "gen.m = 8\ngen.n = 16\n")
+        # a one-step cap makes the separation build's power iteration of D give up
+        monkeypatch.setattr(tasks, "_PINNED_CAP", 1)
+        cfg = write_config(tmp_path, "task = separation\ngen.n = 16\n")
         assert run(["gen", "--config", cfg, "--out", tmp_path]) == 0
         assert run(["train", tmp_path / "instance.bin", "--config", cfg,
                     "--out", tmp_path]) == cli.EXIT_DIVERGED

@@ -170,6 +170,17 @@ class TestLoss:
         loss = LossDescriptor("feasibility", 6, Q=np.diag([1.0, 3.0]), bmat=np.zeros((2, 2)))
         assert loss.smoothness() == pytest.approx(5.0, rel=1e-6)
 
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_feasibility_smoothness_from_sigma_q(self, B, rng):
+        # sigma_max([Q, I])^2 = sigma_max(Q)^2 + 1, with no [Q, I] formed
+        Q = rng.standard_normal((6, 9))
+        w = rng.uniform(0.0, 3.0, 6)
+        bmat = rng.standard_normal(6) if B == 1 else rng.standard_normal((6, B))
+        loss = LossDescriptor("feasibility", 21, Q=Q, bmat=bmat, weight=w, scale=1.7)
+        sig = np.linalg.norm(Q, 2)
+        assert loss.smoothness() == pytest.approx(1.7 * np.max(w) * (sig ** 2 + 1.0) / B,
+                                                  rel=1e-14)
+
     def test_L_ell_scale(self):
         assert LossDescriptor("squared_error", 3, scale=2.5).smoothness() == 2.5
 

@@ -239,13 +239,13 @@ class TestLeadTail:
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm_estimate(np.eye(4)) == pytest.approx(1.0, rel=1e-6)
+        assert spectral_norm_estimate(np.eye(4)) == pytest.approx(1.0, rel=1e-14)
 
     def test_diag(self):
-        assert spectral_norm_estimate(np.diag([2.0, 0.5])) == pytest.approx(2.0, rel=1e-6)
+        assert spectral_norm_estimate(np.diag([2.0, 0.5])) == pytest.approx(2.0, rel=1e-14)
 
     def test_nilpotent(self):
-        assert spectral_norm_estimate(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3.0, rel=1e-6)
+        assert spectral_norm_estimate(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3.0, rel=1e-14)
 
     def test_vs_svd_oracle(self, rng):
         for _ in range(20):
@@ -253,7 +253,32 @@ class TestSpectralNorm:
             n = int(rng.integers(1, 65))
             A = rng.standard_normal((m, n))
             ref = np.linalg.svd(A, compute_uv=False)[0]
-            assert spectral_norm_estimate(A) == pytest.approx(ref, rel=1e-5)
+            assert spectral_norm_estimate(A) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(64, 8), (8, 64), (64,), (1, 64), (64, 1), (5, 5)],
+                             ids=["tall", "wide", "1-D", "row", "column", "square"])
+    def test_exact_against_matrix_two_norm(self, shape, rng):
+        for _ in range(10):
+            A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
+            assert spectral_norm_estimate(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-14)
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 4)), np.zeros(5), np.zeros((0, 3)), np.zeros(0)],
+                             ids=["zero", "zero-1-D", "empty", "empty-1-D"])
+    def test_zero_and_empty(self, A):
+        assert spectral_norm_estimate(A) == 0.0
+
+    def test_clustered_top_singular_values_exact(self):
+        # D^T D of a forward difference has clustered top eigenvalues, where a
+        # power iteration stalls below sigma_max = 2 cos(pi / 2n)
+        n = 128
+        D = np.diag(-np.ones(n)) + np.diag(np.ones(n - 1), 1)
+        D[-1, -1] = 0.0
+        assert spectral_norm_estimate(D) == pytest.approx(2 * math.cos(math.pi / (2 * n)), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            spectral_norm_estimate(np.array([[1.0, bad]]))
 
 
 class TestValidation:

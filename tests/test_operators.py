@@ -391,6 +391,13 @@ def dladmm_op(Q, b):
 
 
 class TestDladmm:
+    @pytest.mark.parametrize("shape", [(64, 128), (8, 16), (16, 8), (1, 5)])
+    def test_lipschitz_q_is_exact(self, shape, rng):
+        Q = rng.standard_normal(shape)
+        op = dladmm_op(Q, np.zeros(shape[0]))
+        ref = np.sqrt(np.linalg.eigvalsh(Q @ Q.T)[-1])
+        assert op.lipschitz_Q == pytest.approx(ref, rel=1e-14)
+
     def test_thresholds_dominate(self, rng):
         Q = np.zeros((2, 3))
         op = dladmm_op(Q, np.zeros(2))
@@ -559,6 +566,15 @@ class TestNet:
         with pytest.raises(ContractError, match="exceeds the per-layer budget"):
             net_op(3, [3, 3]).forward(rng.standard_normal(3), om)
 
+    def test_layer_a_hair_over_budget_refused(self, rng):
+        # the norm is exact, so the check has no slack: 1e-12 over is refused
+        op = net_op(4, [4, 4], rho_bar=0.5)
+        W = rng.standard_normal((4, 4))
+        W *= op.budget * (1.0 + 1e-12) / np.linalg.norm(W, 2)
+        with pytest.raises(ContractError, match="exceeds the per-layer budget"):
+            op.validate_omega(net_omega([W], [np.zeros(4)]))
+        op.validate_omega(net_omega([op.budget * np.eye(4)], [np.zeros(4)]))
+
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
         H = op.metric(net_omega([np.eye(2)], [np.zeros(2)]))
@@ -707,8 +723,7 @@ class TestNormalizeNet:
         assert spectral_norm_estimate(out.view("W0")) == pytest.approx(0.5, abs=1e-6)
 
     def test_spectral_norm_scale_equivariant(self):
-        # a layer scaled by budget / sigma(W) measures budget to rounding, so the omega
-        # renormalize_for marks certified would also pass a fresh validate_omega
+        # sigma(c W) = c sigma(W) to rounding: the SVD has no start vector or stopping rule
         rng = np.random.default_rng(2024)
         for shape in ((4, 4), (6, 3), (3, 7), (64, 64)):
             for _ in range(5):
@@ -716,6 +731,36 @@ class TestNormalizeNet:
                 c = rng.uniform(0.01, 1.0)
                 assert spectral_norm_estimate(c * W) == pytest.approx(
                     c * spectral_norm_estimate(W), rel=1e-12)
+
+    @staticmethod
+    def assert_layers_within(om, names, budget):
+        # no tolerance: the rescaled layer's own SVD must not read above budget
+        for name in names:
+            assert np.linalg.norm(om.view(name), 2) <= budget, name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deconv_layers_at_most_budget(self, seed):
+        bundle = build_deconv_operator(gen_deconv(n=64, seed=seed), net_widths=(64,), seed=seed)
+        net = bundle.op.members[1]
+        self.assert_layers_within(bundle.omega0, net.weight_names, net.budget)
+        grown = bundle.omega0
+        for name in net.weight_names:
+            grown = grown.replace_slice(name, 1.7 * grown.view(name))
+        self.assert_layers_within(renormalize_for(bundle.op, grown), net.weight_names, net.budget)
+        self.assert_layers_within(normalize_net(grown, net.rho_bar), net.weight_names, net.budget)
+
+    def test_random_net_layers_at_most_budget(self):
+        rng = np.random.default_rng(7)
+        for widths in ((4, 4), (8, 3, 8), (64, 64, 64), (16, 40, 24, 16)):
+            for _ in range(25):
+                L = len(widths) - 1
+                Ws = [rng.standard_normal((wout, win)) * rng.uniform(0.5, 20.0)
+                      for win, wout in zip(widths[:-1], widths[1:])]
+                om = net_omega(Ws, [np.zeros(w) for w in widths[1:]])
+                net = net_op(widths[0], widths, rho_bar=rng.uniform(0.1, 1.0))
+                names = [f"W{i}" for i in range(L)]
+                self.assert_layers_within(renormalize_for(net, om), names, net.budget)
+                self.assert_layers_within(normalize_net(om, net.rho_bar), names, net.budget)
 
     def test_renormalized_omega_is_certified_for_every_net(self, rng, monkeypatch):
         # W0 is over its budget and gets rescaled, W1 is under and is only measured
