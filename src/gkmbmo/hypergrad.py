@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractError, DivergenceError
 from .metric import (MetricMatrix, h_norm, h_project, min_eigen_estimate,
                      spectral_norm_estimate)
-from .operators import HyperParams, _match_b, apply_T, average
+from .operators import HyperParams, OmegaGrad, _match_b, apply_T, average
 
 DIVERGENCE_LIMIT = 1e12
 RECORD_CHUNK = 64     # 1-D iterates whose records are reduced together
@@ -175,7 +175,7 @@ class InnerRecord:
 
 @dataclass
 class Tape:
-    """Unrolled record of one inner loop and its ``BmoConfig``; forward replay is bit-exact."""
+    """Unrolled record of one inner loop and its ``BmoConfig``."""
 
     op: object
     loss: LossDescriptor
@@ -186,12 +186,6 @@ class Tape:
     steps: list
     uK: np.ndarray
     loss_value: float
-
-    def replay(self):
-        u = self.u0
-        for st in self.steps:
-            u = _gkm_step(self.op, self.loss, self.omega, self.cfg, self.metric, st.s_k, u)[2]
-        return u
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +348,17 @@ def evaluate_phiK(op, loss, omega, cfg, u0=None):
 def hypergradient(tape, corrupt_rule=False):
     """Total derivative d l(u^K(omega)) / d omega by a reverse sweep.
 
-    ``corrupt_rule`` deliberately mis-scales one reverse rule (the
-    loss-Hessian term of the descent direction); it exists so the
-    finite-difference harness can prove it would catch a broken rule.
+    Every reverse rule adds into one ``OmegaGrad``.  Each step's VJP reads
+    the context its forward pass bound to the tape's omega, so the sweep
+    resolves no slice by name, and each layer matrix's gradient is
+    reduced once, after the sweep, as one product over the K steps'
+    stacked columns.  ``corrupt_rule`` deliberately mis-scales one reverse
+    rule (the loss-Hessian term of the descent direction); it exists so
+    the finite-difference harness can prove it would catch a broken rule.
     """
     loss, omega, H, cfg = tape.loss, tape.omega, tape.metric, tape.cfg
     cu = loss.grad_u(tape.uK)
-    go = np.zeros(omega.dim)  # the one omega gradient: every reverse rule adds into it
+    go = OmegaGrad(np.zeros(omega.dim))
     hess_scale = 0.5 if corrupt_rule else 1.0
     for st in reversed(tape.steps):
         if st.interior is not None:
@@ -372,7 +370,7 @@ def hypergradient(tape, corrupt_rule=False):
         hv = H.solve(cvu)
         cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(hv)
         tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
-    return go
+    return go.reduce()
 
 
 def fd_hypergradient(op, loss, omega, cfg, u0=None, h=None):

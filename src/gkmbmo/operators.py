@@ -1,45 +1,38 @@
 """Parameterized fixed-point operators and the averaging wrapper T.
 
-Each operator is a non-expansive self-map ``D(state, omega)`` in its own
-metric H(omega):
+Each operator is a self-map ``D(state, omega)``, non-expansive in its own
+metric H(omega): ``PgOperator`` (a prox-gradient step), ``AlmOperator``
+(a proximal augmented-Lagrangian step), ``DladmmOperator`` (a three-block
+linearized ADMM update), ``NetOperator`` (a spectrally normalized net)
+and ``CompositeOperator`` (a composition sharing one metric).  States are
+arrays of shape ``(dim,)`` or ``(dim, B)``, and every map is vectorized
+over the batch columns.
 
-* ``PgOperator``      -- linearized gradient step + weighted shrinkage,
-                         non-expansive w.r.t. the diagonal metric G(omega).
-* ``AlmOperator``     -- proximal augmented-Lagrangian step on the joint
-                         primal/dual state, firmly non-expansive w.r.t.
-                         blockdiag(G, (1/beta) I).
-* ``DladmmOperator``  -- the three-line linearized ADMM update for
-                         ``min k1|u1|_1 + k2|u2|_1 s.t. Q u1 + u2 = b``,
-                         non-expansive w.r.t.
-                         blockdiag(rho1 I - beta Q^T Q, rho2 I, 1/(gamma beta) I)
-                         whenever rho1 > beta |Q|^2, rho2 >= beta, gamma <= 1.
-* ``NetOperator``     -- dense layers with 1-Lipschitz nonlinearities,
-                         spectrally normalized to a target budget.
-* ``CompositeOperator`` -- right-to-left composition sharing one metric.
+An operator reads omega through one context, which ``prepare(omega)``
+binds once per omega object: the resolved scalars and diagonals, a net's
+layer matrices and sqrt(g), the threshold vectors derived from them, and
+the gradient slot of each spec that names a slice.  So no per-step path
+resolves a slice by name.  Each operator writes its map once, as a
+forward/reverse pair in the manner of a custom VJP:
 
-States are numpy arrays of shape ``(dim,)`` or ``(dim, B)``; every apply
-is vectorized over trailing batch columns.  Each operator writes its map
-once, as a forward/reverse pair in the manner of a custom VJP:
+* ``forward(state, omega) -> (out, res)``: D(state), and in ``res`` the
+  context and the intermediates the reverse rule reads, but no view of
+  the state (a soft threshold keeps only the int8 sign of its output);
+* ``apply_vjp(res, omega, cot, grad)`` returns cot^T dD/dstate and adds
+  cot^T dD/domega into ``grad``, running no forward pass;
+* ``metric_quad_vjp(omega, x, y, grad, scale)`` adds
+  scale * d<x, H(omega) y>/domega into ``grad``.
 
-* ``forward(state, omega) -> (out, res)`` computes the output D(state)
-  and ``res``, the intermediates the reverse rule reads;
-* ``apply_vjp(res, omega, cot, grad)`` adds cot^T dD/domega into ``grad``
-  and returns the state cotangent cot^T dD/dstate.
-
-``apply`` is ``forward(...)[0]``, written once on ``_Operator``.  A VJP
-reads the ``res`` its forward kept and runs no forward pass, and a
-composite chains its members' pairs.  A residual holds no view of the
-state, which would keep the whole state alive, and a soft threshold keeps
-only the int8 sign of its output.  The second reverse rule,
-``metric_quad_vjp(omega, x, y, grad, scale)``, adds
-scale * d<x, H(omega) y>/domega into ``grad`` and returns nothing.  Both
-add into one omega gradient that the caller owns.
+``grad`` is a sweep's ``OmegaGrad``, which defers each layer matrix's
+term to one product per sweep, or a plain array: a sweep of length one.
+``apply`` is ``forward(...)[0]``, and a composite chains its members'
+pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -65,11 +58,10 @@ class ParamSlice:
     offset: int
     shape: tuple
     role: str
-    size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # read on every view, scalar and gradient accumulation: computed once
-        object.__setattr__(self, "size", int(math.prod(self.shape)))
+    @property
+    def size(self):
+        return int(math.prod(self.shape))
 
 
 @dataclass(frozen=True)
@@ -231,11 +223,8 @@ def _diag_spec(spec, dim):
 
 
 def _diag(omega, spec, dim):
-    """A metric diagonal of length ``dim`` given by a ``_diag_spec``-checked spec.
-
-    A string names an omega slice, a scalar slice being broadcast; an
-    array is a fixed diagonal.
-    """
+    """The (dim,) diagonal of a ``_diag_spec``-checked spec: a fixed array, or
+    an omega slice's values (a scalar slice broadcast)."""
     if isinstance(spec, str):
         g = omega.view(spec).reshape(-1)
         return np.full(dim, float(g[0])) if g.size == 1 else g.astype(float)
@@ -247,24 +236,47 @@ def _colsum(x):
     return x.sum(axis=-1) if x.ndim > 1 else x
 
 
-def _acc(grad, omega, spec, value, scale=1.0):
-    """Add ``scale * value`` into the gradient slice named by ``spec``.
-
-    A non-string spec is a fixed value, not a hyper-parameter, and takes
-    nothing.  A value with more entries than the slice carries batch
-    columns, which are summed first; a scalar slice takes the sum.
-    ``scale`` multiplies after those sums.
-    """
+def _slot(omega, spec):
+    """Where a spec's gradient goes: a scalar slice's index, a longer one's
+    range, or None for a fixed value."""
     if not isinstance(spec, str):
-        return
+        return None
     s = omega.slice_for(spec)
-    value = np.asarray(value, dtype=float)
-    if value.ndim > 1 and value.size != s.size:
-        value = _colsum(value)
-    if s.size == 1:
-        grad[s.offset] += scale * float(np.sum(value))
-    else:
-        grad[s.offset:s.offset + s.size] += scale * value.reshape(-1)
+    return s.offset if s.size == 1 else slice(s.offset, s.offset + s.size)
+
+
+class OmegaGrad:
+    """The (dim,) omega gradient ``values`` that one reverse sweep adds into.
+
+    A layer matrix's term da z^T is deferred: ``reduce`` adds each layer's
+    sum over the sweep as one product of stacked columns,
+    [da_K ... da_1] [z_K ... z_1]^T, where a batched da or z brings its
+    B columns.  A reverse rule given a plain array is a sweep of length one.
+    """
+
+    def __init__(self, values):
+        self.values, self._outer = values, {}    # a layer's (start, stop) -> [(da, z)]
+
+    def add(self, slot, value, scale=1.0):
+        """Add ``scale * value`` at a ``_slot``: an index takes the sum of all
+        entries, a range the sum over batch columns, None nothing."""
+        if isinstance(slot, slice):
+            value = _colsum(value)
+            self.values[slot] += value if scale == 1.0 else scale * value   # 1.0 * v is v
+        elif slot is not None:
+            self.values[slot] += scale * float(np.sum(value))
+
+    def add_outer(self, slot, da, z):
+        """Defer da z^T, the term of the layer matrix at range ``slot``, to ``reduce``."""
+        self._outer.setdefault((slot.start, slot.stop), []).append((da, z))
+
+    def reduce(self):
+        """Add every deferred layer term; returns ``values``."""
+        for (start, stop), pairs in self._outer.items():
+            das, zs = zip(*pairs)
+            self.values[start:stop] += (np.column_stack(das) @ np.column_stack(zs).T).reshape(-1)
+        self._outer = {}
+        return self.values
 
 
 def _survivor_sign(v):
@@ -297,10 +309,32 @@ def apply_T(op, state, omega, cfg):
 
 
 class _Operator:
-    """``apply`` over a subclass's ``forward``."""
+    """``prepare``, ``apply`` and the two reverse rules, over a subclass's
+    ``_bind``, ``forward``, ``_vjp`` and ``_quad_vjp``."""
+
+    _bound = (None, None)    # (omega, its context)
+
+    def prepare(self, omega):
+        """The context ``_bind`` builds of omega, once per omega object (it is
+        frozen, and the kept reference stops its id from being reused)."""
+        if omega is not self._bound[0]:
+            self._bound = (omega, self._bind(omega))
+        return self._bound[1]
 
     def apply(self, state, omega):
         return self.forward(state, omega)[0]
+
+    def apply_vjp(self, res, omega, cot, grad):
+        if isinstance(grad, OmegaGrad):
+            return self._vjp(res, cot, grad)
+        sweep = OmegaGrad(grad)
+        cs = self._vjp(res, cot, sweep)
+        sweep.reduce()
+        return cs
+
+    def metric_quad_vjp(self, omega, x, y, grad, scale):
+        sweep = grad if isinstance(grad, OmegaGrad) else OmegaGrad(grad)
+        self._quad_vjp(self.prepare(omega), x, y, sweep, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +372,17 @@ class PgOperator(_Operator):
         self.gdiag = _diag_spec(self.gdiag, self.dim)
 
     # internals -------------------------------------------------------
-    def _weights(self, omega):
-        if self.l1_weights is None:
-            return None
+    def _bind(self, omega):
+        gam = _resolve(omega, self.gamma)
+        g = _diag(omega, self.gdiag, self.dim)
+        if np.any(g <= 0):
+            raise ContractError("metric diagonal G(omega) must be positive definite")
         c = _resolve(omega, self.thresh, 1.0)
-        return self.l1_weights * c
-
-    def _grad_f(self, u):
-        g = self.quad @ u if self.quad is not None else np.zeros_like(u)
-        if self.lin is not None:
-            g = g + _col(self.lin, u)
-        return g
+        w = None if self.l1_weights is None else self.l1_weights * c
+        return {"gam": gam, "g": g, "c": c, "w": w,
+                "thr": None if w is None else gam * w / g,
+                "slots": (_slot(omega, self.gamma), _slot(omega, self.gdiag),
+                          _slot(omega, self.thresh))}
 
     @cached_property
     def lipschitz_f(self):
@@ -357,10 +391,8 @@ class PgOperator(_Operator):
 
     # contract --------------------------------------------------------
     def validate_omega(self, omega):
-        gam = _resolve(omega, self.gamma)
-        g = _diag(omega, self.gdiag, self.dim)
-        if np.any(g <= 0):
-            raise ContractError("metric diagonal G(omega) must be positive definite")
+        ctx = self.prepare(omega)
+        gam, g, w = ctx["gam"], ctx["g"], ctx["w"]
         lf = self.lipschitz_f
         if gam <= 0:
             raise ContractError("step gamma must be positive")
@@ -368,47 +400,50 @@ class PgOperator(_Operator):
             raise ContractError(
                 f"gamma={gam:g} outside (0, 2 lambda_min(G)/L_f) with "
                 f"lambda_min={np.min(g):g}, L_f={lf:g}")
-        w = self._weights(omega)
         if w is not None and np.any(w < 0):
             raise ContractError("threshold weights must be nonnegative")
 
     # evaluation ------------------------------------------------------
     def forward(self, state, omega):
-        gam = _resolve(omega, self.gamma)
-        g = _diag(omega, self.gdiag, self.dim)
-        gf = self._grad_f(state)
-        x = state - gam * gf / _col(g, state)
-        w = self._weights(omega)
-        if w is None:
-            return x, (gam, g, gf, None)
-        v = soft_threshold(x, _col(gam * w / g, x))
-        return v, (gam, g, gf, _survivor_sign(v))
+        ctx = self.prepare(omega)
+        gf = self.quad @ state if self.quad is not None else np.zeros_like(state)
+        if self.lin is not None:
+            gf = gf + _col(self.lin, state)
+        x = state - ctx["gam"] * gf / _col(ctx["g"], state)
+        if ctx["thr"] is None:
+            return x, (ctx, gf, None)
+        v = soft_threshold(x, _col(ctx["thr"], x))
+        return v, (ctx, gf, _survivor_sign(v))
 
-    def apply_vjp(self, res, omega, cot, grad):
-        gam, g, gf, sgn = res
+    def _vjp(self, res, cot, grad):
+        ctx, gf, sgn = res
+        gam, g = ctx["gam"], ctx["g"]
+        s_gam, s_g, s_thr = ctx["slots"]
         gcol = _col(g, gf)
         if sgn is None:
             dx = np.asarray(cot, dtype=float)
         else:
             dx, dthr = _soft_threshold_vjp(sgn, cot)
             dthr = _colsum(dthr)
-            # thr_i = gam * w0_i * c / g_i
-            c = _resolve(omega, self.thresh, 1.0)
-            _acc(grad, omega, self.thresh, dthr * gam * self.l1_weights / g)
-            _acc(grad, omega, self.gamma, dthr * self.l1_weights * c / g)
-            _acc(grad, omega, self.gdiag, -dthr * gam * self.l1_weights * c / g ** 2)
+            # thr_i = gam * w0_i * c / g_i; a fixed gamma's terms are not computed
+            c = ctx["c"]
+            grad.add(s_thr, dthr * gam * self.l1_weights / g)
+            if s_gam is not None:
+                grad.add(s_gam, dthr * self.l1_weights * c / g)
+            grad.add(s_g, -dthr * gam * self.l1_weights * c / g ** 2)
         # x = u - gam * grad f(u) / g
         cs = dx - gam * (self.quad @ (dx / gcol)) if self.quad is not None else dx
-        _acc(grad, omega, self.gamma, -np.sum(dx * gf / gcol))
-        _acc(grad, omega, self.gdiag, gam * _colsum(dx * gf) / g ** 2)
+        if s_gam is not None:
+            grad.add(s_gam, -np.sum(dx * gf / gcol))
+        grad.add(s_g, gam * _colsum(dx * gf) / g ** 2)
         return cs
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
-        return MetricMatrix.diagonal(_diag(omega, self.gdiag, self.dim))
+        return MetricMatrix.diagonal(self.prepare(omega)["g"])
 
-    def metric_quad_vjp(self, omega, x, y, grad, scale):
-        _acc(grad, omega, self.gdiag, x * y, scale)
+    def _quad_vjp(self, ctx, x, y, grad, scale):
+        grad.add(ctx["slots"][1], x * y, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +517,6 @@ class AlmOperator(_Operator):
         w = self.l1_weights
         self._l1 = np.zeros(0, dtype=int) if w is None else np.flatnonzero(w > 0)
         self._smooth = np.arange(self.nprimal) if w is None else np.flatnonzero(w == 0)
-        self._prepared = (None, None)  # (omega, its context); HyperParams is frozen
 
     def _as_mask(self, mask):
         m = np.asarray(mask)
@@ -495,14 +529,6 @@ class AlmOperator(_Operator):
         return self.nprimal + self.ndual
 
     # internals -------------------------------------------------------
-    def _weights(self, omega):
-        if self.l1_weights is None:
-            return None
-        w = self.l1_weights.copy()
-        for name, mask in self.thresh_groups:
-            w[mask] = w[mask] * omega.scalar(name)
-        return w
-
     def _gd(self, omega):
         """The diagonal part gd of G(omega)."""
         if not self._ell:
@@ -512,18 +538,17 @@ class AlmOperator(_Operator):
             d[mask] += omega.scalar(name)
         return d
 
-    def _acc_gd(self, grad, omega, dgd, scale=1.0):
-        """Send the cotangent of gd into omega: by rho group, or through ``gdiag``."""
-        if not self._ell:
-            _acc(grad, omega, self.gdiag, dgd, scale)
-            return
-        for name, mask in self.rho_groups:
-            _acc(grad, omega, name, np.sum(dgd[mask]), scale)
+    @staticmethod
+    def _add_gd(grad, slots, dgd, scale=1.0):
+        """Send the cotangent of gd into omega: all of it through ``gdiag``
+        (mask None), or summed by rho group."""
+        for slot, mask in slots:
+            grad.add(slot, dgd if mask is None else np.sum(dgd[mask]), scale)
 
-    def prepare(self, omega):
-        if omega is self._prepared[0]:
-            return self._prepared[1]
+    def _bind(self, omega):
         beta = _resolve(omega, self.beta)
+        if beta <= 0:
+            raise ContractError("penalty beta must be positive")
         gd = self._gd(omega)
         K = np.diag(gd)
         if not self._ell:
@@ -538,22 +563,33 @@ class AlmOperator(_Operator):
                 raise CapabilityError(
                     "l1 coordinates do not decouple in the total quadratic; "
                     "no closed-form primal step for this configuration")
-        ctx = {
+        w, groups = None, []
+        if self.l1_weights is not None:
+            w = self.l1_weights.copy()
+            for name, mask in self.thresh_groups:
+                w[mask] = w[mask] * omega.scalar(name)
+                groups.append((_slot(omega, name), mask[L]))
+        # G is proven positive definite before Kss, which contains it, is inverted,
+        # and before the l1 thresholds divide by d_L = diag(K)_L, which G bounds below
+        H = self._metric(beta, gd)
+        dL = np.diag(K)[L]
+        return {
             "beta": beta,
-            "w": self._weights(omega),
-            # G is proven positive definite before Kss, which contains it, is inverted
-            "H": self._metric(beta, gd),
+            "w": w,
+            "H": H,
             "Kss_inv": np.linalg.inv(K[np.ix_(S, S)]),
-            "dL": np.diag(K)[L],
+            "dL": dL,
+            "tL": None if w is None else w[L] / dL,
             "gd": gd,
+            # beta's, gd's by rho group (or gdiag's, unmasked) and each
+            # threshold group's, with its mask over the l1 coordinates
+            "slots": (_slot(omega, self.beta),
+                      [(_slot(omega, name), mask) for name, mask in self.rho_groups]
+                      if self._ell else [(_slot(omega, self.gdiag), None)],
+                      groups),
         }
-        self._prepared = (omega, ctx)
-        return ctx
 
     def validate_omega(self, omega):
-        beta = _resolve(omega, self.beta)
-        if beta <= 0:
-            raise ContractError("penalty beta must be positive")
         w = self.prepare(omega)["w"]
         if w is not None and np.any(w < 0):
             raise ContractError("l1 weights must be nonnegative")
@@ -577,22 +613,22 @@ class AlmOperator(_Operator):
             c = c + _col(self.lin, u)
         S, L = self._smooth, self._l1
         up = np.empty_like(u)
-        if S.size:
-            up[S] = ctx["Kss_inv"] @ -c[S]
-        sgn = None
+        up[S] = upS = ctx["Kss_inv"] @ -c[S]
+        cL, sgn = c[L], None
         if L.size:
-            d = ctx["dL"]
-            xL = -c[L] / _col(d, u[L])
-            up[L] = soft_threshold(xL, _col(w[L] / d, xL))
-            sgn = _survivor_sign(up[L])
+            xL = -cL / _col(ctx["dL"], u[L])
+            up[L] = vL = soft_threshold(xL, _col(ctx["tL"], xL))
+            sgn = _survivor_sign(vL)
         feas = self.A @ up - b
-        # u is a view of the state: the copy keeps the rest of it off the residual
+        # u is a view of the state: the copy keeps the rest of it off the residual,
+        # which keeps only the rows of c and u+ that the VJP reads, c_L and u+_S
         return (np.concatenate([up, lam + beta * feas], axis=0),
-                (ctx, u.copy(), b, c, sgn, up, feas))
+                (ctx, u.copy(), b, cL, sgn, upS, feas))
 
-    def apply_vjp(self, res, omega, cot, grad):
-        ctx, u, b, c, sgn, up, feas = res
+    def _vjp(self, res, cot, grad):
+        ctx, u, b, cL, sgn, upS, feas = res
         beta, w = ctx["beta"], ctx["w"]
+        s_beta, s_gd, s_groups = ctx["slots"]
         S, L = self._smooth, self._l1
         cu_out, clam_out = cot[:self.nprimal], cot[self.nprimal:]
         # lam+ = lam + beta (A u+ - b)
@@ -604,23 +640,22 @@ class AlmOperator(_Operator):
         if S.size:
             ws = ctx["Kss_inv"] @ cup[S]
             dc[S] = -ws
-            dgd[S] = -_colsum(ws * up[S])
+            dgd[S] = -_colsum(ws * upS)
         if L.size:
             d = ctx["dL"]
             dxL, dthr = _soft_threshold_vjp(sgn, cup[L])
             dthr = _colsum(dthr)
             dc[L] = -dxL / _col(d, dxL)
             # x_i = -c_i / d_i, t_i = w_i / d_i, d_i = K_ii; w_i = base_i * kappa_group
-            dgd[L] = _colsum(dxL * c[L]) / d ** 2 - dthr * w[L] / d ** 2
-            for name, gmask in self.thresh_groups:
-                sel = gmask[L]
-                _acc(grad, omega, name, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
+            dgd[L] = _colsum(dxL * cL) / d ** 2 - dthr * w[L] / d ** 2
+            for slot, sel in s_groups:
+                grad.add(slot, (dthr[sel] / d[sel]) * self.l1_weights[L][sel])
         if not self._ell:
             # beta inside K: K_ss takes the cotangent -ws up_s^T, K_LL its diagonal dgd_L
             dbeta += np.sum(dgd[L] * np.diag(self._AtA)[L])
             if S.size:
                 AS = self.A[:, S]
-                dbeta -= np.sum((AS @ ws) * (AS @ up[S]))
+                dbeta -= np.sum((AS @ ws) * (AS @ upS))
         # c = A^T (lam - beta b + ell beta A u) - gd u (+ lin)
         Adc = self.A @ dc
         dbeta -= np.sum(Adc * b)
@@ -629,8 +664,8 @@ class AlmOperator(_Operator):
         if self._ell:
             cu += beta * (self.A.T @ Adc)
             dbeta += np.sum(Adc * (self.A @ u))
-        self._acc_gd(grad, omega, dgd)
-        _acc(grad, omega, self.beta, dbeta)
+        self._add_gd(grad, s_gd, dgd)
+        grad.add(s_beta, dbeta)
         return np.concatenate([cu, clam_out + Adc], axis=0)
 
     # metric ----------------------------------------------------------
@@ -647,19 +682,20 @@ class AlmOperator(_Operator):
     def metric(self, omega):
         """blockdiag(G(omega), I / beta): a prepared omega's is read from its
         context; any other omega's is built alone, without the primal step."""
-        if omega is self._prepared[0]:
-            return self._prepared[1]["H"]
+        if omega is self._bound[0]:
+            return self._bound[1]["H"]
         return self._metric(_resolve(omega, self.beta), self._gd(omega))
 
-    def metric_quad_vjp(self, omega, x, y, grad, scale):
-        beta = _resolve(omega, self.beta)
+    def _quad_vjp(self, ctx, x, y, grad, scale):
+        beta = ctx["beta"]
+        s_beta, s_gd, _ = ctx["slots"]
         xu, xl = self.split_state(x)
         yu, yl = self.split_state(y)
         dbeta = -float(np.sum(xl * yl)) / beta ** 2
         if self._ell:
             dbeta -= float(np.sum((self.A @ xu) * (self.A @ yu)))
-        self._acc_gd(grad, omega, _colsum(xu * yu), scale)
-        _acc(grad, omega, self.beta, dbeta, scale)
+        self._add_gd(grad, s_gd, _colsum(xu * yu), scale)
+        grad.add(s_beta, dbeta, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +733,13 @@ class DladmmOperator(_Operator):
     def dim(self):
         return self.n + 2 * self.m
 
-    def _params(self, omega):
-        return (_resolve(omega, self.beta), _resolve(omega, self.gamma),
-                _resolve(omega, self.rho1), _resolve(omega, self.rho2),
-                _resolve(omega, self.kappa1), _resolve(omega, self.kappa2))
+    def _bind(self, omega):
+        specs = (self.beta, self.gamma, self.rho1, self.rho2, self.kappa1, self.kappa2)
+        return {"params": tuple(_resolve(omega, spec) for spec in specs),
+                "slots": tuple(_slot(omega, spec) for spec in specs)}
 
     def validate_omega(self, omega):
-        beta, gamma, rho1, rho2, k1, k2 = self._params(omega)
+        beta, gamma, rho1, rho2, k1, k2 = self.prepare(omega)["params"]
         if beta <= 0:
             raise ContractError("beta must be positive")
         if not (0.0 < gamma <= 1.0):
@@ -723,7 +759,8 @@ class DladmmOperator(_Operator):
         return state[:n], state[n:n + m], state[n + m:]
 
     def forward(self, state, omega):
-        beta, gamma, rho1, rho2, k1, k2 = params = self._params(omega)
+        ctx = self.prepare(omega)
+        beta, gamma, rho1, rho2, k1, k2 = ctx["params"]
         u1, u2, lam = self.split_state(state)
         b = _match_b(self.bvec, lam)
         e = lam / beta
@@ -735,68 +772,72 @@ class DladmmOperator(_Operator):
         feas = Qv1 + v2 - b
         # lam is a view of the state: the copy keeps the rest of it off the residual
         return (np.concatenate((v1, v2, lam + gamma * beta * feas), axis=0),
-                (params, lam.copy(), Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
+                (ctx, lam.copy(), Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
 
-    def apply_vjp(self, res, omega, cot, grad):
-        (beta, gamma, rho1, rho2, k1, k2), lam, Qtr, sgn1, r2, sgn2, feas = res
+    def _vjp(self, res, cot, grad):
+        ctx, lam, Qtr, sgn1, r2, sgn2, feas = res
+        beta, gamma, rho1, rho2, k1, k2 = ctx["params"]
+        s_beta, s_gamma, s_rho1, s_rho2, s_k1, s_k2 = ctx["slots"]
         c1, c2, cl = self.split_state(cot)
 
         dv2 = c2 + gamma * beta * cl
         ip_feas = float(np.sum(cl * feas))
-        _acc(grad, omega, self.gamma, beta * ip_feas)
-        _acc(grad, omega, self.beta, gamma * ip_feas)
+        grad.add(s_gamma, beta * ip_feas)
+        grad.add(s_beta, gamma * ip_feas)
 
         dx2, dt2 = _soft_threshold_vjp(sgn2, dv2)
         s2 = float(np.sum(dt2))
-        _acc(grad, omega, self.kappa2, s2 / rho2)
-        _acc(grad, omega, self.rho2, -s2 * k2 / rho2 ** 2)
+        grad.add(s_k2, s2 / rho2)
+        grad.add(s_rho2, -s2 * k2 / rho2 ** 2)
         dr2 = -(beta / rho2) * dx2
         ip_r2 = np.sum(dx2 * r2)
-        _acc(grad, omega, self.beta, -ip_r2 / rho2)
-        _acc(grad, omega, self.rho2, ip_r2 * beta / rho2 ** 2)
+        grad.add(s_beta, -ip_r2 / rho2)
+        grad.add(s_rho2, ip_r2 * beta / rho2 ** 2)
         dv1 = c1 + gamma * beta * (self.Q.T @ cl) + self.Q.T @ dr2
 
         dx1, dt1 = _soft_threshold_vjp(sgn1, dv1)
         s1 = float(np.sum(dt1))
-        _acc(grad, omega, self.kappa1, s1 / rho1)
-        _acc(grad, omega, self.rho1, -s1 * k1 / rho1 ** 2)
+        grad.add(s_k1, s1 / rho1)
+        grad.add(s_rho1, -s1 * k1 / rho1 ** 2)
         dr = -(beta / rho1) * (self.Q @ dx1)
         ip_qtr = np.sum(dx1 * Qtr)
-        _acc(grad, omega, self.beta, -ip_qtr / rho1)
-        _acc(grad, omega, self.rho1, ip_qtr * beta / rho1 ** 2)
+        grad.add(s_beta, -ip_qtr / rho1)
+        grad.add(s_rho1, ip_qtr * beta / rho1 ** 2)
 
         de = dr2 + dr
-        _acc(grad, omega, self.beta, -np.sum(de * lam) / beta ** 2)
+        grad.add(s_beta, -np.sum(de * lam) / beta ** 2)
         return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0)
 
     # metric ----------------------------------------------------------
     def metric(self, omega):
         """blockdiag(rho1 I - beta Q^T Q, rho2 I, I / (gamma beta))."""
-        beta, gamma, rho1, rho2, _, _ = self._params(omega)
+        beta, gamma, rho1, rho2, _, _ = self.prepare(omega)["params"]
         return MetricMatrix(rho1 * np.eye(self.n) - beta * self._QtQ,
                             np.repeat([rho2, 1.0 / (gamma * beta)], self.m))
 
-    def metric_quad_vjp(self, omega, x, y, grad, scale):
-        beta, gamma, rho1, rho2, _, _ = self._params(omega)
+    def _quad_vjp(self, ctx, x, y, grad, scale):
+        beta, gamma, _, _, _, _ = ctx["params"]
+        s_beta, s_gamma, s_rho1, s_rho2, _, _ = ctx["slots"]
         x1, x2, xl = self.split_state(x)
         y1, y2, yl = self.split_state(y)
         ip11 = float(np.sum(x1 * y1))
         ipQQ = float(np.sum((self.Q @ x1) * (self.Q @ y1)))
         ip22 = float(np.sum(x2 * y2))
         ipll = float(np.sum(xl * yl))
-        _acc(grad, omega, self.rho1, ip11, scale)
-        _acc(grad, omega, self.rho2, ip22, scale)
-        _acc(grad, omega, self.beta, -ipQQ - ipll / (gamma * beta ** 2), scale)
-        _acc(grad, omega, self.gamma, -ipll / (gamma ** 2 * beta), scale)
+        grad.add(s_rho1, ip11, scale)
+        grad.add(s_rho2, ip22, scale)
+        grad.add(s_beta, -ipQQ - ipll / (gamma * beta ** 2), scale)
+        grad.add(s_gamma, -ipll / (gamma ** 2 * beta), scale)
 
 
 # ---------------------------------------------------------------------------
 # spectrally-normalized network operator
 # ---------------------------------------------------------------------------
 
+# each nonlinearity phi with its derivative written in its output a = phi(z)
 _NONLINEARITIES = {
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z: z, lambda a: np.ones_like(a)),
+    "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
 }
 
 
@@ -838,10 +879,7 @@ class NetOperator(_Operator):
         if self.widths[0] != self.dim or self.widths[-1] != self.dim:
             raise ContractError("network must be a self-map on the state space")
         self.conjugate = _diag_spec(self.conjugate, self.dim)
-        # the last omega certified (by validate_omega or renormalize_for);
-        # HyperParams is frozen and its values read-only, so the same object
-        # needs no second check
-        self._certified = None
+        self._phi, self._dphi = _NONLINEARITIES[self.nonlinearity]
 
     @property
     def nlayers(self):
@@ -852,62 +890,64 @@ class NetOperator(_Operator):
         """The per-layer spectral-norm budget rho_bar^(1/L) of this net's L layers."""
         return self.rho_bar ** (1.0 / self.nlayers)
 
-    def _layers(self, omega):
-        out = []
+    def _bind(self, omega):
+        g = _diag(omega, self.conjugate, self.dim)
+        layers = []           # (W, b, W's range, b's slot) of each layer
         for wn, bn, win, wout in zip(self.weight_names, self.bias_names,
                                      self.widths[:-1], self.widths[1:]):
-            W = omega.view(wn).reshape(wout, win)
-            bb = omega.view(bn).reshape(wout)
-            out.append((W, bb))
-        return out
+            s = omega.slice_for(wn)
+            layers.append((omega.view(wn).reshape(wout, win), omega.view(bn).reshape(wout),
+                           slice(s.offset, s.offset + s.size), _slot(omega, bn)))
+        # certified: the layers were measured within budget (by validate_omega
+        # or renormalize_for), so this omega is not measured again
+        return {"g": g, "r": np.sqrt(g), "layers": layers,
+                "s_conj": _slot(omega, self.conjugate), "certified": False}
 
     def validate_omega(self, omega):
-        if not self.enforce_certificate or omega is self._certified:
+        ctx = self.prepare(omega)
+        if not self.enforce_certificate or ctx["certified"]:
             return
-        for W, _ in self._layers(omega):
+        for W, *_ in ctx["layers"]:
             sig = spectral_norm_estimate(W)
             if sig > self.budget:
                 raise ContractError(
                     f"layer sigma_max={sig:g} exceeds the per-layer budget {self.budget:g}; "
                     "call renormalize_for(op, omega) first")
-        self._certified = omega
+        ctx["certified"] = True
 
     def forward(self, state, omega):
-        if self.enforce_certificate and omega is not self._certified:
+        ctx = self.prepare(omega)
+        if self.enforce_certificate and not ctx["certified"]:
             self.validate_omega(omega)
-        phi, _ = _NONLINEARITIES[self.nonlinearity]
-        g = _diag(omega, self.conjugate, self.dim)
-        r = np.sqrt(g)
+        r = ctx["r"]
         z = _col(r, state) * state
-        layers, pre, acts = self._layers(omega), [], [z]
-        for W, bb in layers:
-            pre.append(W @ z + _col(bb, z))
-            z = phi(pre[-1])
+        acts = [z]            # each layer's input, then the last one's output
+        for W, bb, _, _ in ctx["layers"]:
+            z = self._phi(W @ z + _col(bb, z))
             acts.append(z)
-        return z / _col(r, z), (state, g, r, layers, pre, acts)
+        return z / _col(r, z), (state, ctx, acts)
 
-    def apply_vjp(self, res, omega, cot, grad):
-        _, dphi = _NONLINEARITIES[self.nonlinearity]
-        state, g, r, layers, pre, acts = res
+    def _vjp(self, res, cot, grad):
+        state, ctx, acts = res
+        g, r = ctx["g"], ctx["r"]
         # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
         cz = cot / _col(r, cot)
-        _acc(grad, omega, self.conjugate, -0.5 * _colsum(cot * acts[-1]) / (g * r))
+        grad.add(ctx["s_conj"], -0.5 * _colsum(cot * acts[-1]) / (g * r))
         for idx in range(self.nlayers - 1, -1, -1):
-            da = dphi(pre[idx]) * cz
-            _acc(grad, omega, self.bias_names[idx], da)
-            zin = acts[idx]
-            _acc(grad, omega, self.weight_names[idx],
-                 da @ zin.T if da.ndim > 1 else np.outer(da, zin))
-            cz = layers[idx][0].T @ da
+            W, _, s_w, s_b = ctx["layers"][idx]
+            da = self._dphi(acts[idx + 1]) * cz
+            grad.add(s_b, da)
+            grad.add_outer(s_w, da, acts[idx])
+            cz = W.T @ da
         # x = r * u: cotangent into u, plus d(r)/dg on the slice
-        _acc(grad, omega, self.conjugate, 0.5 * _colsum(cz * state) / r)
+        grad.add(ctx["s_conj"], 0.5 * _colsum(cz * state) / r)
         return _col(r, cz) * cz
 
     def metric(self, omega):
         return MetricMatrix.diagonal(_diag(omega, self.conjugate, self.dim))
 
-    def metric_quad_vjp(self, omega, x, y, grad, scale):
-        _acc(grad, omega, self.conjugate, x * y, scale)
+    def _quad_vjp(self, ctx, x, y, grad, scale):
+        grad.add(ctx["s_conj"], x * y, scale)
 
 
 def _rescale_layers(omega, names, budget):
@@ -994,10 +1034,10 @@ class CompositeOperator(_Operator):
             res.append(r)
         return z, res
 
-    def apply_vjp(self, res, omega, cot, grad):
+    def _vjp(self, res, cot, grad):
         cz = cot
         for m, r in zip(self.members, reversed(res)):
-            cz = m.apply_vjp(r, omega, cz, grad)
+            cz = m._vjp(r, cz, grad)
         return cz
 
     def metric_quad_vjp(self, omega, x, y, grad, scale):
@@ -1017,7 +1057,8 @@ def contraction_factor(op, omega):
     PG, ALM and DLADMM are certified non-expansive (factor 1), so the
     factor is the product of the layer norms of the network members.
     """
-    return math.prod(spectral_norm_estimate(W) for net in _nets(op) for W, _ in net._layers(omega))
+    return math.prod(spectral_norm_estimate(W) for net in _nets(op)
+                     for W, *_ in net.prepare(omega)["layers"])
 
 
 def renormalize_for(op, omega):
@@ -1033,5 +1074,5 @@ def renormalize_for(op, omega):
     for net in nets:
         omega = _rescale_layers(omega, net.weight_names, net.budget)
     for net in nets:
-        net._certified = omega
+        net.prepare(omega)["certified"] = True
     return omega

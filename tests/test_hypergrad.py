@@ -5,12 +5,13 @@ import pytest
 
 from gkmbmo import hypergrad
 from gkmbmo.bmo import BmoConfig, evaluate_phiK
+from gkmbmo.cli import ExperimentConfig, bmo_config
 from gkmbmo.errors import ContractError, DivergenceError
 from gkmbmo.hypergrad import (LossDescriptor, fd_hypergradient,
                               hypergradient, inner_loop, km_iterate)
-from gkmbmo.metric import MetricMatrix, h_norm, min_eigen_estimate
-from gkmbmo.operators import (DladmmOperator, NetOperator, OmegaBox, PgOperator, apply_T,
-                              make_hyperparams)
+from gkmbmo.metric import MetricMatrix, h_norm, min_eigen_estimate, spectral_norm_estimate
+from gkmbmo.operators import (DladmmOperator, NetOperator, OmegaBox, OmegaGrad, PgOperator,
+                              apply_T, make_hyperparams)
 from gkmbmo.tasks import (build_deconv_operator, build_separation_operator,
                           build_sparse_coding_operator, gen_deconv, gen_separation,
                           gen_sparse_coding)
@@ -263,7 +264,7 @@ class TestInnerLoop:
         bound = min_eigen_estimate(op.metric(om)) / loss.smoothness()
         cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=12)
         u, tape, _ = inner_loop(op, loss, om, cfg, u0=rng.standard_normal(op.dim))
-        replayed = tape.replay()
+        replayed = replayed_iterates(tape)[-1]
         assert np.array_equal(u, replayed)
 
     def test_records_match_trajectory_contract(self, rng):
@@ -539,28 +540,34 @@ def box_tape(case, rng):
     return inner_loop(op, loss, om, cfg, u0=u0)[1]
 
 
-def recomputed_sweep(tape):
+def recomputed_sweep(tape, per_step=False):
     """The reverse sweep as it ran on u^{k-1} in place of residuals.
 
     Each step's iterate is replayed from u0 and its forward pass runs
-    again, and the box mask is the float interior of u^k.
+    again, and the box mask is the float interior of u^k.  The rules add
+    into one OmegaGrad, reduced once, as the sweep's do; with
+    ``per_step`` each VJP adds into an array of its own, a sweep of
+    length one, so a layer's gradient is the sum of each step's da z^T.
     """
     op, loss, om, cfg, H = tape.op, tape.loss, tape.omega, tape.cfg, tape.metric
     us = replayed_iterates(tape)
     cu = loss.grad_u(tape.uK)
-    go = np.zeros(om.dim)
+    go = OmegaGrad(np.zeros(om.dim))
     for k in range(len(tape.steps), 0, -1):
         st = tape.steps[k - 1]
         if cfg.domain is not None:
             cu = cfg.domain.interior(us[k]).astype(float) * cu
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu
-        cs = op.apply_vjp(op.forward(us[k - 1], om)[1], om, cfg.alpha * cvl, go)
+        step = np.zeros(om.dim) if per_step else go
+        cs = op.apply_vjp(op.forward(us[k - 1], om)[1], om, cfg.alpha * cvl, step)
+        if per_step:
+            go.values += step
         cu = (1.0 - cfg.alpha) * cvl + cs
         hv = H.solve(cvu)
         cu = cu + cvu - st.s_k * loss.hess_vec(hv)
         op.metric_quad_vjp(om, hv, st.hinv_grad, go, st.s_k)
-    return go
+    return go.reduce()
 
 
 def arrays_in(res):
@@ -603,6 +610,54 @@ class TestTapeResiduals:
         tape = task_tape(task)
         for u, st in zip(replayed_iterates(tape), tape.steps):
             assert not any(np.shares_memory(a, u) for a in arrays_in(st.res))
+
+
+class TestTaskSizeLayerGradient:
+    """The deconv bundle at task size: n = 64, one 64-wide tanh net, K = 15.
+
+    The layers sit at 0.9 of their budget, so a small step along a layer
+    direction keeps the certificate.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        bundle = build_deconv_operator(gen_deconv(n=64, seed=5), net_widths=(64,), seed=6)
+        net = bundle.op.members[1]
+        assert net.nonlinearity == "tanh" and net.widths == (64, 64, 64)
+        om = bundle.omega0
+        for name in net.weight_names:
+            W = om.view(name)
+            om = om.replace_slice(name, W * (0.9 * net.budget / spectral_norm_estimate(W)))
+        cfg = bmo_config(ExperimentConfig({"task": "deconv"}), bundle, K=15)
+        tape = inner_loop(bundle.op, bundle.loss, om, cfg, record=False)[1]
+        return bundle, net, om, cfg, tape
+
+    def test_sweep_layer_gradient_is_the_sum_of_step_outer_products(self, case):
+        _, net, om, _, tape = case
+        got, want = hypergradient(tape), recomputed_sweep(tape, per_step=True)
+        for name in net.weight_names:
+            s = om.slice_for(name)
+            dW, ref = got[s.offset:s.offset + s.size], want[s.offset:s.offset + s.size]
+            assert np.any(ref != 0)
+            np.testing.assert_allclose(dW, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_layer_directions_match_central_differences(self, case):
+        bundle, net, om, cfg, tape = case
+        grad = hypergradient(tape)
+        rng = np.random.default_rng(2024)
+        names = net.weight_names + net.bias_names
+        h = 1e-6
+        for _ in range(3):
+            d = np.zeros(om.dim)
+            for name in names:
+                s = om.slice_for(name)
+                d[s.offset:s.offset + s.size] = rng.standard_normal(s.size)
+            d /= np.linalg.norm(d)
+            phi = [evaluate_phiK(bundle.op, bundle.loss, om.with_values(om.values + sgn * h * d),
+                                 cfg) for sgn in (1.0, -1.0)]
+            fd = (phi[0] - phi[1]) / (2 * h)
+            analytic = float(grad @ d)
+            assert abs(fd - analytic) <= 1e-6 * max(abs(fd), abs(analytic)), (fd, analytic)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,31 @@ class TestAlm:
         assert fresh is not ctx and op.prepare(other) is fresh
         np.testing.assert_array_equal(fresh["Kss_inv"], ctx["Kss_inv"])
 
+    @pytest.mark.parametrize("case", ["alm-slice", "alm-rho-lin"])
+    def test_batched_residual_keeps_the_rows_the_vjp_reads(self, case, rng):
+        # of c and u+ the VJP reads c_L and u+_S alone, so the residual keeps only those
+        op, om = reverse_case(case, rng)
+        op.validate_omega(om)
+        B = 5
+        state = rng.standard_normal((op.dim, B)) * 2.0
+        out, res = op.forward(state, om)
+        _, _, _, cL, sgn, upS, _ = res
+        S, L = op._smooth, op._l1
+        assert S.size and L.size
+        assert cL.shape == (L.size, B) and upS.shape == (S.size, B)
+        np.testing.assert_array_equal(upS, out[S])
+        assert not any(np.shares_memory(a, state) for a in (cL, upS))
+        # the batched VJP is the sum of its columns' and matches central differences
+        cot = rng.standard_normal(out.shape)
+        grad = np.zeros(om.dim)
+        cs = op.apply_vjp(res, om, cot, grad)
+        col_grad = np.zeros(om.dim)
+        for j in range(B):
+            col_cs = op.apply_vjp(op.forward(state[:, j], om)[1], om, cot[:, j], col_grad)
+            np.testing.assert_allclose(cs[:, j], col_cs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, col_grad, rtol=1e-12, atol=1e-12)
+        fd_vjp_check(op, state, om, rng)
+
     def test_integer_group_mask_refused(self):
         with pytest.raises(ContractError, match="boolean"):
             AlmOperator(nprimal=3, ndual=1, A=np.zeros((1, 3)), bvec=np.zeros(1),
@@ -590,6 +615,53 @@ class TestNet:
         om = net_omega(Ws, bs)
         op = net_op(3, [3, 5, 3], nonlinearity="tanh")
         fd_vjp_check(op, rng.standard_normal(3), om, rng)
+
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "identity"])
+    @pytest.mark.parametrize("batch", [None, 4], ids=["unbatched", "batched"])
+    def test_vjp_reads_the_kept_activation(self, nonlinearity, batch, rng):
+        # phi'(z) is read from a = phi(z): 1 - a^2 for tanh, ones for the identity,
+        # bit for bit what phi'(z) from a kept pre-activation z gives
+        g = rng.uniform(1.0, 3.0, 3)
+        Ws = [rng.standard_normal(shape) for shape in ((5, 3), (3, 5))]
+        Ws = [W * (0.8 / spectral_norm_estimate(W)) for W in Ws]
+        om = make_hyperparams([("g", g, "metric-diagonal"),
+                               ("W0", Ws[0], "layer-matrix"),
+                               ("b0", rng.standard_normal(5), "layer-bias"),
+                               ("W1", Ws[1], "layer-matrix"),
+                               ("b1", rng.standard_normal(3), "layer-bias")])
+        op = net_op(3, [3, 5, 3], nonlinearity=nonlinearity, conjugate="g")
+        u = rng.standard_normal(3 if batch is None else (3, batch))
+        cot = rng.standard_normal(u.shape)
+        out, res = op.forward(u, om)
+        kept_state, _, acts = res
+        assert kept_state is u and len(acts) == op.nlayers + 1   # z_0..z_L, no pre-activation
+        grad = np.zeros(om.dim)
+        cs = op.apply_vjp(res, om, cot, grad)
+
+        # the rule from the pre-activations, with one outer product per layer
+        phi, dphi = ((np.tanh, lambda z: 1.0 - np.tanh(z) ** 2) if nonlinearity == "tanh"
+                     else (lambda z: z, np.ones_like))
+        col = (lambda v: v[:, None]) if u.ndim > 1 else (lambda v: v)
+        colsum = (lambda v: v.sum(axis=-1)) if u.ndim > 1 else (lambda v: v)
+        r = np.sqrt(g)
+        zs, pres = [col(r) * u], []
+        for W, b in ((om.view("W0"), om.view("b0")), (om.view("W1"), om.view("b1"))):
+            pres.append(W @ zs[-1] + col(b))
+            zs.append(phi(pres[-1]))
+        np.testing.assert_array_equal(out, zs[-1] / col(r))
+        want = np.zeros(om.dim)
+        want[:3] += -0.5 * colsum(cot * zs[-1]) / (g * r)
+        cz = cot / col(r)
+        for idx, name in ((1, "1"), (0, "0")):
+            da = dphi(pres[idx]) * cz
+            sb, sw = om.slice_for("b" + name), om.slice_for("W" + name)
+            want[sb.offset:sb.offset + sb.size] += colsum(da)
+            want[sw.offset:sw.offset + sw.size] += (
+                da @ zs[idx].T if da.ndim > 1 else np.outer(da, zs[idx])).reshape(-1)
+            cz = om.view("W" + name).T @ da
+        want[:3] += 0.5 * colsum(cz * u) / r
+        np.testing.assert_array_equal(grad, want)
+        np.testing.assert_array_equal(cs, col(r) * cz)
 
     def test_slice_conjugated_vjp(self, rng):
         # conjugation by a learnable diagonal metric: gradient flows into g
