@@ -35,7 +35,7 @@ class BmoConfig:
     rate; K/T: inner/outer iteration counts.  ``lr_schedule`` is either
     ("constant",) or ("expdecay", rate, period) giving
     gamma * rate**(t/period).  ``omega_bounds`` boxes omega and ``domain``
-    boxes u; None is the full space.
+    boxes u; None is the full space.  Nothing in the library reads ``seed``.
     """
 
     alpha: float = 0.5

@@ -10,10 +10,16 @@ over the batch columns.
 
 An operator reads omega through one context, which ``prepare(omega)``
 binds once per omega object: the resolved scalars and diagonals, a net's
-layer matrices and sqrt(g), the threshold vectors derived from them, and
-the gradient slot of each spec that names a slice.  So no per-step path
-resolves a slice by name.  Each operator writes its map once, as a
-forward/reverse pair in the manner of a custom VJP:
+layer matrices and sqrt(g), the threshold vectors derived from them, the
+metric H(omega), and the gradient slot of each spec that names a slice.
+So no per-step path resolves a slice by name.  The binding admits omega:
+it runs every check the operator's certificate holds and proves H(omega)
+positive definite, so ``forward``, ``metric`` (the context's H) and
+``validate_omega`` (the binding alone) refuse the same omegas with the
+same ContractError.  A net's layers are the one exception: they are
+measured once per omega object, at its first validation or forward pass,
+unless ``renormalize_for`` vouched for them.  Each operator writes its
+map once, as a forward/reverse pair in the manner of a custom VJP:
 
 * ``forward(state, omega) -> (out, res)``: D(state), and in ``res`` the
   context and the intermediates the reverse rule reads, but no view of
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -168,10 +173,10 @@ class OmegaBox:
         values = np.asarray(values, dtype=float)
         return np.clip(values, _col(self.lower, values), _col(self.upper, values))
 
-    def contains(self, values, tol=1e-12):
+    def contains(self, values):
         values = np.asarray(values, dtype=float)
-        return bool(np.all(values >= _col(self.lower, values) - tol)
-                    and np.all(values <= _col(self.upper, values) + tol))
+        return bool(np.all(values >= _col(self.lower, values) - 1e-12)
+                    and np.all(values <= _col(self.upper, values) + 1e-12))
 
     def interior(self, values):
         """True where a coordinate lies strictly inside its bounds."""
@@ -309,8 +314,10 @@ def apply_T(op, state, omega, cfg):
 
 
 class _Operator:
-    """``prepare``, ``apply`` and the two reverse rules, over a subclass's
-    ``_bind``, ``forward``, ``_vjp`` and ``_quad_vjp``."""
+    """``prepare``, ``apply``, ``metric``, ``validate_omega`` and the two
+    reverse rules, over a subclass's ``_bind`` (which refuses an omega its
+    certificate does not hold at and builds its H), ``forward``, ``_vjp``
+    and ``_quad_vjp``."""
 
     _bound = (None, None)    # (omega, its context)
 
@@ -323,6 +330,12 @@ class _Operator:
 
     def apply(self, state, omega):
         return self.forward(state, omega)[0]
+
+    def metric(self, omega):
+        return self.prepare(omega)["H"]
+
+    def validate_omega(self, omega):
+        self.prepare(omega)
 
     def apply_vjp(self, res, omega, cot, grad):
         if isinstance(grad, OmegaGrad):
@@ -370,29 +383,12 @@ class PgOperator(_Operator):
             if np.any(self.l1_weights < 0):
                 raise ContractError("l1 weights must be nonnegative")
         self.gdiag = _diag_spec(self.gdiag, self.dim)
+        self.lipschitz_f = 0.0 if self.quad is None else spectral_norm_estimate(self.quad)
 
-    # internals -------------------------------------------------------
     def _bind(self, omega):
         gam = _resolve(omega, self.gamma)
         g = _diag(omega, self.gdiag, self.dim)
-        if np.any(g <= 0):
-            raise ContractError("metric diagonal G(omega) must be positive definite")
-        c = _resolve(omega, self.thresh, 1.0)
-        w = None if self.l1_weights is None else self.l1_weights * c
-        return {"gam": gam, "g": g, "c": c, "w": w,
-                "thr": None if w is None else gam * w / g,
-                "slots": (_slot(omega, self.gamma), _slot(omega, self.gdiag),
-                          _slot(omega, self.thresh))}
-
-    @cached_property
-    def lipschitz_f(self):
-        """L_f = sigma_max(quad), measured at the first validation."""
-        return 0.0 if self.quad is None else spectral_norm_estimate(self.quad)
-
-    # contract --------------------------------------------------------
-    def validate_omega(self, omega):
-        ctx = self.prepare(omega)
-        gam, g, w = ctx["gam"], ctx["g"], ctx["w"]
+        H = MetricMatrix.diagonal(g)    # refuses a G with an entry <= 0 before min(g) is read
         lf = self.lipschitz_f
         if gam <= 0:
             raise ContractError("step gamma must be positive")
@@ -400,8 +396,14 @@ class PgOperator(_Operator):
             raise ContractError(
                 f"gamma={gam:g} outside (0, 2 lambda_min(G)/L_f) with "
                 f"lambda_min={np.min(g):g}, L_f={lf:g}")
+        c = _resolve(omega, self.thresh, 1.0)
+        w = None if self.l1_weights is None else self.l1_weights * c
         if w is not None and np.any(w < 0):
             raise ContractError("threshold weights must be nonnegative")
+        return {"gam": gam, "g": g, "c": c, "w": w, "H": H,
+                "thr": None if w is None else gam * w / g,
+                "slots": (_slot(omega, self.gamma), _slot(omega, self.gdiag),
+                          _slot(omega, self.thresh))}
 
     # evaluation ------------------------------------------------------
     def forward(self, state, omega):
@@ -437,10 +439,6 @@ class PgOperator(_Operator):
             grad.add(s_gam, -np.sum(dx * gf / gcol))
         grad.add(s_g, gam * _colsum(dx * gf) / g ** 2)
         return cs
-
-    # metric ----------------------------------------------------------
-    def metric(self, omega):
-        return MetricMatrix.diagonal(self.prepare(omega)["g"])
 
     def _quad_vjp(self, ctx, x, y, grad, scale):
         grad.add(ctx["slots"][1], x * y, scale)
@@ -529,15 +527,6 @@ class AlmOperator(_Operator):
         return self.nprimal + self.ndual
 
     # internals -------------------------------------------------------
-    def _gd(self, omega):
-        """The diagonal part gd of G(omega)."""
-        if not self._ell:
-            return _diag(omega, self.gdiag, self.nprimal)
-        d = np.zeros(self.nprimal)
-        for name, mask in self.rho_groups:
-            d[mask] += omega.scalar(name)
-        return d
-
     @staticmethod
     def _add_gd(grad, slots, dgd, scale=1.0):
         """Send the cotangent of gd into omega: all of it through ``gdiag``
@@ -549,7 +538,12 @@ class AlmOperator(_Operator):
         beta = _resolve(omega, self.beta)
         if beta <= 0:
             raise ContractError("penalty beta must be positive")
-        gd = self._gd(omega)
+        if self._ell:
+            gd = np.zeros(self.nprimal)
+            for name, mask in self.rho_groups:
+                gd[mask] += omega.scalar(name)
+        else:
+            gd = _diag(omega, self.gdiag, self.nprimal)
         K = np.diag(gd)
         if not self._ell:
             K = K + beta * self._AtA
@@ -569,9 +563,17 @@ class AlmOperator(_Operator):
             for name, mask in self.thresh_groups:
                 w[mask] = w[mask] * omega.scalar(name)
                 groups.append((_slot(omega, name), mask[L]))
-        # G is proven positive definite before Kss, which contains it, is inverted,
-        # and before the l1 thresholds divide by d_L = diag(K)_L, which G bounds below
-        H = self._metric(beta, gd)
+            if np.any(w < 0):
+                raise ContractError("l1 weights must be nonnegative")
+        # H = blockdiag(G, I / beta), G = diag(gd) - ell beta A^T A, is proven positive
+        # definite before Kss, which contains G, is inverted, and before the l1
+        # thresholds divide by d_L = diag(K)_L, which G bounds below
+        dual = np.full(self.ndual, 1.0 / beta)
+        try:
+            H = (MetricMatrix(np.diag(gd) - beta * self._AtA, dual) if self._ell
+                 else MetricMatrix.diagonal(np.concatenate([gd, dual])))
+        except ContractError as err:
+            raise ContractError(f"prox metric G(omega): {err}") from None
         dL = np.diag(K)[L]
         return {
             "beta": beta,
@@ -588,11 +590,6 @@ class AlmOperator(_Operator):
                       if self._ell else [(_slot(omega, self.gdiag), None)],
                       groups),
         }
-
-    def validate_omega(self, omega):
-        w = self.prepare(omega)["w"]
-        if w is not None and np.any(w < 0):
-            raise ContractError("l1 weights must be nonnegative")
 
     # evaluation ------------------------------------------------------
     def split_state(self, state):
@@ -669,23 +666,6 @@ class AlmOperator(_Operator):
         return np.concatenate([cu, clam_out + Adc], axis=0)
 
     # metric ----------------------------------------------------------
-    def _metric(self, beta, gd):
-        """blockdiag(G, I / beta), G = diag(gd) - ell beta A^T A proven positive definite."""
-        dual = np.full(self.ndual, 1.0 / beta)
-        try:
-            if self._ell:
-                return MetricMatrix(np.diag(gd) - beta * self._AtA, dual)
-            return MetricMatrix.diagonal(np.concatenate([gd, dual]))
-        except ContractError as err:
-            raise ContractError(f"prox metric G(omega): {err}") from None
-
-    def metric(self, omega):
-        """blockdiag(G(omega), I / beta): a prepared omega's is read from its
-        context; any other omega's is built alone, without the primal step."""
-        if omega is self._bound[0]:
-            return self._bound[1]["H"]
-        return self._metric(_resolve(omega, self.beta), self._gd(omega))
-
     def _quad_vjp(self, ctx, x, y, grad, scale):
         beta = ctx["beta"]
         s_beta, s_gd, _ = ctx["slots"]
@@ -735,24 +715,26 @@ class DladmmOperator(_Operator):
 
     def _bind(self, omega):
         specs = (self.beta, self.gamma, self.rho1, self.rho2, self.kappa1, self.kappa2)
-        return {"params": tuple(_resolve(omega, spec) for spec in specs),
-                "slots": tuple(_slot(omega, spec) for spec in specs)}
-
-    def validate_omega(self, omega):
-        beta, gamma, rho1, rho2, k1, k2 = self.prepare(omega)["params"]
+        params = beta, gamma, rho1, rho2, k1, k2 = tuple(_resolve(omega, spec) for spec in specs)
         if beta <= 0:
             raise ContractError("beta must be positive")
         if not (0.0 < gamma <= 1.0):
             raise ContractError("dual step gamma must lie in (0, 1]")
         if rho1 is None or rho2 is None:
             raise ContractError("rho1 and rho2 are required")
-        bound = beta * self.lipschitz_Q ** 2
-        if rho1 < bound * (1.0 - 1e-12):
-            raise ContractError(f"rho1={rho1:g} below the certified bound beta L_Q^2 = {bound:g}")
-        if rho2 < beta * (1.0 - 1e-12):
+        if rho2 < beta:
             raise ContractError(f"rho2={rho2:g} below the certified bound beta = {beta:g}")
         if k1 < 0 or k2 < 0:
             raise ContractError("kappa weights must be nonnegative")
+        # rho1 > beta L_Q^2 is certified by proving the lead rho1 I - beta Q^T Q of
+        # H = blockdiag(lead, rho2 I, I / (gamma beta)) positive definite
+        try:
+            H = MetricMatrix(rho1 * np.eye(self.n) - beta * self._QtQ,
+                             np.repeat([rho2, 1.0 / (gamma * beta)], self.m))
+        except ContractError as err:
+            raise ContractError(f"rho1={rho1:g} not above the certified bound beta L_Q^2 = "
+                                f"{beta * self.lipschitz_Q ** 2:g}: {err}") from None
+        return {"params": params, "H": H, "slots": tuple(_slot(omega, spec) for spec in specs)}
 
     def split_state(self, state):
         n, m = self.n, self.m
@@ -809,12 +791,6 @@ class DladmmOperator(_Operator):
         return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0)
 
     # metric ----------------------------------------------------------
-    def metric(self, omega):
-        """blockdiag(rho1 I - beta Q^T Q, rho2 I, I / (gamma beta))."""
-        beta, gamma, rho1, rho2, _, _ = self.prepare(omega)["params"]
-        return MetricMatrix(rho1 * np.eye(self.n) - beta * self._QtQ,
-                            np.repeat([rho2, 1.0 / (gamma * beta)], self.m))
-
     def _quad_vjp(self, ctx, x, y, grad, scale):
         beta, gamma, _, _, _, _ = ctx["params"]
         s_beta, s_gamma, s_rho1, s_rho2, _, _ = ctx["slots"]
@@ -900,7 +876,7 @@ class NetOperator(_Operator):
                            slice(s.offset, s.offset + s.size), _slot(omega, bn)))
         # certified: the layers were measured within budget (by validate_omega
         # or renormalize_for), so this omega is not measured again
-        return {"g": g, "r": np.sqrt(g), "layers": layers,
+        return {"g": g, "r": np.sqrt(g), "H": MetricMatrix.diagonal(g), "layers": layers,
                 "s_conj": _slot(omega, self.conjugate), "certified": False}
 
     def validate_omega(self, omega):
@@ -942,9 +918,6 @@ class NetOperator(_Operator):
         # x = r * u: cotangent into u, plus d(r)/dg on the slice
         grad.add(ctx["s_conj"], 0.5 * _colsum(cz * state) / r)
         return _col(r, cz) * cz
-
-    def metric(self, omega):
-        return MetricMatrix.diagonal(_diag(omega, self.conjugate, self.dim))
 
     def _quad_vjp(self, ctx, x, y, grad, scale):
         grad.add(ctx["s_conj"], x * y, scale)
@@ -994,7 +967,9 @@ class CompositeOperator(_Operator):
     The composite metric H is the outermost member's metric.  A
     composition of maps that are each non-expansive in H is non-expansive
     in H, so every member must have exactly that metric, lead and tail;
-    otherwise the certificate does not compose.
+    otherwise the certificate does not compose.  ``metric`` and
+    ``validate_omega`` check this once per omega object; ``forward`` runs
+    only its members' own checks.
     """
 
     members: tuple
@@ -1011,20 +986,20 @@ class CompositeOperator(_Operator):
     def dim(self):
         return self.members[0].dim
 
-    def metric(self, omega):
-        return self.members[0].metric(omega)
-
-    def validate_omega(self, omega):
-        # validated first, a prepared member reads its metric from its context
-        for m in self.members:
-            m.validate_omega(omega)
-        H = self.metric(omega)
+    def _bind(self, omega):
+        H = self.members[0].metric(omega)
         for i, m in enumerate(self.members[1:], start=1):
             Hm = m.metric(omega)
             if not (np.array_equal(Hm.lead, H.lead) and np.array_equal(Hm.tail, H.tail)):
                 raise ContractError(
                     f"member {i} ({type(m).__name__}) must be conjugated to the composite "
                     "metric, its outermost member's")
+        return {"H": H}
+
+    def validate_omega(self, omega):
+        for m in self.members:
+            m.validate_omega(omega)
+        self.prepare(omega)
 
     def forward(self, state, omega):
         """The innermost member runs first; ``res`` holds each member's, in that order."""

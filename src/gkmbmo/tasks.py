@@ -237,11 +237,8 @@ def _kernel_column(kernel, n):
 
 def circulant(kernel, n):
     """Dense circulant convolution matrix for a (short) kernel."""
-    q = _kernel_column(kernel, n)
-    C = np.empty((n, n))
-    for i in range(n):
-        C[:, i] = np.roll(q, i)
-    return C
+    j = np.arange(n)
+    return _kernel_column(kernel, n)[(j[:, None] - j) % n]    # C[j, i] = q[j - i mod n]
 
 
 def circulant_sigma_max(kernel, n):

@@ -433,10 +433,13 @@ class TestDladmm:
 
     def test_scalar_hand_example(self):
         op = dladmm_op(np.array([[1.0]]), np.zeros(1))
-        om = dladmm_omega(beta=0.1, gamma=1.0, rho_mult1=1.0, rho_mult2=1.0,
+        # rho1 = 0.4 lies above beta L_Q^2 = 0.1, where the metric's lead 0.1 is singular.
+        # r = 1 + 1 = 2, u1+ = 1 - (0.1 / 0.4) 2 = 0.5; r2 = 0.5 + 1 = 1.5,
+        # u2+ = 1 - (0.1 / 0.1) 1.5 = -0.5; lam+ = 0 + 0.1 (0.5 - 0.5) = 0
+        om = dladmm_omega(beta=0.1, gamma=1.0, rho_mult1=4.0, rho_mult2=1.0,
                           k1=0.0, k2=0.0)
         out = checked_apply(op, np.array([1.0, 1.0, 0.0]), om)
-        np.testing.assert_allclose(out, [-1.0, 1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(out, [0.5, -0.5, 0.0], atol=1e-14)
 
     def test_fixed_point_invariance(self, rng):
         # u1* = 0, u2* arbitrary, lam* = -kappa2 sign(u2*), b = u2*
@@ -746,7 +749,9 @@ class TestNet:
     @pytest.mark.parametrize("spec", [None, np.array([1.0, 2.0, 4.0]), "g"],
                              ids=["identity", "fixed", "slice"])
     def test_conjugate_takes_the_gdiag_spec(self, spec):
-        om = make_hyperparams([("g", np.array([1.5, 2.0, 3.0]), "metric-diagonal")])
+        om = make_hyperparams([("g", np.array([1.5, 2.0, 3.0]), "metric-diagonal"),
+                               ("W0", np.eye(3), "layer-matrix"),
+                               ("b0", np.zeros(3), "layer-bias")])
         Hn = net_op(3, [3, 3], conjugate=spec).metric(om)
         Hp = PgOperator(dim=3, gdiag=spec).metric(om)
         assert Hn.is_diagonal and Hp.is_diagonal
@@ -968,7 +973,7 @@ class TestComposite:
             m.validate_omega(om)
         with pytest.raises(ContractError, match=r"member 1 \(PgOperator\)"):
             comp.validate_omega(om)
-        assert lipschitz_ratio(comp, om, comp.metric(om), 400, rng) > 1.0
+        assert lipschitz_ratio(comp, om, pgs[0].metric(om), 400, rng) > 1.0
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)
@@ -1105,6 +1110,77 @@ class TestReverseContract:
             else:
                 np.testing.assert_array_equal(rule(grad), out)
             np.testing.assert_allclose(grad, g0 + fresh, rtol=1e-12, atol=1e-12)
+
+
+def refused_omega(case, om):
+    """An omega derived from ``reverse_case``'s that the operator's certificate refuses."""
+    if case in ("pg", "composite"):
+        return om.replace_slice("gam", 11.0)            # above 2 lambda_min(G) / L_f <= 10
+    if case.startswith("alm"):
+        return om.replace_slice("kap", -0.3)            # negative l1 weights
+    if case == "dladmm":
+        return om.replace_slice("rho1", 0.5 * om.scalar("rho1"))   # below beta L_Q^2
+    return make_hyperparams([("g", om.view("g"), "metric-diagonal")])   # a net without layers
+
+
+class TestOneAdmissionRule:
+    """``forward``, ``metric`` and ``validate_omega`` admit an omega by one rule."""
+
+    @staticmethod
+    def verdicts(build):
+        """The ContractError message of each method (None where it admits), each
+        asked of a fresh operator so no method sees another's binding."""
+        out = []
+        for call in (lambda op, om: op.validate_omega(om), lambda op, om: op.metric(om),
+                     lambda op, om: op.forward(np.zeros(op.dim), om)):
+            op, om = build()
+            try:
+                call(op, om)
+                out.append(None)
+            except ContractError as err:
+                out.append(str(err))
+        return out
+
+    @pytest.mark.parametrize("case", REVERSE_CASES)
+    def test_forward_and_metric_refuse_what_validation_refuses(self, case):
+        def build(refuse):
+            op, om = reverse_case(case, np.random.default_rng(7))
+            return op, refused_omega(case, om) if refuse else om
+
+        assert self.verdicts(lambda: build(False)) == [None] * 3
+        refused = self.verdicts(lambda: build(True))
+        assert refused[0] is not None and refused == [refused[0]] * 3
+
+    @pytest.mark.parametrize("d", [-1e-9, -5e-13, 0.0, 1e-9])
+    def test_dladmm_boundary_has_one_verdict(self, d):
+        # rho1 = beta L_Q^2 (1 + d): the rho1 certificate is the proof that the lead
+        # rho1 I - beta Q^T Q of H is positive definite, with no slack either way
+        def build():
+            rng = np.random.default_rng(3)
+            op = dladmm_op(rng.standard_normal((8, 16)), rng.standard_normal(8))
+            beta = 0.1
+            rho1 = beta * op.lipschitz_Q ** 2 * (1.0 + d)
+            return op, dladmm_omega(beta=beta).replace_slice("rho1", rho1)
+
+        verdicts = self.verdicts(build)
+        if d > 0:
+            assert verdicts == [None] * 3
+        else:
+            assert verdicts[0] is not None and verdicts == [verdicts[0]] * 3
+            assert "rho1=" in verdicts[0] and "beta L_Q^2" in verdicts[0]
+
+    def test_composite_checks_member_metrics_once_per_omega_object(self, rng, monkeypatch):
+        comp, om = reverse_case("composite", rng)
+        calls = []
+        member_metric = comp.members[1].metric
+        monkeypatch.setattr(comp.members[1], "metric",
+                            lambda omega: calls.append(1) or member_metric(omega))
+        comp.validate_omega(om)
+        comp.validate_omega(om)
+        comp.metric(om)
+        assert len(calls) == 1
+        comp.validate_omega(om.with_values(om.values))
+        assert len(calls) == 2
 
 
 class TestWorkPerOuterStep:
