@@ -10,16 +10,17 @@ over the batch columns.
 
 An operator reads omega through one context, which ``prepare(omega)``
 binds once per omega object: the resolved scalars and diagonals, a net's
-layer matrices and sqrt(g), the threshold vectors derived from them, the
-metric H(omega), and the gradient slot of each spec that names a slice.
-So no per-step path resolves a slice by name.  The binding admits omega:
-it runs every check the operator's certificate holds and proves H(omega)
-positive definite, so ``forward``, ``metric`` (the context's H) and
-``validate_omega`` (the binding alone) refuse the same omegas with the
-same ContractError.  A net's layers are the one exception: they are
-measured once per omega object, at its first validation or forward pass,
-unless ``renormalize_for`` vouched for them.  Each operator writes its
-map once, as a forward/reverse pair in the manner of a custom VJP:
+layer matrices, their spectral norms and sqrt(g), the threshold vectors
+derived from them, the metric H(omega), and the gradient slot of each
+spec that names a slice.  So no per-step path resolves a slice by name.
+The binding admits omega: it runs every check the operator's certificate
+holds and proves H(omega) positive definite, so ``forward``, ``metric``
+(the context's H) and ``validate_omega`` (the binding alone) refuse the
+same omegas with the same ContractError.  A margin is admitted at zero
+(gamma at 2 lambda_min(G)/L_f, a layer at its budget, rho2 = beta)
+unless it is an eigenvalue of H (DLADMM's rho1 lead, ALM's G), which
+the metric's floor refuses.  Each operator writes its map once, as a
+forward/reverse pair in the manner of a custom VJP:
 
 * ``forward(state, omega) -> (out, res)``: D(state), and in ``res`` the
   context and the intermediates the reverse rule reads, but no view of
@@ -321,11 +322,12 @@ class _Operator:
 
     _bound = (None, None)    # (omega, its context)
 
-    def prepare(self, omega):
-        """The context ``_bind`` builds of omega, once per omega object (it is
-        frozen, and the kept reference stops its id from being reused)."""
+    def prepare(self, omega, *measured):
+        """The context ``_bind(omega, *measured)`` builds, once per omega object
+        (it is frozen, and the kept reference stops its id from being reused);
+        ``measured`` is what the caller has already measured of omega."""
         if omega is not self._bound[0]:
-            self._bound = (omega, self._bind(omega))
+            self._bound = (omega, self._bind(omega, *measured))
         return self._bound[1]
 
     def apply(self, state, omega):
@@ -392,9 +394,9 @@ class PgOperator(_Operator):
         lf = self.lipschitz_f
         if gam <= 0:
             raise ContractError("step gamma must be positive")
-        if lf > 0 and gam >= 2.0 * float(np.min(g)) / lf:
+        if lf > 0 and gam > 2.0 * float(np.min(g)) / lf:
             raise ContractError(
-                f"gamma={gam:g} outside (0, 2 lambda_min(G)/L_f) with "
+                f"gamma={gam:g} outside (0, 2 lambda_min(G)/L_f] with "
                 f"lambda_min={np.min(g):g}, L_f={lf:g}")
         c = _resolve(omega, self.thresh, 1.0)
         w = None if self.l1_weights is None else self.l1_weights * c
@@ -822,10 +824,9 @@ class NetOperator(_Operator):
     """Stack of affine layers with a 1-Lipschitz componentwise nonlinearity.
 
     Layer matrices live in omega slices (role layer-matrix) and are
-    expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L);
-    ``forward`` checks the certificate once per omega object, so no
-    residual exists for an uncertified omega, and rejects unnormalized
-    layers unless ``enforce_certificate`` is switched off (the
+    expected spectrally normalized so each sigma_max(W_l) <= rho_bar^(1/L).
+    The binding measures each layer and refuses one above that budget
+    unless ``enforce_certificate`` is switched off (the
     normalization-ablation mode).  ``conjugate`` is a diagonal-metric
     spec, as ``gdiag`` is elsewhere: a fixed (dim,) diagonal, the name of
     a metric-diagonal omega slice, or None for ones (which change
@@ -866,35 +867,30 @@ class NetOperator(_Operator):
         """The per-layer spectral-norm budget rho_bar^(1/L) of this net's L layers."""
         return self.rho_bar ** (1.0 / self.nlayers)
 
-    def _bind(self, omega):
+    def _bind(self, omega, norms=None):
+        """``norms`` are the layers' spectral norms, or upper bounds on them, where
+        ``renormalize_for`` has measured them already; else each layer is measured."""
         g = _diag(omega, self.conjugate, self.dim)
         layers = []           # (W, b, W's range, b's slot) of each layer
         for wn, bn, win, wout in zip(self.weight_names, self.bias_names,
                                      self.widths[:-1], self.widths[1:]):
             s = omega.slice_for(wn)
-            layers.append((omega.view(wn).reshape(wout, win), omega.view(bn).reshape(wout),
+            if s.shape != (wout, win):    # so the norm renormalize_for measures is this W's
+                raise ContractError(f"layer slice {wn!r} has shape {s.shape}, not {(wout, win)}")
+            layers.append((omega.view(wn), omega.view(bn).reshape(wout),
                            slice(s.offset, s.offset + s.size), _slot(omega, bn)))
-        # certified: the layers were measured within budget (by validate_omega
-        # or renormalize_for), so this omega is not measured again
-        return {"g": g, "r": np.sqrt(g), "H": MetricMatrix.diagonal(g), "layers": layers,
-                "s_conj": _slot(omega, self.conjugate), "certified": False}
-
-    def validate_omega(self, omega):
-        ctx = self.prepare(omega)
-        if not self.enforce_certificate or ctx["certified"]:
-            return
-        for W, *_ in ctx["layers"]:
-            sig = spectral_norm_estimate(W)
-            if sig > self.budget:
+        if norms is None:
+            norms = [spectral_norm_estimate(W) for W, *_ in layers]
+        for sig in norms:
+            if self.enforce_certificate and sig > self.budget:
                 raise ContractError(
                     f"layer sigma_max={sig:g} exceeds the per-layer budget {self.budget:g}; "
                     "call renormalize_for(op, omega) first")
-        ctx["certified"] = True
+        return {"g": g, "r": np.sqrt(g), "H": MetricMatrix.diagonal(g), "layers": layers,
+                "norms": norms, "s_conj": _slot(omega, self.conjugate)}
 
     def forward(self, state, omega):
         ctx = self.prepare(omega)
-        if self.enforce_certificate and not ctx["certified"]:
-            self.validate_omega(omega)
         r = ctx["r"]
         z = _col(r, state) * state
         acts = [z]            # each layer's input, then the last one's output
@@ -924,7 +920,9 @@ class NetOperator(_Operator):
 
 
 def _rescale_layers(omega, names, budget):
-    """Scale each named layer-matrix slice down to at most spectral norm ``budget`` if above it."""
+    """Scale each named layer-matrix slice down to at most spectral norm ``budget`` if above
+    it; returns the new omega and each layer's norm (``budget`` for one it scaled)."""
+    norms = []
     for name in names:
         W = omega.view(name)
         if W.ndim > 1:
@@ -933,7 +931,9 @@ def _rescale_layers(omega, names, budget):
         if sig > budget:
             # W * (budget / sig) may measure ~8 ulps above budget; 64 ulps less cannot
             omega = omega.replace_slice(name, W * (budget / sig * (1.0 - 64 * np.finfo(float).eps)))
-    return omega
+            sig = budget
+        norms.append(sig)
+    return omega, norms
 
 
 def normalize_net(omega, rho_bar):
@@ -953,7 +953,7 @@ def normalize_net(omega, rho_bar):
     names = [s.name for s in omega.layout if s.role == "layer-matrix"]
     if not names:
         return omega
-    return _rescale_layers(omega, names, rho_bar ** (1.0 / len(names)))
+    return _rescale_layers(omega, names, rho_bar ** (1.0 / len(names)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +967,8 @@ class CompositeOperator(_Operator):
     The composite metric H is the outermost member's metric.  A
     composition of maps that are each non-expansive in H is non-expansive
     in H, so every member must have exactly that metric, lead and tail;
-    otherwise the certificate does not compose.  ``metric`` and
-    ``validate_omega`` check this once per omega object; ``forward`` runs
-    only its members' own checks.
+    otherwise the certificate does not compose.  The binding admits omega
+    once every member's binding does and their metrics agree.
     """
 
     members: tuple
@@ -996,13 +995,9 @@ class CompositeOperator(_Operator):
                     "metric, its outermost member's")
         return {"H": H}
 
-    def validate_omega(self, omega):
-        for m in self.members:
-            m.validate_omega(omega)
-        self.prepare(omega)
-
     def forward(self, state, omega):
         """The innermost member runs first; ``res`` holds each member's, in that order."""
+        self.prepare(omega)
         z, res = state, []
         for m in reversed(self.members):
             z, r = m.forward(z, omega)
@@ -1030,24 +1025,27 @@ def contraction_factor(op, omega):
     """The certified Lipschitz factor of ``op`` at omega in its metric.
 
     PG, ALM and DLADMM are certified non-expansive (factor 1), so the
-    factor is the product of the layer norms of the network members.
+    factor is the product of the layer norms that the network members'
+    bindings hold; no layer is measured again.
     """
-    return math.prod(spectral_norm_estimate(W) for net in _nets(op)
-                     for W, *_ in net.prepare(omega)["layers"])
+    return math.prod(sig for net in _nets(op) for sig in net.prepare(omega)["norms"])
 
 
 def renormalize_for(op, omega):
     """Re-run spectral normalization for every network member of ``op``.
 
     Called after each hyper-parameter update so the per-layer Lipschitz
-    certificates stay valid during training.  Each net's layers are held
-    to that net's own budget, so the returned omega certifies every net,
-    which takes it as certified.  Operators without network members
-    return omega unchanged.
+    certificates stay valid during training.  Each net's layers are
+    measured once and held to that net's own budget, and every net binds
+    the returned omega with those norms, so it measures nothing again.
+    A scaled layer's norm is taken as its budget, which the 64-ulp shave
+    keeps it under.  Operators without network members return omega
+    unchanged.
     """
-    nets = _nets(op)
+    nets, norms = _nets(op), []
     for net in nets:
-        omega = _rescale_layers(omega, net.weight_names, net.budget)
-    for net in nets:
-        net.prepare(omega)["certified"] = True
+        omega, measured = _rescale_layers(omega, net.weight_names, net.budget)
+        norms.append(measured)
+    for net, measured in zip(nets, norms):
+        net.prepare(omega, measured)
     return omega

@@ -316,8 +316,9 @@ def build_deconv_operator(inst, net_widths=(), net_rho_bar=1.0, seed=0, identity
                          np.full(omega0.dim - n - 1, np.inf)])
     bounds = OmegaBox(lo, hi)
     loss = LossDescriptor("squared_error", n, target=W @ inst.u_star)
+    # the composite's H is its outer member's: binding pg alone measures no layer
     return TaskBundle(op, omega0, bounds, loss, u0=W @ inst.b,
-                      h_lb=_h_lowest(op, omega0, bounds))
+                      h_lb=_h_lowest(pg, omega0, bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -603,6 +605,13 @@ class TestNet:
             op.validate_omega(net_omega([W], [np.zeros(4)]))
         op.validate_omega(net_omega([op.budget * np.eye(4)], [np.zeros(4)]))
 
+    def test_layer_slice_of_another_shape_refused(self):
+        # renormalize_for measures a layer as its slice holds it, which must be how the net
+        # reads it: a (3, 5) layer kept in a (5, 3) slice is a different matrix
+        om = net_omega([0.1 * np.ones((5, 3)), 0.1 * np.ones((5, 3))], [np.zeros(3), np.zeros(5)])
+        with pytest.raises(ContractError, match=r"slice 'W0' has shape \(5, 3\), not \(3, 5\)"):
+            renormalize_for(net_op(5, [5, 3, 5]), om)
+
     def test_metric_is_identity(self):
         op = net_op(2, [2, 2])
         H = op.metric(net_omega([np.eye(2)], [np.zeros(2)]))
@@ -724,8 +733,9 @@ class TestNet:
         om = normalize_net(net_omega([rng.standard_normal((3, 3))], [np.zeros(3)]), 1.0)
         op = net_op(3, [3, 3])
         calls = []
-        check = op.validate_omega
-        monkeypatch.setattr(op, "validate_omega", lambda omega: calls.append(1) or check(omega))
+        measure = operators.spectral_norm_estimate
+        monkeypatch.setattr(operators, "spectral_norm_estimate",
+                            lambda A: calls.append(1) or measure(A))
         for _ in range(3):
             op.apply(rng.standard_normal(3), om)
         assert len(calls) == 1
@@ -971,9 +981,14 @@ class TestComposite:
         comp = CompositeOperator(members=pgs)
         for m in pgs:
             m.validate_omega(om)
-        with pytest.raises(ContractError, match=r"member 1 \(PgOperator\)"):
-            comp.validate_omega(om)
-        assert lipschitz_ratio(comp, om, pgs[0].metric(om), 400, rng) > 1.0
+        for refuse in (comp.validate_omega, comp.metric,
+                       lambda omega: comp.apply(np.zeros(2), omega),
+                       lambda omega: comp.forward(np.zeros(2), omega)):
+            with pytest.raises(ContractError, match=r"member 1 \(PgOperator\)"):
+                refuse(om)
+        chain = SimpleNamespace(dim=2, apply=lambda u, omega: pgs[0].apply(pgs[1].apply(u, omega),
+                                                                           omega))
+        assert lipschitz_ratio(chain, om, pgs[0].metric(om), 400, rng) > 1.0
 
     def test_composition_nonexpansive(self, rng):
         g = rng.uniform(1.0, 2.0, 3)
@@ -1002,7 +1017,7 @@ class TestComposite:
                                ("b0", rng.standard_normal(3), "layer-bias")])
         pg = PgOperator(dim=3, quad=np.eye(3) * 0.4, l1_weights=np.ones(3),
                         gamma=0.5, gdiag="g")
-        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate=g)
+        net = net_op(3, [3, 3], nonlinearity="tanh", conjugate="g")
         comp = CompositeOperator(members=(pg, net))
         fd_vjp_check(comp, rng.standard_normal(3), om, rng)
 
@@ -1120,7 +1135,7 @@ def refused_omega(case, om):
         return om.replace_slice("kap", -0.3)            # negative l1 weights
     if case == "dladmm":
         return om.replace_slice("rho1", 0.5 * om.scalar("rho1"))   # below beta L_Q^2
-    return make_hyperparams([("g", om.view("g"), "metric-diagonal")])   # a net without layers
+    return om.replace_slice("W0", 2.0 * om.view("W0"))   # a layer at 1.6, over its budget 1
 
 
 class TestOneAdmissionRule:
@@ -1169,6 +1184,39 @@ class TestOneAdmissionRule:
             assert verdicts[0] is not None and verdicts == [verdicts[0]] * 3
             assert "rho1=" in verdicts[0] and "beta L_Q^2" in verdicts[0]
 
+    @pytest.mark.parametrize("d", [-1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("margin", ["pg-gamma", "net-layer", "dladmm-rho2"])
+    def test_zero_margin_admitted(self, margin, d):
+        # a margin that is not an eigenvalue of H is admitted at zero and refused past it;
+        # each bound is the expression its binding computes, moved past by a factor 1 + d
+        def build():
+            rng = np.random.default_rng(5)
+            if margin == "pg-gamma":
+                g, A = rng.uniform(1.0, 2.0, 3), rng.standard_normal((3, 3))
+                op = PgOperator(dim=3, quad=A @ A.T, gamma="gam", gdiag="g")
+                bound = 2.0 * float(np.min(g)) / op.lipschitz_f
+                return op, make_hyperparams([("g", g, "metric-diagonal"),
+                                             ("gam", bound * (1.0 + d), "step-size")])
+            if margin == "net-layer":
+                op = net_op(3, [3, 3], rho_bar=0.5)
+                return op, net_omega([op.budget * (1.0 + d) * np.eye(3)], [np.zeros(3)])
+            op = dladmm_op(rng.standard_normal((4, 6)), rng.standard_normal(4))
+            om = dladmm_omega(beta=0.1, rho_mult1=1.5, LQ=op.lipschitz_Q)
+            return op, om.replace_slice("rho2", om.scalar("beta") / (1.0 + d))
+
+        verdicts = self.verdicts(build)
+        if d > 0:
+            assert verdicts[0] is not None and verdicts == [verdicts[0]] * 3
+        else:
+            assert verdicts == [None] * 3
+
+    def test_no_operator_overrides_the_admission_rule(self):
+        # metric and validate_omega are written once, on _Operator, over each _bind
+        subclasses = operators._Operator.__subclasses__()
+        assert len(subclasses) == 5
+        for cls in subclasses:
+            assert not {"metric", "validate_omega"} & set(vars(cls)), cls.__name__
+
     def test_composite_checks_member_metrics_once_per_omega_object(self, rng, monkeypatch):
         comp, om = reverse_case("composite", rng)
         calls = []
@@ -1207,9 +1255,9 @@ class TestWorkPerOuterStep:
         rescale = operators._rescale_layers
 
         def counted_rescale(omega, names, budget):
-            out = rescale(omega, names, budget)
+            out, norms = rescale(omega, names, budget)
             rescaled[0] += sum(not np.array_equal(out.view(n), omega.view(n)) for n in names)
-            return out
+            return out, norms
 
         monkeypatch.setattr(operators, "spectral_norm_estimate", counted)
         monkeypatch.setattr(operators, "_rescale_layers", counted_rescale)
@@ -1217,6 +1265,8 @@ class TestWorkPerOuterStep:
         bmo.train(bundle.op, bundle.loss, bundle.omega0, cfg)
         nlayers = 2
         assert len(per_step) == cfg.T + 1
+        # the bundle's renormalize_for bound omega0, so train measures nothing before step 0
+        assert per_step[0] == 0, per_step
         assert all(n <= nlayers for n in per_step[1:]), per_step
         assert rescaled[0] > 0
 

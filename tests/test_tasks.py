@@ -351,6 +351,23 @@ class TestSparseCodingBuild:
         assert rho1 == floor
 
 
+class TestDeconvBuild:
+    def test_measures_each_matrix_once(self, monkeypatch):
+        inst = gen_deconv(n=16, seed=4)
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return spectral_norm_estimate(A, *args, **kwargs)
+
+        monkeypatch.setattr(tasks, "spectral_norm_estimate", counting)
+        monkeypatch.setattr(operators, "spectral_norm_estimate", counting)
+        bundle = build_deconv_operator(inst, net_widths=(16,), seed=7)
+        # PG's L_f, then each layer once by renormalize_for; binding the H-lowest
+        # corner for h_lb measures no layer
+        assert calls == [(16, 16)] * (1 + bundle.op.members[1].nlayers)
+
+
 class TestContainer:
     def test_round_trip_sparse(self, tmp_path):
         inst = gen_sparse_coding(m=8, n=16, batch=4, seed=11)
