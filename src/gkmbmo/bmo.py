@@ -64,14 +64,15 @@ class BmoConfig:
             raise ContractError("inner step s must be positive")
         if self.gamma < 0:
             raise ContractError("outer learning rate must be nonnegative")
-        if self.K < 0 or self.T < 0:
-            raise ContractError("iteration counts must be nonnegative")
-        if self.lr_schedule[0] not in ("constant", "expdecay"):
-            raise ContractError(f"unknown lr schedule {self.lr_schedule[0]!r}")
-        if self.lr_schedule[0] == "expdecay" and not all(
-                math.isfinite(x) and x > 0 for x in self.lr_schedule[1:]):
-            raise ContractError(f"expdecay lr schedule needs a positive rate and period, "
-                                f"got {self.lr_schedule[1:]}")
+        for name in ("K", "T"):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or n < 0:
+                raise ContractError(f"{name} must be a nonnegative integer, got {n!r}")
+        sched = tuple(self.lr_schedule)
+        if sched != ("constant",) and not (len(sched) == 3 and sched[0] == "expdecay" and all(
+                math.isfinite(x) and x > 0 for x in sched[1:])):
+            raise ContractError("lr schedule must be ('constant',) or ('expdecay', rate, "
+                                f"period) with a positive rate and period, got {sched!r}")
 
     def lr_at(self, t):
         if self.lr_schedule[0] == "expdecay":

@@ -150,7 +150,8 @@ class LossDescriptor:
 
 @dataclass
 class TapeStep:
-    """What the reverse sweep reads of inner step k.
+    """What the reverse sweep reads of inner step k; its step size
+    s_k = s / (k + 1) is computed again from cfg.
 
     res is what the operator's forward pass D(u^{k-1}) kept for its VJP,
     and hinv_grad is H(omega)^{-1} grad l(u^{k-1}); the iterate u^{k-1}
@@ -159,7 +160,6 @@ class TapeStep:
     derivative is one; without one it is None.
     """
 
-    s_k: float
     res: object
     hinv_grad: np.ndarray
     interior: Optional[np.ndarray]
@@ -182,7 +182,6 @@ class Tape:
     omega: HyperParams
     cfg: object
     metric: MetricMatrix
-    u0: np.ndarray
     steps: list
     uK: np.ndarray
     loss_value: float
@@ -295,7 +294,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
                 f"inner step s={cfg.s:g} outside (0, lambda_min(H_lb)/L_ell) = (0, {bound:g})")
 
     u0 = cfg.u0 if u0 is None else u0
-    u0 = u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
+    u = np.zeros(op.dim) if u0 is None else np.array(u0, dtype=float)
     steps = []
     recorder = _Recorder(hlb, loss, cfg.K)
     u_prev = None
@@ -309,7 +308,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
             raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
         if build_tape:
             interior = None if cfg.domain is None else cfg.domain.interior(u_next)
-            steps.append(TapeStep(s_k, res, hg, interior))
+            steps.append(TapeStep(res, hg, interior))
         u_prev, u = u, u_next
     if record and cfg.K >= 1:
         recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
@@ -317,7 +316,7 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     phi = loss.value(u) if loss is not None and (build_tape or records) else None
     if records and phi is not None:
         records[-1].loss = phi  # phi_K, not the chunk's column-wise reduction of it
-    tape = Tape(op, loss, omega, cfg, H, u0, steps, u, phi) if build_tape else None
+    tape = Tape(op, loss, omega, cfg, H, steps, u, phi) if build_tape else None
     return u, tape, records
 
 
@@ -360,16 +359,17 @@ def hypergradient(tape, corrupt_rule=False):
     cu = loss.grad_u(tape.uK)
     go = OmegaGrad(np.zeros(omega.dim))
     hess_scale = 0.5 if corrupt_rule else 1.0
-    for st in reversed(tape.steps):
+    for k in range(len(tape.steps), 0, -1):
+        st, s_k = tape.steps[k - 1], cfg.s / (k + 1)
         if st.interior is not None:
             cu = st.interior * cu  # the box clamp's almost-everywhere derivative
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu
-        cs = tape.op.apply_vjp(st.res, omega, cfg.alpha * cvl, go)
+        cs = tape.op.apply_vjp(st.res, cfg.alpha * cvl, go)
         cu = (1.0 - cfg.alpha) * cvl + cs
         hv = H.solve(cvu)
-        cu = cu + cvu - hess_scale * st.s_k * loss.hess_vec(hv)
-        tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, st.s_k)
+        cu = cu + cvu - hess_scale * s_k * loss.hess_vec(hv)
+        tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, s_k)
     return go.reduce()
 
 

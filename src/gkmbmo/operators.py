@@ -9,10 +9,10 @@ arrays of shape ``(dim,)`` or ``(dim, B)``, and every map is vectorized
 over the batch columns.
 
 An operator reads omega through one context, which ``prepare(omega)``
-binds once per omega object: the resolved scalars and diagonals, a net's
-layer matrices, their spectral norms and sqrt(g), the threshold vectors
-derived from them, the metric H(omega), and the gradient slot of each
-spec that names a slice.  So no per-step path resolves a slice by name.
+binds once per omega object: each spec's value and gradient slot, both
+from ``_spec``, a net's layer matrices, their spectral norms and
+sqrt(g), the threshold vectors derived from them, and the metric
+H(omega).  So no per-step path resolves a slice by name.
 The binding admits omega: it runs every check the operator's certificate
 holds and proves H(omega) positive definite, so ``forward``, ``metric``
 (the context's H) and ``validate_omega`` (the binding alone) refuse the
@@ -25,15 +25,14 @@ forward/reverse pair in the manner of a custom VJP:
 * ``forward(state, omega) -> (out, res)``: D(state), and in ``res`` the
   context and the intermediates the reverse rule reads, but no view of
   the state (a soft threshold keeps only the int8 sign of its output);
-* ``apply_vjp(res, omega, cot, grad)`` returns cot^T dD/dstate and adds
-  cot^T dD/domega into ``grad``, running no forward pass;
+* ``apply_vjp(res, cot, grad)`` returns cot^T dD/dstate and adds
+  cot^T dD/domega into ``grad``, reading omega only through ``res``'s
+  context and running no forward pass;
 * ``metric_quad_vjp(omega, x, y, grad, scale)`` adds
   scale * d<x, H(omega) y>/domega into ``grad``.
 
-``grad`` is a sweep's ``OmegaGrad``, which defers each layer matrix's
-term to one product per sweep, or a plain array: a sweep of length one.
-``apply`` is ``forward(...)[0]``, and a composite chains its members'
-pairs.
+``grad`` is always an ``OmegaGrad``, which the caller reduces.  ``apply``
+is ``forward(...)[0]``, and a composite chains its members' pairs.
 """
 
 from __future__ import annotations
@@ -210,14 +209,6 @@ def _match_b(b, ref):
     return b
 
 
-def _resolve(omega, spec, default=None):
-    if isinstance(spec, str):
-        return omega.scalar(spec)
-    if spec is None:
-        return default
-    return float(spec)
-
-
 def _diag_spec(spec, dim):
     """Check a diagonal-metric spec: a slice name, a fixed (dim,) array, or None for ones."""
     if isinstance(spec, str):
@@ -228,27 +219,28 @@ def _diag_spec(spec, dim):
     return d
 
 
-def _diag(omega, spec, dim):
-    """The (dim,) diagonal of a ``_diag_spec``-checked spec: a fixed array, or
-    an omega slice's values (a scalar slice broadcast)."""
-    if isinstance(spec, str):
-        g = omega.view(spec).reshape(-1)
-        return np.full(dim, float(g[0])) if g.size == 1 else g.astype(float)
-    return spec
+def _spec(omega, spec, dim=None):
+    """A spec's value and the ``OmegaGrad.add`` slot of its gradient.
+
+    A name reads its omega slice: a scalar, or with ``dim`` a (dim,)
+    diagonal that a one-entry slice fills; a slice of another size is
+    refused by name.  Its slot is the index of a one-entry slice, else its
+    range.  A fixed value (None included) has slot None.
+    """
+    if not isinstance(spec, str):
+        return (float(spec) if dim is None and spec is not None else spec), None
+    v, s = omega.view(spec).reshape(-1), omega.slice_for(spec)
+    if s.size == 1:
+        return (float(v[0]) if dim is None else np.full(dim, float(v[0]))), s.offset
+    if s.size != dim:
+        raise ContractError(f"slice {spec!r} has {s.size} entries, not 1"
+                            + ("" if dim is None else f" or {dim}"))
+    return v.astype(float), slice(s.offset, s.offset + s.size)
 
 
 def _colsum(x):
     """Sum a batched (d, B) array over its batch columns; (d,) passes through."""
     return x.sum(axis=-1) if x.ndim > 1 else x
-
-
-def _slot(omega, spec):
-    """Where a spec's gradient goes: a scalar slice's index, a longer one's
-    range, or None for a fixed value."""
-    if not isinstance(spec, str):
-        return None
-    s = omega.slice_for(spec)
-    return s.offset if s.size == 1 else slice(s.offset, s.offset + s.size)
 
 
 class OmegaGrad:
@@ -257,14 +249,14 @@ class OmegaGrad:
     A layer matrix's term da z^T is deferred: ``reduce`` adds each layer's
     sum over the sweep as one product of stacked columns,
     [da_K ... da_1] [z_K ... z_1]^T, where a batched da or z brings its
-    B columns.  A reverse rule given a plain array is a sweep of length one.
+    B columns.  Every reverse rule adds into one; its caller reduces it.
     """
 
     def __init__(self, values):
         self.values, self._outer = values, {}    # a layer's (start, stop) -> [(da, z)]
 
     def add(self, slot, value, scale=1.0):
-        """Add ``scale * value`` at a ``_slot``: an index takes the sum of all
+        """Add ``scale * value`` at a ``_spec`` slot: an index takes the sum of all
         entries, a range the sum over batch columns, None nothing."""
         if isinstance(slot, slice):
             value = _colsum(value)
@@ -315,10 +307,11 @@ def apply_T(op, state, omega, cfg):
 
 
 class _Operator:
-    """``prepare``, ``apply``, ``metric``, ``validate_omega`` and the two
-    reverse rules, over a subclass's ``_bind`` (which refuses an omega its
-    certificate does not hold at and builds its H), ``forward``, ``_vjp``
-    and ``_quad_vjp``."""
+    """``prepare``, ``apply``, ``metric``, ``validate_omega`` and
+    ``metric_quad_vjp``, over a subclass's ``_bind`` (which refuses an omega
+    its certificate does not hold at and builds its H), ``forward`` and
+    ``_quad_vjp(ctx, x, y, grad, scale)``; each subclass writes its own
+    ``apply_vjp(res, cot, grad)``."""
 
     _bound = (None, None)    # (omega, its context)
 
@@ -339,17 +332,8 @@ class _Operator:
     def validate_omega(self, omega):
         self.prepare(omega)
 
-    def apply_vjp(self, res, omega, cot, grad):
-        if isinstance(grad, OmegaGrad):
-            return self._vjp(res, cot, grad)
-        sweep = OmegaGrad(grad)
-        cs = self._vjp(res, cot, sweep)
-        sweep.reduce()
-        return cs
-
     def metric_quad_vjp(self, omega, x, y, grad, scale):
-        sweep = grad if isinstance(grad, OmegaGrad) else OmegaGrad(grad)
-        self._quad_vjp(self.prepare(omega), x, y, sweep, scale)
+        self._quad_vjp(self.prepare(omega), x, y, grad, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +372,8 @@ class PgOperator(_Operator):
         self.lipschitz_f = 0.0 if self.quad is None else spectral_norm_estimate(self.quad)
 
     def _bind(self, omega):
-        gam = _resolve(omega, self.gamma)
-        g = _diag(omega, self.gdiag, self.dim)
+        gam, s_gam = _spec(omega, self.gamma)
+        g, s_g = _spec(omega, self.gdiag, self.dim)
         H = MetricMatrix.diagonal(g)    # refuses a G with an entry <= 0 before min(g) is read
         lf = self.lipschitz_f
         if gam <= 0:
@@ -398,14 +382,13 @@ class PgOperator(_Operator):
             raise ContractError(
                 f"gamma={gam:g} outside (0, 2 lambda_min(G)/L_f] with "
                 f"lambda_min={np.min(g):g}, L_f={lf:g}")
-        c = _resolve(omega, self.thresh, 1.0)
+        c, s_thr = _spec(omega, self.thresh)
+        c = 1.0 if c is None else c
         w = None if self.l1_weights is None else self.l1_weights * c
         if w is not None and np.any(w < 0):
             raise ContractError("threshold weights must be nonnegative")
         return {"gam": gam, "g": g, "c": c, "w": w, "H": H,
-                "thr": None if w is None else gam * w / g,
-                "slots": (_slot(omega, self.gamma), _slot(omega, self.gdiag),
-                          _slot(omega, self.thresh))}
+                "thr": None if w is None else gam * w / g, "slots": (s_gam, s_g, s_thr)}
 
     # evaluation ------------------------------------------------------
     def forward(self, state, omega):
@@ -419,7 +402,7 @@ class PgOperator(_Operator):
         v = soft_threshold(x, _col(ctx["thr"], x))
         return v, (ctx, gf, _survivor_sign(v))
 
-    def _vjp(self, res, cot, grad):
+    def apply_vjp(self, res, cot, grad):
         ctx, gf, sgn = res
         gam, g = ctx["gam"], ctx["g"]
         s_gam, s_g, s_thr = ctx["slots"]
@@ -529,23 +512,19 @@ class AlmOperator(_Operator):
         return self.nprimal + self.ndual
 
     # internals -------------------------------------------------------
-    @staticmethod
-    def _add_gd(grad, slots, dgd, scale=1.0):
-        """Send the cotangent of gd into omega: all of it through ``gdiag``
-        (mask None), or summed by rho group."""
-        for slot, mask in slots:
-            grad.add(slot, dgd if mask is None else np.sum(dgd[mask]), scale)
-
     def _bind(self, omega):
-        beta = _resolve(omega, self.beta)
+        beta, s_beta = _spec(omega, self.beta)
         if beta <= 0:
             raise ContractError("penalty beta must be positive")
         if self._ell:
-            gd = np.zeros(self.nprimal)
+            gd, s_gd = np.zeros(self.nprimal), []
             for name, mask in self.rho_groups:
-                gd[mask] += omega.scalar(name)
+                rho, slot = _spec(omega, name)
+                gd[mask] += rho
+                s_gd.append((slot, mask))
         else:
-            gd = _diag(omega, self.gdiag, self.nprimal)
+            gd, slot = _spec(omega, self.gdiag, self.nprimal)
+            s_gd = [(slot, slice(None))]
         K = np.diag(gd)
         if not self._ell:
             K = K + beta * self._AtA
@@ -563,8 +542,9 @@ class AlmOperator(_Operator):
         if self.l1_weights is not None:
             w = self.l1_weights.copy()
             for name, mask in self.thresh_groups:
-                w[mask] = w[mask] * omega.scalar(name)
-                groups.append((_slot(omega, name), mask[L]))
+                kap, slot = _spec(omega, name)
+                w[mask] = w[mask] * kap
+                groups.append((slot, mask[L]))
             if np.any(w < 0):
                 raise ContractError("l1 weights must be nonnegative")
         # H = blockdiag(G, I / beta), G = diag(gd) - ell beta A^T A, is proven positive
@@ -587,10 +567,7 @@ class AlmOperator(_Operator):
             "gd": gd,
             # beta's, gd's by rho group (or gdiag's, unmasked) and each
             # threshold group's, with its mask over the l1 coordinates
-            "slots": (_slot(omega, self.beta),
-                      [(_slot(omega, name), mask) for name, mask in self.rho_groups]
-                      if self._ell else [(_slot(omega, self.gdiag), None)],
-                      groups),
+            "slots": (s_beta, s_gd, groups),
         }
 
     # evaluation ------------------------------------------------------
@@ -624,7 +601,7 @@ class AlmOperator(_Operator):
         return (np.concatenate([up, lam + beta * feas], axis=0),
                 (ctx, u.copy(), b, cL, sgn, upS, feas))
 
-    def _vjp(self, res, cot, grad):
+    def apply_vjp(self, res, cot, grad):
         ctx, u, b, cL, sgn, upS, feas = res
         beta, w = ctx["beta"], ctx["w"]
         s_beta, s_gd, s_groups = ctx["slots"]
@@ -663,7 +640,8 @@ class AlmOperator(_Operator):
         if self._ell:
             cu += beta * (self.A.T @ Adc)
             dbeta += np.sum(Adc * (self.A @ u))
-        self._add_gd(grad, s_gd, dgd)
+        for slot, mask in s_gd:
+            grad.add(slot, dgd[mask])
         grad.add(s_beta, dbeta)
         return np.concatenate([cu, clam_out + Adc], axis=0)
 
@@ -676,7 +654,9 @@ class AlmOperator(_Operator):
         dbeta = -float(np.sum(xl * yl)) / beta ** 2
         if self._ell:
             dbeta -= float(np.sum((self.A @ xu) * (self.A @ yu)))
-        self._add_gd(grad, s_gd, _colsum(xu * yu), scale)
+        dgd = _colsum(xu * yu)
+        for slot, mask in s_gd:
+            grad.add(slot, dgd[mask], scale)
         grad.add(s_beta, dbeta, scale)
 
 
@@ -717,7 +697,8 @@ class DladmmOperator(_Operator):
 
     def _bind(self, omega):
         specs = (self.beta, self.gamma, self.rho1, self.rho2, self.kappa1, self.kappa2)
-        params = beta, gamma, rho1, rho2, k1, k2 = tuple(_resolve(omega, spec) for spec in specs)
+        params, slots = zip(*(_spec(omega, spec) for spec in specs))
+        beta, gamma, rho1, rho2, k1, k2 = params
         if beta <= 0:
             raise ContractError("beta must be positive")
         if not (0.0 < gamma <= 1.0):
@@ -736,7 +717,7 @@ class DladmmOperator(_Operator):
         except ContractError as err:
             raise ContractError(f"rho1={rho1:g} not above the certified bound beta L_Q^2 = "
                                 f"{beta * self.lipschitz_Q ** 2:g}: {err}") from None
-        return {"params": params, "H": H, "slots": tuple(_slot(omega, spec) for spec in specs)}
+        return {"params": params, "H": H, "slots": slots}
 
     def split_state(self, state):
         n, m = self.n, self.m
@@ -758,7 +739,7 @@ class DladmmOperator(_Operator):
         return (np.concatenate((v1, v2, lam + gamma * beta * feas), axis=0),
                 (ctx, lam.copy(), Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
 
-    def _vjp(self, res, cot, grad):
+    def apply_vjp(self, res, cot, grad):
         ctx, lam, Qtr, sgn1, r2, sgn2, feas = res
         beta, gamma, rho1, rho2, k1, k2 = ctx["params"]
         s_beta, s_gamma, s_rho1, s_rho2, s_k1, s_k2 = ctx["slots"]
@@ -870,15 +851,17 @@ class NetOperator(_Operator):
     def _bind(self, omega, norms=None):
         """``norms`` are the layers' spectral norms, or upper bounds on them, where
         ``renormalize_for`` has measured them already; else each layer is measured."""
-        g = _diag(omega, self.conjugate, self.dim)
-        layers = []           # (W, b, W's range, b's slot) of each layer
+        g, s_conj = _spec(omega, self.conjugate, self.dim)
+        layers = []           # (W, b, b's slot, W's range) of each layer
         for wn, bn, win, wout in zip(self.weight_names, self.bias_names,
                                      self.widths[:-1], self.widths[1:]):
-            s = omega.slice_for(wn)
+            s, sb = omega.slice_for(wn), omega.slice_for(bn)
             if s.shape != (wout, win):    # so the norm renormalize_for measures is this W's
                 raise ContractError(f"layer slice {wn!r} has shape {s.shape}, not {(wout, win)}")
-            layers.append((omega.view(wn), omega.view(bn).reshape(wout),
-                           slice(s.offset, s.offset + s.size), _slot(omega, bn)))
+            if sb.size != wout:           # a bias is never broadcast
+                raise ContractError(f"bias slice {bn!r} has {sb.size} entries, not {wout}")
+            layers.append((omega.view(wn), *_spec(omega, bn, wout),
+                           slice(s.offset, s.offset + s.size)))
         if norms is None:
             norms = [spectral_norm_estimate(W) for W, *_ in layers]
         for sig in norms:
@@ -887,7 +870,7 @@ class NetOperator(_Operator):
                     f"layer sigma_max={sig:g} exceeds the per-layer budget {self.budget:g}; "
                     "call renormalize_for(op, omega) first")
         return {"g": g, "r": np.sqrt(g), "H": MetricMatrix.diagonal(g), "layers": layers,
-                "norms": norms, "s_conj": _slot(omega, self.conjugate)}
+                "norms": norms, "s_conj": s_conj}
 
     def forward(self, state, omega):
         ctx = self.prepare(omega)
@@ -899,14 +882,14 @@ class NetOperator(_Operator):
             acts.append(z)
         return z / _col(r, z), (state, ctx, acts)
 
-    def _vjp(self, res, cot, grad):
+    def apply_vjp(self, res, cot, grad):
         state, ctx, acts = res
         g, r = ctx["g"], ctx["r"]
         # out = y / r: cotangent into y, plus d(1/r)/dg on the slice
         cz = cot / _col(r, cot)
         grad.add(ctx["s_conj"], -0.5 * _colsum(cot * acts[-1]) / (g * r))
         for idx in range(self.nlayers - 1, -1, -1):
-            W, _, s_w, s_b = ctx["layers"][idx]
+            W, _, s_b, s_w = ctx["layers"][idx]
             da = self._dphi(acts[idx + 1]) * cz
             grad.add(s_b, da)
             grad.add_outer(s_w, da, acts[idx])
@@ -986,14 +969,15 @@ class CompositeOperator(_Operator):
         return self.members[0].dim
 
     def _bind(self, omega):
-        H = self.members[0].metric(omega)
+        outer = self.members[0].prepare(omega)
+        H = outer["H"]
         for i, m in enumerate(self.members[1:], start=1):
             Hm = m.metric(omega)
             if not (np.array_equal(Hm.lead, H.lead) and np.array_equal(Hm.tail, H.tail)):
                 raise ContractError(
                     f"member {i} ({type(m).__name__}) must be conjugated to the composite "
                     "metric, its outermost member's")
-        return {"H": H}
+        return {"H": H, "outer": outer}
 
     def forward(self, state, omega):
         """The innermost member runs first; ``res`` holds each member's, in that order."""
@@ -1004,14 +988,14 @@ class CompositeOperator(_Operator):
             res.append(r)
         return z, res
 
-    def _vjp(self, res, cot, grad):
+    def apply_vjp(self, res, cot, grad):
         cz = cot
         for m, r in zip(self.members, reversed(res)):
-            cz = m._vjp(r, cz, grad)
+            cz = m.apply_vjp(r, cz, grad)
         return cz
 
-    def metric_quad_vjp(self, omega, x, y, grad, scale):
-        self.members[0].metric_quad_vjp(omega, x, y, grad, scale)
+    def _quad_vjp(self, ctx, x, y, grad, scale):
+        self.members[0]._quad_vjp(ctx["outer"], x, y, grad, scale)
 
 
 def _nets(op):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gkmbmo.operators import OmegaGrad
+
 
 @pytest.fixture
 def rng():
@@ -21,8 +23,9 @@ def fd_vjp_check(op, state, omega, rng, h=1e-6, rtol=1e-5, ndirs=4):
     coordinate.  Returns the worst relative error seen.
     """
     cot = rng.standard_normal(op.apply(state, omega).shape)
-    an_omega = np.zeros(omega.dim)
-    an_state = op.apply_vjp(op.forward(state, omega)[1], omega, cot, an_omega)
+    grad = OmegaGrad(np.zeros(omega.dim))
+    an_state = op.apply_vjp(op.forward(state, omega)[1], cot, grad)
+    an_omega = grad.reduce()
     worst = 0.0
     for _ in range(ndirs):
         d = rng.standard_normal(state.shape)

@@ -127,6 +127,18 @@ class TestTrain:
         with pytest.raises(ContractError, match=f"^{field} must be finite"):
             BmoConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"K": 2.5}, "K"), ({"T": 2.5}, "T"), ({"K": -1}, "K"),
+        ({"lr_schedule": ("expdecay", 0.5)}, "lr schedule"),
+        ({"lr_schedule": ("expdecay", 0.5, 30, 1)}, "lr schedule"),
+        ({"lr_schedule": ()}, "lr schedule"), ({"lr_schedule": ("constant", 5)}, "lr schedule")])
+    def test_field_train_cannot_run_rejected_by_name(self, kwargs, name):
+        # a fractional count fails later in range, an expdecay tail of another length
+        # when lr_at unpacks it; a tail on 'constant' would be ignored
+        with pytest.raises(ContractError, match=name):
+            BmoConfig(**kwargs).validate()
+        BmoConfig(K=np.int64(3), T=np.int32(2), lr_schedule=("expdecay", 0.5, 30)).validate()
+
     def test_non_finite_hypergradient_diverges(self, monkeypatch):
         # a blown-up hypergradient is a divergence, not an omega refused on entry
         monkeypatch.setattr(bmo, "hypergradient", lambda tape: np.full(2, np.nan))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ def identity_net(dim):
 
 
 def replayed_iterates(tape):
-    """u^0, ..., u^K of a tape, rebuilt by replaying its steps from ``tape.u0``."""
-    us = [tape.u0]
-    for st in tape.steps:
-        us.append(hypergrad._gkm_step(tape.op, tape.loss, tape.omega, tape.cfg,
-                                      tape.metric, st.s_k, us[-1])[2])
+    """u^0, ..., u^K of a tape whose inner loop started from ``cfg.u0``, rebuilt
+    by replaying its steps."""
+    cfg = tape.cfg
+    us = [np.array(cfg.u0, dtype=float)]
+    for k in range(1, len(tape.steps) + 1):
+        us.append(hypergrad._gkm_step(tape.op, tape.loss, tape.omega, cfg,
+                                      tape.metric, cfg.s / (k + 1), us[-1])[2])
     np.testing.assert_array_equal(us[-1], tape.uK)
     return us
 
@@ -221,7 +224,9 @@ class TestInnerLoop:
         loss = LossDescriptor("squared_error", 2, target=np.array([1.0, 0.5]))
         cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.2, K=5, u0=np.array([3.0, -4.0]))
         _, tape, _ = inner_loop(op, loss, om, cfg)
-        np.testing.assert_array_equal(tape.u0, cfg.u0)
+        _, explicit, _ = inner_loop(op, loss, om, replace(cfg, u0=None), u0=cfg.u0)
+        np.testing.assert_array_equal(tape.uK, explicit.uK)
+        np.testing.assert_array_equal(hypergradient(tape), hypergradient(explicit))
         assert tape.loss_value == evaluate_phiK(op, loss, om, cfg)
         np.testing.assert_allclose(fd_hypergradient(op, loss, om, cfg), hypergradient(tape),
                                    rtol=1e-6, atol=1e-9)
@@ -262,8 +267,8 @@ class TestInnerLoop:
                                ("kappa1", 0.5, "threshold"), ("kappa2", 0.5, "threshold")])
         loss = LossDescriptor("feasibility", op.dim, Q=Q, bmat=op.bvec)
         bound = min_eigen_estimate(op.metric(om)) / loss.smoothness()
-        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=12)
-        u, tape, _ = inner_loop(op, loss, om, cfg, u0=rng.standard_normal(op.dim))
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=12, u0=rng.standard_normal(op.dim))
+        u, tape, _ = inner_loop(op, loss, om, cfg)
         replayed = replayed_iterates(tape)[-1]
         assert np.array_equal(u, replayed)
 
@@ -299,8 +304,9 @@ class TestInnerLoop:
         loss = LossDescriptor("squared_error", dim, target=target)
         lo, hi = -np.ones(dim), np.ones(dim)
         domain = OmegaBox(lo, hi)
-        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9, K=40, domain=domain)
-        u, tape, _ = inner_loop(op, loss, om, cfg, u0=np.array([0.9, -0.9, 0.5]))
+        cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9, K=40, domain=domain,
+                        u0=np.array([0.9, -0.9, 0.5]))
+        u, tape, _ = inner_loop(op, loss, om, cfg)
         H = tape.metric
         lam = min_eigen_estimate(H)
         D = 2.0 * np.sqrt(dim)  # box diameter in the identity metric
@@ -310,7 +316,8 @@ class TestInnerLoop:
         steps = tape.steps
         us = replayed_iterates(tape)
         u_next = us[1:]
-        v_u = [u - st.s_k * st.hinv_grad for u, st in zip(us, steps)]
+        v_u = [u - cfg.s / (k + 1) * st.hinv_grad
+               for k, (u, st) in enumerate(zip(us, steps), start=1)]
         for k in range(2, cfg.K - 1):
             lhs = h_norm(H, u_next[k] - u_next[k - 1]) ** 2
             rhs = (h_norm(H, u_next[k - 1] - us[k - 1]) ** 2
@@ -520,8 +527,8 @@ def task_tape(task):
     else:
         bundle = build_separation_operator(gen_separation(n=12, seed=4))
     bound = min_eigen_estimate(bundle.op.metric(bundle.omega0)) / bundle.loss.smoothness()
-    cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=3)
-    return inner_loop(bundle.op, bundle.loss, bundle.omega0, cfg, u0=bundle.u0)[1]
+    cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=3, u0=bundle.u0)
+    return inner_loop(bundle.op, bundle.loss, bundle.omega0, cfg)[1]
 
 
 def box_tape(case, rng):
@@ -536,8 +543,8 @@ def box_tape(case, rng):
         loss = LossDescriptor("squared_error", 3, target=np.array([2.0, -2.0, 0.3]))
         domain = OmegaBox(np.array([-1.0, -0.2, -3.0]), np.array([0.4, 1.0, 3.0]))
         u0 = rng.uniform(-0.5, 0.5, (3, 3))
-    cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9 / loss.smoothness(), K=6, domain=domain)
-    return inner_loop(op, loss, om, cfg, u0=u0)[1]
+    cfg = BmoConfig(alpha=0.5, mu=0.5, s=0.9 / loss.smoothness(), K=6, domain=domain, u0=u0)
+    return inner_loop(op, loss, om, cfg)[1]
 
 
 def recomputed_sweep(tape, per_step=False):
@@ -546,27 +553,27 @@ def recomputed_sweep(tape, per_step=False):
     Each step's iterate is replayed from u0 and its forward pass runs
     again, and the box mask is the float interior of u^k.  The rules add
     into one OmegaGrad, reduced once, as the sweep's do; with
-    ``per_step`` each VJP adds into an array of its own, a sweep of
-    length one, so a layer's gradient is the sum of each step's da z^T.
+    ``per_step`` each VJP adds into an OmegaGrad of its own, reduced at
+    once, so a layer's gradient is the sum of each step's da z^T.
     """
     op, loss, om, cfg, H = tape.op, tape.loss, tape.omega, tape.cfg, tape.metric
     us = replayed_iterates(tape)
     cu = loss.grad_u(tape.uK)
     go = OmegaGrad(np.zeros(om.dim))
     for k in range(len(tape.steps), 0, -1):
-        st = tape.steps[k - 1]
+        st, s_k = tape.steps[k - 1], cfg.s / (k + 1)
         if cfg.domain is not None:
             cu = cfg.domain.interior(us[k]).astype(float) * cu
         cvu = cfg.mu * cu
         cvl = (1.0 - cfg.mu) * cu
-        step = np.zeros(om.dim) if per_step else go
-        cs = op.apply_vjp(op.forward(us[k - 1], om)[1], om, cfg.alpha * cvl, step)
+        step = OmegaGrad(np.zeros(om.dim)) if per_step else go
+        cs = op.apply_vjp(op.forward(us[k - 1], om)[1], cfg.alpha * cvl, step)
         if per_step:
-            go.values += step
+            go.values += step.reduce()
         cu = (1.0 - cfg.alpha) * cvl + cs
         hv = H.solve(cvu)
-        cu = cu + cvu - st.s_k * loss.hess_vec(hv)
-        op.metric_quad_vjp(om, hv, st.hinv_grad, go, st.s_k)
+        cu = cu + cvu - s_k * loss.hess_vec(hv)
+        op.metric_quad_vjp(om, hv, st.hinv_grad, go, s_k)
     return go.reduce()
 
 
@@ -725,8 +732,8 @@ class TestChunkedRecords:
     @pytest.mark.parametrize("K", [1, 2, 63, 64, 65, 130])
     def test_inner_loop_matches_per_step(self, K, rng):
         op, om, loss, bound, u0 = dladmm_case(rng)
-        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=K)
-        u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=K, u0=u0)
+        u, tape, recs = inner_loop(op, loss, om, cfg)
         iterates = replayed_iterates(tape)
         want = per_step_records(op, om, cfg, op.metric(om), loss, iterates)
         assert len(recs) == K
@@ -747,8 +754,8 @@ class TestChunkedRecords:
 
     def test_batched_records_bit_identical_to_per_step(self, rng):
         op, om, loss, bound, u0 = dladmm_case(rng, batch=4)
-        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=70)
-        u, tape, recs = inner_loop(op, loss, om, cfg, u0=u0)
+        cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=70, u0=u0)
+        u, tape, recs = inner_loop(op, loss, om, cfg)
         iterates = replayed_iterates(tape)
         assert as_rows(recs) == per_step_records(op, om, cfg, op.metric(om), loss, iterates)
 

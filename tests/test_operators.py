@@ -1,3 +1,4 @@
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from gkmbmo.errors import CapabilityError, ContractError
 from gkmbmo.hypergrad import km_iterate
 from gkmbmo.metric import h_norm, spectral_norm_estimate
 from gkmbmo.operators import (AlmOperator, CompositeOperator, DladmmOperator,
-                              HyperParams, NetOperator, ParamSlice, PgOperator,
+                              HyperParams, NetOperator, OmegaGrad, ParamSlice, PgOperator,
                               apply_T, contraction_factor, make_hyperparams, normalize_net,
                               renormalize_for, soft_threshold)
 from gkmbmo.tasks import build_deconv_operator, gen_deconv
@@ -165,14 +166,14 @@ class TestPg:
                         gamma="gam")
         U = rng.standard_normal((3, 5)) * 2.0
         cot = rng.standard_normal((3, 5))
-        go = np.zeros(om.dim)
-        cs = op.apply_vjp(op.forward(U, om)[1], om, cot, go)
+        go = OmegaGrad(np.zeros(om.dim))
+        cs = op.apply_vjp(op.forward(U, om)[1], cot, go)
         cs_cols = np.empty_like(U)
-        go_sum = np.zeros(om.dim)
+        go_sum = OmegaGrad(np.zeros(om.dim))
         for j in range(5):
-            cs_cols[:, j] = op.apply_vjp(op.forward(U[:, j], om)[1], om, cot[:, j], go_sum)
+            cs_cols[:, j] = op.apply_vjp(op.forward(U[:, j], om)[1], cot[:, j], go_sum)
         np.testing.assert_allclose(cs, cs_cols, atol=1e-12)
-        np.testing.assert_allclose(go, go_sum, atol=1e-12)
+        np.testing.assert_allclose(go.reduce(), go_sum.reduce(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,8 @@ class TestAlm:
         state = rng.standard_normal(5)
         op.validate_omega(om)
         op.apply(state, om)
-        op.apply_vjp(op.forward(state, om)[1], om, rng.standard_normal(5), np.zeros(om.dim))
+        op.apply_vjp(op.forward(state, om)[1], rng.standard_normal(5),
+                     OmegaGrad(np.zeros(om.dim)))
         assert op.metric(om) is ctx["H"]
         assert op.prepare(om) is ctx
         # an equal omega that is another object is prepared anew, once
@@ -378,13 +380,13 @@ class TestAlm:
         assert not any(np.shares_memory(a, state) for a in (cL, upS))
         # the batched VJP is the sum of its columns' and matches central differences
         cot = rng.standard_normal(out.shape)
-        grad = np.zeros(om.dim)
-        cs = op.apply_vjp(res, om, cot, grad)
-        col_grad = np.zeros(om.dim)
+        grad = OmegaGrad(np.zeros(om.dim))
+        cs = op.apply_vjp(res, cot, grad)
+        col_grad = OmegaGrad(np.zeros(om.dim))
         for j in range(B):
-            col_cs = op.apply_vjp(op.forward(state[:, j], om)[1], om, cot[:, j], col_grad)
+            col_cs = op.apply_vjp(op.forward(state[:, j], om)[1], cot[:, j], col_grad)
             np.testing.assert_allclose(cs[:, j], col_cs, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grad, col_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad.reduce(), col_grad.reduce(), rtol=1e-12, atol=1e-12)
         fd_vjp_check(op, state, om, rng)
 
     def test_integer_group_mask_refused(self):
@@ -647,8 +649,8 @@ class TestNet:
         out, res = op.forward(u, om)
         kept_state, _, acts = res
         assert kept_state is u and len(acts) == op.nlayers + 1   # z_0..z_L, no pre-activation
-        grad = np.zeros(om.dim)
-        cs = op.apply_vjp(res, om, cot, grad)
+        grad = OmegaGrad(np.zeros(om.dim))
+        cs = op.apply_vjp(res, cot, grad)
 
         # the rule from the pre-activations, with one outer product per layer
         phi, dphi = ((np.tanh, lambda z: 1.0 - np.tanh(z) ** 2) if nonlinearity == "tanh"
@@ -672,7 +674,7 @@ class TestNet:
                 da @ zs[idx].T if da.ndim > 1 else np.outer(da, zs[idx])).reshape(-1)
             cz = om.view("W" + name).T @ da
         want[:3] += 0.5 * colsum(cz * u) / r
-        np.testing.assert_array_equal(grad, want)
+        np.testing.assert_array_equal(grad.reduce(), want)
         np.testing.assert_array_equal(cs, col(r) * cz)
 
     def test_slice_conjugated_vjp(self, rng):
@@ -966,8 +968,9 @@ class TestComposite:
         np.testing.assert_array_equal(comp.metric(om).tail, d)
         assert lipschitz_ratio(comp, om, comp.metric(om), 200, rng) <= 1.0 + 1e-9
         # and the metric's derivative is the net's, into the slice g
-        x, y, grad = rng.standard_normal(3), rng.standard_normal(3), np.zeros(om.dim)
+        x, y, grad = rng.standard_normal(3), rng.standard_normal(3), OmegaGrad(np.zeros(om.dim))
         comp.metric_quad_vjp(om, x, y, grad, 0.5)
+        grad = grad.reduce()
         np.testing.assert_array_equal(grad[:3], 0.5 * x * y)
         assert not np.any(grad[3:])
 
@@ -1034,7 +1037,9 @@ class TestComposite:
             for name in ("forward", "apply"):
                 monkeypatch.setattr(m, name, lambda *args, _n=name:
                                     pytest.fail(f"the composite VJP called a member's {_n}"))
-        cs = comp.apply_vjp(res, om, np.ones(2), np.zeros(om.dim))
+        grad = OmegaGrad(np.zeros(om.dim))
+        cs = comp.apply_vjp(res, np.ones(2), grad)
+        grad.reduce()
         np.testing.assert_allclose(cs, 0.25 * np.ones(2))
 
 
@@ -1091,8 +1096,9 @@ class TestReverseContract:
         op.validate_omega(om)
         shape = (op.dim,) if batch is None else (op.dim, batch)
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
-        grad = np.zeros(om.dim)
+        grad = OmegaGrad(np.zeros(om.dim))
         op.metric_quad_vjp(om, x, y, grad, 0.37)
+        grad = grad.reduce()
 
         def quad(values):
             return float(np.sum(x * op.metric(om.with_values(values)).apply(y)))
@@ -1115,16 +1121,16 @@ class TestReverseContract:
         x, y = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
         g0 = rng.standard_normal(om.dim)
         res = op.forward(state, om)[1]
-        for rule in (lambda grad: op.apply_vjp(res, om, cot, grad),
+        for rule in (lambda grad: op.apply_vjp(res, cot, grad),
                      lambda grad: op.metric_quad_vjp(om, x, y, grad, 0.37)):
-            fresh, grad = np.zeros(om.dim), g0.copy()
+            fresh, grad = OmegaGrad(np.zeros(om.dim)), OmegaGrad(g0.copy())
             out = rule(fresh)
-            assert np.any(fresh != 0)
+            assert np.any(fresh.reduce() != 0)
             if out is None:
                 assert rule(grad) is None
             else:
                 np.testing.assert_array_equal(rule(grad), out)
-            np.testing.assert_allclose(grad, g0 + fresh, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grad.reduce(), g0 + fresh.values, rtol=1e-12, atol=1e-12)
 
 
 def refused_omega(case, om):
@@ -1210,12 +1216,51 @@ class TestOneAdmissionRule:
         else:
             assert verdicts == [None] * 3
 
+    @pytest.mark.parametrize("case, entries, admitted", [
+        ("pg-gdiag", 3, False), ("pg-gdiag", 1, True),
+        ("alm-gdiag", 2, False), ("alm-gdiag", 1, True),
+        ("net-conjugate", 2, False), ("net-conjugate", 1, True),
+        ("net-bias", 2, False), ("net-bias", 1, False)])
+    def test_slice_of_another_size_refused_by_name(self, case, entries, admitted):
+        # a one-entry slice fills a diagonal; any other size than 1 or dim is refused
+        # where the binding reads it, and a bias is never broadcast to its layer width
+        def build():
+            part = np.full(entries, 1.5)
+            if case == "pg-gdiag":
+                return PgOperator(dim=5, gdiag="g"), make_hyperparams(
+                    [("g", part, "metric-diagonal")])
+            if case == "alm-gdiag":
+                return AlmOperator(nprimal=3, ndual=2, A=np.ones((2, 3)), bvec=np.zeros(2),
+                                   quad=np.eye(3), gmode="slice", gdiag="g"), make_hyperparams(
+                    [("g", part, "metric-diagonal")])
+            if case == "net-conjugate":
+                return net_op(3, [3, 3], conjugate="g"), make_hyperparams(
+                    [("g", part, "metric-diagonal"), ("W0", 0.5 * np.eye(3), "layer-matrix"),
+                     ("b0", np.zeros(3), "layer-bias")])
+            return net_op(3, [3, 3]), net_omega([0.5 * np.eye(3)], [part])
+
+        verdicts = self.verdicts(build)
+        if admitted:
+            assert verdicts == [None] * 3
+        else:
+            name = "b0" if case == "net-bias" else "g"
+            assert verdicts[0] is not None and verdicts == [verdicts[0]] * 3
+            assert f"slice {name!r} has {entries} entries" in verdicts[0]
+
     def test_no_operator_overrides_the_admission_rule(self):
         # metric and validate_omega are written once, on _Operator, over each _bind
         subclasses = operators._Operator.__subclasses__()
         assert len(subclasses) == 5
         for cls in subclasses:
             assert not {"metric", "validate_omega"} & set(vars(cls)), cls.__name__
+
+    def test_each_operator_writes_its_reverse_rules_one_way(self):
+        # each operator writes apply_vjp itself, reading no omega, and adds its metric's
+        # derivative through _quad_vjp under the one metric_quad_vjp on _Operator
+        for cls in operators._Operator.__subclasses__():
+            assert not {"_vjp", "metric_quad_vjp"} & set(vars(cls)), cls.__name__
+            params = list(inspect.signature(vars(cls)["apply_vjp"]).parameters)
+            assert params == ["self", "res", "cot", "grad"], cls.__name__
 
     def test_composite_checks_member_metrics_once_per_omega_object(self, rng, monkeypatch):
         comp, om = reverse_case("composite", rng)

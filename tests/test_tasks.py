@@ -294,8 +294,9 @@ class TestLowerBoundMetric:
             values = rng.uniform(np.where(finite, lo, 0.0), np.where(finite, hi, 0.0))
             om = bundle.omega0.with_values(np.where(finite, values, bundle.omega0.values))
             x = rng.standard_normal(bundle.op.dim)
-            grad = np.zeros(om.dim)
+            grad = operators.OmegaGrad(np.zeros(om.dim))
             bundle.op.metric_quad_vjp(om, x, x, grad, 1.0)
+            grad = grad.reduce()
             for s in om.layout:
                 g = grad[s.offset:s.offset + s.size]
                 if s.name in tasks._H_LOWERING_UPPER_END:
