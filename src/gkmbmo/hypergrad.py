@@ -12,8 +12,10 @@ total derivative of phi_K(omega) = l(u^K(omega)) with respect to omega.
 Without a loss the same loop runs the plain KM iteration u' = Proj_U(T(u)),
 the mu = 0 step.
 The upper loss l is one weighted least-squares rule that reads u alone.
-A central-difference oracle over the same forward path validates the
-reverse rules.
+Each step forms grad l(u) once, from one residual M u - t, and a batched
+record of u takes its loss from that same residual.  The reverse sweep
+updates one cotangent array in place.  A central-difference oracle over
+the same forward path validates the reverse rules.
 """
 
 from __future__ import annotations
@@ -108,10 +110,18 @@ class LossDescriptor:
             return z
         m, n = self.Q.shape
         out = np.empty_like(ref)
-        out[:n] = self.Q.T @ z
+        np.matmul(self.Q.T, z, out=out[:n])
         out[n:n + m] = z
         out[n + m:] = 0.0
         return out
+
+    def _grad_value(self, u, value=False):
+        """grad l(u) = M^T z, and with ``value`` l(u) = 0.5 sum(r z) (else None),
+        from one residual r = M u - t and z = c w r; the l(u) is ``value(u)``'s."""
+        u = np.asarray(u, dtype=float)
+        r = self._M(u) - _match_b(self._t, u)
+        z = self._weigh(r, u)
+        return self._Mt(z, u), (float(0.5 * np.sum(r * z)) if value else None)
 
     # interface ----------------------------------------------------------
     def value(self, u, columns=False):
@@ -123,8 +133,7 @@ class LossDescriptor:
         return out if columns else float(out)
 
     def grad_u(self, u):
-        u = np.asarray(u, dtype=float)
-        return self._Mt(self._weigh(self._M(u) - _match_b(self._t, u), u), u)
+        return self._grad_value(u)[0]
 
     def hess_vec(self, v):
         """The u-Hessian c M^T diag(w) M applied to v; it does not depend on u."""
@@ -191,37 +200,42 @@ class Tape:
 # inner loop
 # ---------------------------------------------------------------------------
 
-def _gkm_step(op, loss, omega, cfg, H, s_k, u):
+def _gkm_step(op, loss, omega, cfg, H, s_k, u, want_loss=False):
     """One aggregated inner step from u.
 
-    Returns (T(u), H^{-1} grad l(u), u', res), with res what the forward
-    pass D(u) kept for its VJP; cfg supplies alpha, mu and U.  Without a
-    loss the step is mu = 0, u' = Proj_U(T(u)).
+    Returns (T(u), H^{-1} grad l(u), u', res, l(u)), with res what the
+    forward pass D(u) kept for its VJP; l(u) is read off grad l's residual
+    with ``want_loss``, else None.  cfg supplies alpha, mu and U.  Without
+    a loss the step is mu = 0, u' = Proj_U(T(u)).
     """
     d, res = op.forward(u, omega)
     v_l = average(u, d, cfg)
     if loss is None:
-        return v_l, None, h_project(H, cfg.domain, v_l), res
-    hg = H.solve(loss.grad_u(u))
-    return v_l, hg, h_project(H, cfg.domain, cfg.mu * (u - s_k * hg) + (1.0 - cfg.mu) * v_l), res
+        return v_l, None, h_project(H, cfg.domain, v_l), res, None
+    g, loss_u = loss._grad_value(u, want_loss)
+    hg = H.solve(g)
+    v = np.multiply(hg, s_k, out=g)  # g's buffer, spent, takes s_k hg
+    np.subtract(u, v, out=v)
+    v *= cfg.mu
+    v += (1.0 - cfg.mu) * v_l        # mu (u - s_k hg) + (1 - mu) v_l
+    return v_l, hg, h_project(H, cfg.domain, v), res, loss_u
 
 
-def _record(ks, hlb, res, u, u_prev, loss, columns=False):
-    """InnerRecords of iterates u given their residuals u - T(u) and predecessors u_prev.
+def _record(ks, hlb, res, u, u_prev, losses, columns=False):
+    """InnerRecords of iterates u given their residuals u - T(u), predecessors
+    u_prev and losses.
 
     With ``columns`` the arrays stack 1-D iterates as columns, the iterate
     of step ks[j] in column j; otherwise they hold the one, possibly
-    batched, iterate of step ks[0].  loss may be None.
+    batched, iterate of step ks[0].
     """
     axis = 0 if columns else None
     res_sq = np.atleast_1d(h_norm(hlb, res, columns) ** 2)
     denom = np.atleast_1d(np.linalg.norm(u_prev, axis=axis))
     denom[denom == 0.0] = 1.0
     step = np.linalg.norm(u - u_prev, axis=axis) / denom
-    vals = (np.atleast_1d(loss.value(u, columns)) if loss is not None
-            else np.full(len(ks), math.nan))
     return [InnerRecord(k, float(r), float(s), float(v))
-            for k, r, s, v in zip(ks, res_sq, step, vals)]
+            for k, r, s, v in zip(ks, res_sq, step, losses)]
 
 
 class _Recorder:
@@ -230,7 +244,7 @@ class _Recorder:
     A 1-D iterate's residual, the iterate and its predecessor are copied
     into rows of buffers reused across chunks, and ``_record`` reduces a
     full chunk (and the rest, at ``finish``) with one product per array.
-    A batched iterate already fills a chunk, so it is recorded at once.
+    A batched iterate is recorded at once, with the loss its caller hands in.
     """
 
     def __init__(self, hlb, loss, K):
@@ -240,9 +254,10 @@ class _Recorder:
         self.rows = min(K, RECORD_CHUNK)
         self.bufs = None          # rows of u - T(u), u and u_prev
 
-    def add(self, k, u, t_u, u_prev):
+    def add(self, k, u, t_u, u_prev, loss_u=None):
         if u.ndim > 1:
-            self.records += _record([k], self.hlb, u - t_u, u, u_prev, self.loss)
+            self.records += _record([k], self.hlb, u - t_u, u, u_prev,
+                                    [math.nan if loss_u is None else loss_u])
             return
         if self.bufs is None:
             self.bufs = tuple(np.empty((3, self.rows, u.shape[0])))
@@ -259,8 +274,9 @@ class _Recorder:
         """Record what is buffered; returns every record so far."""
         if self.ks:
             res, cur, prev = (b[:len(self.ks)].T for b in self.bufs)
-            self.records += _record(self.ks, self.hlb, res, cur, prev,
-                                    self.loss, columns=True)
+            losses = (self.loss.value(cur, columns=True) if self.loss is not None
+                      else np.full(len(self.ks), math.nan))
+            self.records += _record(self.ks, self.hlb, res, cur, prev, losses, columns=True)
             self.ks = []
         return self.records
 
@@ -300,20 +316,23 @@ def inner_loop(op, loss, omega, cfg, u0=None, h_lb=None, build_tape=True, record
     u_prev = None
     for k in range(1, cfg.K + 1):
         s_k = cfg.s / (k + 1)
-        v_l, hg, u_next, res = _gkm_step(op, loss, omega, cfg, H, s_k, u)
+        # a batched record of u^{k-1} takes its loss from this step's residual
+        v_l, hg, u_next, res, loss_u = _gkm_step(op, loss, omega, cfg, H, s_k, u,
+                                                 want_loss=record and k >= 2 and u.ndim > 1)
         if record and k >= 2:
             # v_l = T(u^{k-1}): residual for the previous iterate
-            recorder.add(k - 1, u, v_l, u_prev)
-        if not np.max(np.abs(u_next)) <= DIVERGENCE_LIMIT:  # NaN fails it, +-inf exceeds it
+            recorder.add(k - 1, u, v_l, u_prev, loss_u)
+        # NaN fails both tests, +-inf one of them
+        if not (u_next.max() <= DIVERGENCE_LIMIT and u_next.min() >= -DIVERGENCE_LIMIT):
             raise DivergenceError(f"inner iterate diverged at k={k}", inner_step=k)
         if build_tape:
             interior = None if cfg.domain is None else cfg.domain.interior(u_next)
             steps.append(TapeStep(res, hg, interior))
         u_prev, u = u, u_next
+    phi = loss.value(u) if loss is not None and (build_tape or record and cfg.K >= 1) else None
     if record and cfg.K >= 1:
-        recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev)
+        recorder.add(cfg.K, u, apply_T(op, u, omega, cfg), u_prev, phi)
     records = recorder.finish()
-    phi = loss.value(u) if loss is not None and (build_tape or records) else None
     if records and phi is not None:
         records[-1].loss = phi  # phi_K, not the chunk's column-wise reduction of it
     tape = Tape(op, loss, omega, cfg, H, steps, u, phi) if build_tape else None
@@ -356,19 +375,22 @@ def hypergradient(tape, corrupt_rule=False):
     the finite-difference harness can prove it would catch a broken rule.
     """
     loss, omega, H, cfg = tape.loss, tape.omega, tape.metric, tape.cfg
-    cu = loss.grad_u(tape.uK)
+    cu = loss.grad_u(tape.uK)      # a new array, which the sweep then updates in place
     go = OmegaGrad(np.zeros(omega.dim))
     hess_scale = 0.5 if corrupt_rule else 1.0
     for k in range(len(tape.steps), 0, -1):
         st, s_k = tape.steps[k - 1], cfg.s / (k + 1)
         if st.interior is not None:
-            cu = st.interior * cu  # the box clamp's almost-everywhere derivative
+            cu *= st.interior  # the box clamp's almost-everywhere derivative
         cvu = cfg.mu * cu
-        cvl = (1.0 - cfg.mu) * cu
-        cs = tape.op.apply_vjp(st.res, cfg.alpha * cvl, go)
-        cu = (1.0 - cfg.alpha) * cvl + cs
+        cu *= 1.0 - cfg.mu  # cvl
+        cs = tape.op.apply_vjp(st.res, cfg.alpha * cu, go)
+        cu *= 1.0 - cfg.alpha
+        cu += cs
+        cu += cvu
         hv = H.solve(cvu)
-        cu = cu + cvu - hess_scale * s_k * loss.hess_vec(hv)
+        # in place, in the order of ((1 - alpha) cvl + cs + cvu) - s_k hess
+        cu -= (hess_scale * s_k) * loss.hess_vec(hv)
         tape.op.metric_quad_vjp(omega, hv, st.hinv_grad, go, s_k)
     return go.reduce()
 

@@ -105,8 +105,8 @@ class MetricMatrix:
         if not p:
             return d * u
         out = np.empty_like(u)
-        out[:p] = self.lead @ u[:p]
-        out[p:] = d * u[p:]
+        np.matmul(self.lead, u[:p], out=out[:p])
+        np.multiply(d, u[p:], out=out[p:])
         return out
 
     def solve(self, u):
@@ -120,8 +120,8 @@ class MetricMatrix:
         if self._inv is None:
             object.__setattr__(self, "_inv", np.linalg.inv(self.lead))
         out = np.empty_like(u)
-        out[:p] = self._inv @ u[:p]
-        out[p:] = u[p:] / d
+        np.matmul(self._inv, u[:p], out=out[:p])
+        np.divide(u[p:], d, out=out[p:])
         return out
 
 
@@ -137,7 +137,7 @@ def h_inner(H, u, v, columns=False):
         raise ContractError(f"dimension mismatch: {u.shape} vs {v.shape}")
     if columns:
         return np.sum(u * H.apply(v), axis=0)
-    return float(np.sum(u * H.apply(v)))
+    return float(np.vdot(u, H.apply(v)))
 
 
 def h_norm(H, u, columns=False):
@@ -153,11 +153,12 @@ def h_project(H, U, u):
 
     A box projects by a componentwise clamp, which is the H-projection
     only for a diagonal H; a box under any other H (a general quadratic
-    program) is rejected rather than silently approximated.
+    program) is rejected rather than silently approximated.  The full
+    space returns u itself, not a copy.
     """
     u = np.asarray(u, dtype=float)
     if U is None:
-        return u.copy()
+        return u
     _check_dim(U.lower.shape[0], u)
     if not H.is_diagonal:
         raise CapabilityError("box projection requires a diagonal metric")

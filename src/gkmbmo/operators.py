@@ -122,12 +122,6 @@ class HyperParams:
         s = self.slice_for(name)
         return self.values[s.offset:s.offset + s.size].reshape(s.shape)
 
-    def scalar(self, name):
-        v = self.view(name)
-        if v.size != 1:
-            raise ContractError(f"slice {name!r} is not a scalar")
-        return float(v.reshape(()))
-
     def with_values(self, values):
         return HyperParams(np.asarray(values, dtype=float), self.layout)
 
@@ -188,7 +182,8 @@ class OmegaBox:
 # ---------------------------------------------------------------------------
 
 def soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    """sign(x) max(|x| - t, 0) as x less its clip to [-t, t]: +0.0, never -0.0, where |x| <= t."""
+    return x - np.minimum(np.maximum(x, -t), t)
 
 
 def _col(v, ref):
@@ -286,9 +281,10 @@ def _survivor_sign(v):
     return np.sign(v).astype(np.int8)
 
 
-def _soft_threshold_vjp(sgn, cot):
-    """Cotangents of soft_threshold(x, t) w.r.t. x and t, from its survivor sign."""
-    return (sgn != 0) * cot, -sgn * cot
+def _soft_threshold_vjp(sgn, cot, summed=False):
+    """Cotangents of soft_threshold(x, t) w.r.t. x and t, from its survivor sign;
+    with ``summed``, t's is summed over every entry, as a scalar t's is."""
+    return (sgn != 0) * cot, (-np.vdot(sgn, cot) if summed else -sgn * cot)
 
 
 # ---------------------------------------------------------------------------
@@ -729,49 +725,47 @@ class DladmmOperator(_Operator):
         u1, u2, lam = self.split_state(state)
         b = _match_b(self.bvec, lam)
         e = lam / beta
-        Qtr = self.Q.T @ (self.Q @ u1 + u2 - b + e)
+        ue = u2 - b + e                        # r = Q u1 + ue and r2 = Q v1 + ue
+        Qtr = self.Q.T @ (self.Q @ u1 + ue)
         v1 = soft_threshold(u1 - (beta / rho1) * Qtr, k1 / rho1)
         Qv1 = self.Q @ v1
-        r2 = Qv1 + u2 - b + e
+        r2 = Qv1 + ue
         v2 = soft_threshold(u2 - (beta / rho2) * r2, k2 / rho2)
         feas = Qv1 + v2 - b
-        # lam is a view of the state: the copy keeps the rest of it off the residual
+        # e = lam / beta is a new array, so the residual holds no view of the state
         return (np.concatenate((v1, v2, lam + gamma * beta * feas), axis=0),
-                (ctx, lam.copy(), Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
+                (ctx, e, Qtr, _survivor_sign(v1), r2, _survivor_sign(v2), feas))
 
     def apply_vjp(self, res, cot, grad):
-        ctx, lam, Qtr, sgn1, r2, sgn2, feas = res
+        """v1's cotangent c1 + Q^T (gamma beta cl + dr2) takes one Q^T product for
+        its paths through lam+ and r2; each scalar slot receives one sum."""
+        ctx, e, Qtr, sgn1, r2, sgn2, feas = res
         beta, gamma, rho1, rho2, k1, k2 = ctx["params"]
         s_beta, s_gamma, s_rho1, s_rho2, s_k1, s_k2 = ctx["slots"]
         c1, c2, cl = self.split_state(cot)
-
-        dv2 = c2 + gamma * beta * cl
-        ip_feas = float(np.sum(cl * feas))
+        out = np.empty_like(cot)
+        o1, o2, ol = self.split_state(out)
+        w = (gamma * beta) * cl                 # the cotangent of feas
+        dx2, s2 = _soft_threshold_vjp(sgn2, c2 + w, summed=True)
+        dr2 = dx2 * -(beta / rho2)
+        w += dr2
+        dx1, s1 = _soft_threshold_vjp(sgn1, c1 + self.Q.T @ w, summed=True)
+        dr = self.Q @ dx1
+        dr *= -(beta / rho1)
+        np.matmul(self.Q.T, dr, out=o1)
+        o1 += dx1
+        de = np.add(dr, dr2, out=dr)
+        np.add(dx2, de, out=o2)
+        np.divide(de, beta, out=ol)
+        ol += cl
+        ip_feas, ip_r2, ip_qtr = np.vdot(cl, feas), np.vdot(dx2, r2), np.vdot(dx1, Qtr)
         grad.add(s_gamma, beta * ip_feas)
-        grad.add(s_beta, gamma * ip_feas)
-
-        dx2, dt2 = _soft_threshold_vjp(sgn2, dv2)
-        s2 = float(np.sum(dt2))
+        grad.add(s_beta, gamma * ip_feas - ip_r2 / rho2 - ip_qtr / rho1 - np.vdot(de, e) / beta)
         grad.add(s_k2, s2 / rho2)
-        grad.add(s_rho2, -s2 * k2 / rho2 ** 2)
-        dr2 = -(beta / rho2) * dx2
-        ip_r2 = np.sum(dx2 * r2)
-        grad.add(s_beta, -ip_r2 / rho2)
-        grad.add(s_rho2, ip_r2 * beta / rho2 ** 2)
-        dv1 = c1 + gamma * beta * (self.Q.T @ cl) + self.Q.T @ dr2
-
-        dx1, dt1 = _soft_threshold_vjp(sgn1, dv1)
-        s1 = float(np.sum(dt1))
+        grad.add(s_rho2, (ip_r2 * beta - s2 * k2) / rho2 ** 2)
         grad.add(s_k1, s1 / rho1)
-        grad.add(s_rho1, -s1 * k1 / rho1 ** 2)
-        dr = -(beta / rho1) * (self.Q @ dx1)
-        ip_qtr = np.sum(dx1 * Qtr)
-        grad.add(s_beta, -ip_qtr / rho1)
-        grad.add(s_rho1, ip_qtr * beta / rho1 ** 2)
-
-        de = dr2 + dr
-        grad.add(s_beta, -np.sum(de * lam) / beta ** 2)
-        return np.concatenate([dx1 + self.Q.T @ dr, dx2 + dr2 + dr, cl + de / beta], axis=0)
+        grad.add(s_rho1, (ip_qtr * beta - s1 * k1) / rho1 ** 2)
+        return out
 
     # metric ----------------------------------------------------------
     def _quad_vjp(self, ctx, x, y, grad, scale):
@@ -779,13 +773,10 @@ class DladmmOperator(_Operator):
         s_beta, s_gamma, s_rho1, s_rho2, _, _ = ctx["slots"]
         x1, x2, xl = self.split_state(x)
         y1, y2, yl = self.split_state(y)
-        ip11 = float(np.sum(x1 * y1))
-        ipQQ = float(np.sum((self.Q @ x1) * (self.Q @ y1)))
-        ip22 = float(np.sum(x2 * y2))
-        ipll = float(np.sum(xl * yl))
-        grad.add(s_rho1, ip11, scale)
-        grad.add(s_rho2, ip22, scale)
-        grad.add(s_beta, -ipQQ - ipll / (gamma * beta ** 2), scale)
+        ipll = np.vdot(xl, yl)
+        grad.add(s_rho1, np.vdot(x1, y1), scale)
+        grad.add(s_rho2, np.vdot(x2, y2), scale)
+        grad.add(s_beta, -np.vdot(self.Q @ x1, self.Q @ y1) - ipll / (gamma * beta ** 2), scale)
         grad.add(s_gamma, -ipll / (gamma ** 2 * beta), scale)
 
 

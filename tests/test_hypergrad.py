@@ -619,6 +619,54 @@ class TestTapeResiduals:
             assert not any(np.shares_memory(a, u) for a in arrays_in(st.res))
 
 
+class _CountingQ(np.ndarray):
+    """A Q that counts the np.matmul calls it takes part in; results are plain arrays."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingQ.calls += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountingQ) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def sparse_coding_case(rng, counted=False):
+    """A small batched sparse-coding bundle, a config of 3 steps from a random u0,
+    and, with ``counted``, the Q of its operator and loss counting their products."""
+    bundle = build_sparse_coding_operator(gen_sparse_coding(m=8, n=16, batch=3, seed=4))
+    if counted:
+        # the constructors' np.asarray would strip the subclass, so it is set after them
+        bundle.op.Q = bundle.op.Q.view(_CountingQ)
+        bundle.loss.Q = bundle.loss.Q.view(_CountingQ)
+    bound = min_eigen_estimate(bundle.op.metric(bundle.omega0)) / bundle.loss.smoothness()
+    cfg = BmoConfig(alpha=0.6, mu=0.4, s=0.5 * bound, K=3, u0=rng.standard_normal((bundle.op.dim, 3)))
+    return bundle, cfg
+
+
+class TestQProducts:
+    """Each product with Q is formed once per step.
+
+    A recorded inner step makes 5: the DLADMM forward's Q u1, Q^T r and
+    Q v1, and the loss gradient's Q u1 and Q^T z (the record's loss comes
+    from that gradient's residual).  A sweep step makes 7: the VJP's one
+    Q^T product for both paths from v1, Q dx1 and Q^T dr, the loss
+    Hessian's two, and the metric term's Q x1 and Q y1.
+    """
+
+    def counts(self, bundle, cfg, K):
+        _CountingQ.calls = 0
+        tape = inner_loop(bundle.op, bundle.loss, bundle.omega0, replace(cfg, K=K))[1]
+        inner, _CountingQ.calls = _CountingQ.calls, 0
+        hypergradient(tape)
+        return inner, _CountingQ.calls
+
+    def test_products_per_recorded_inner_step_and_per_sweep_step(self, rng):
+        bundle, cfg = sparse_coding_case(rng, counted=True)
+        (inner3, sweep3), (inner4, sweep4) = (self.counts(bundle, cfg, K) for K in (3, 4))
+        assert (inner4 - inner3, sweep4 - sweep3) == (5, 7)
+
+
 class TestTaskSizeLayerGradient:
     """The deconv bundle at task size: n = 64, one 64-wide tanh net, K = 15.
 
@@ -758,6 +806,14 @@ class TestChunkedRecords:
         u, tape, recs = inner_loop(op, loss, om, cfg)
         iterates = replayed_iterates(tape)
         assert as_rows(recs) == per_step_records(op, om, cfg, op.metric(om), loss, iterates)
+
+    def test_batched_sparse_coding_record_losses_are_loss_values(self, rng):
+        # a batched record takes its loss from the next step's gradient residual
+        bundle, cfg = sparse_coding_case(rng)
+        _, tape, recs = inner_loop(bundle.op, bundle.loss, bundle.omega0, replace(cfg, K=6))
+        iterates = replayed_iterates(tape)
+        assert [r.loss for r in recs] == [bundle.loss.value(u) for u in iterates[1:]]
+        assert recs[-1].loss == tape.loss_value
 
     @pytest.mark.parametrize("batch, K, calls", [(None, 130, 3), (None, 64, 1), (4, 5, 5)])
     def test_one_metric_product_per_chunk(self, batch, K, calls, rng, monkeypatch):

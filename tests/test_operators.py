@@ -30,7 +30,7 @@ class TestHyperParams:
     def test_layout_tiles_exactly(self):
         om = make_hyperparams([("a", 1.0, "step-size"), ("b", np.ones(3), "threshold")])
         assert om.dim == 4
-        assert om.scalar("a") == 1.0
+        assert om.view("a").item() == 1.0
         np.testing.assert_array_equal(om.view("b"), np.ones(3))
 
     def test_gap_rejected(self):
@@ -103,6 +103,26 @@ class TestSoftThreshold:
         assert sgn.dtype == np.int8
         for got, want in zip(operators._soft_threshold_vjp(sgn, cot), float_rule(x, t, cot)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector", "per_row", "batched_scalar"])
+    def test_agrees_with_the_sign_form(self, case, rng):
+        # x less its clip to [-t, t]: == the sign form, +0.0 where that gives -0.0
+        x = {"scalar": rng.standard_normal(9), "vector": rng.standard_normal(9),
+             "per_row": rng.standard_normal((9, 7)),
+             "batched_scalar": rng.standard_normal((9, 7))}[case]
+        t = {"scalar": 0.5, "vector": rng.uniform(0.0, 1.0, 9),
+             "per_row": rng.uniform(0.0, 1.0, (9, 1)), "batched_scalar": 0.5}[case]
+        edge = -np.broadcast_to(np.reshape(t, -1), (9,))[2]      # x = -t exactly
+        x[:3] = np.reshape([0.0, -0.0, edge], (3,) + (1,) * (x.ndim - 1))
+        got = soft_threshold(x, t)
+        want = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        assert got.shape == want.shape and np.all(got == want)
+        assert not np.any(np.signbit(got[got == 0.0]))
+        np.testing.assert_array_equal(operators._survivor_sign(got),
+                                      np.sign(want).astype(np.int8))
+
+    def test_python_scalars(self):
+        assert soft_threshold(2.0, 0.5) == 1.5 and soft_threshold(-0.25, 0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +821,7 @@ class TestNormalizeNet:
         om = make_hyperparams([("W0", 3.0 * np.eye(2), "layer-matrix"),
                                ("beta", 0.7, "penalty")])
         out = normalize_net(om, 1.0)
-        assert out.scalar("beta") == 0.7
+        assert out.view("beta").item() == 0.7
 
     def test_renormalize_for_composite(self, rng):
         W = 4.0 * np.eye(2)
@@ -1140,7 +1160,7 @@ def refused_omega(case, om):
     if case.startswith("alm"):
         return om.replace_slice("kap", -0.3)            # negative l1 weights
     if case == "dladmm":
-        return om.replace_slice("rho1", 0.5 * om.scalar("rho1"))   # below beta L_Q^2
+        return om.replace_slice("rho1", 0.5 * om.view("rho1").item())   # below beta L_Q^2
     return om.replace_slice("W0", 2.0 * om.view("W0"))   # a layer at 1.6, over its budget 1
 
 
@@ -1208,7 +1228,7 @@ class TestOneAdmissionRule:
                 return op, net_omega([op.budget * (1.0 + d) * np.eye(3)], [np.zeros(3)])
             op = dladmm_op(rng.standard_normal((4, 6)), rng.standard_normal(4))
             om = dladmm_omega(beta=0.1, rho_mult1=1.5, LQ=op.lipschitz_Q)
-            return op, om.replace_slice("rho2", om.scalar("beta") / (1.0 + d))
+            return op, om.replace_slice("rho2", om.view("beta").item() / (1.0 + d))
 
         verdicts = self.verdicts(build)
         if d > 0:

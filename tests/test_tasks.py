@@ -54,16 +54,16 @@ class TestSparseCodingOperator:
         inst = gen_sparse_coding(m=16, n=32, batch=4, seed=2)
         bundle = build_sparse_coding_operator(inst)
         om = bundle.omega0
-        beta = om.scalar("beta")
-        assert om.scalar("rho1") >= beta * bundle.op.lipschitz_Q ** 2
-        assert om.scalar("rho2") >= beta
+        beta = om.view("beta").item()
+        assert om.view("rho1").item() >= beta * bundle.op.lipschitz_Q ** 2
+        assert om.view("rho2").item() >= beta
         bundle.op.validate_omega(om)
 
     def test_table_defaults_read_back(self):
         inst = gen_sparse_coding(m=16, n=32, batch=4, seed=2)
         bundle = build_sparse_coding_operator(inst)
-        assert bundle.omega0.scalar("beta") == pytest.approx(0.1)
-        assert bundle.omega0.scalar("gamma") == pytest.approx(1.0)
+        assert bundle.omega0.view("beta").item() == pytest.approx(0.1)
+        assert bundle.omega0.view("gamma").item() == pytest.approx(1.0)
 
     def test_single_column_batch_accepts_flat_state(self):
         inst = gen_sparse_coding(m=2, n=4, batch=1, seed=0)
@@ -132,7 +132,7 @@ class TestDeconv:
         om = bundle.omega0
         z = rng.standard_normal(16)
         g = om.view("gdiag")
-        kap = om.scalar("kappa")
+        kap = om.view("kappa").item()
         expected = np.sign(z) * np.maximum(np.abs(z) - kap / g, 0.0)
         np.testing.assert_allclose(checked_apply(pg, z, om), expected, atol=1e-12)
 
@@ -199,20 +199,20 @@ class TestSeparation:
         H = bundle.op.metric(om)
         G = H.lead
         n = 8
-        beta = om.scalar("beta")
-        np.testing.assert_allclose(np.diag(G)[:n], om.scalar("rho_ub") - beta)
+        beta = om.view("beta").item()
+        np.testing.assert_allclose(np.diag(G)[:n], om.view("rho_ub").item() - beta)
         D = forward_diff(n)
         np.testing.assert_allclose(G[n:2 * n, n:2 * n],
-                                   om.scalar("rho_ur") * np.eye(n) - beta * D.T @ D)
-        np.testing.assert_allclose(np.diag(G)[2 * n:3 * n], om.scalar("rho_vb") - beta)
-        np.testing.assert_allclose(np.diag(G)[3 * n:], om.scalar("rho_vr") - beta)
+                                   om.view("rho_ur").item() * np.eye(n) - beta * D.T @ D)
+        np.testing.assert_allclose(np.diag(G)[2 * n:3 * n], om.view("rho_vb").item() - beta)
+        np.testing.assert_allclose(np.diag(G)[3 * n:], om.view("rho_vr").item() - beta)
         np.testing.assert_allclose(H.tail, np.full(2 * n, 1.0 / beta))
 
     def test_beta_above_bound_rejected(self):
         inst = gen_separation(n=8, seed=5)
         bundle = build_separation_operator(inst)
         om = bundle.omega0
-        bad = om.replace_slice("beta", np.array([om.scalar("rho_ub") / 2.0]))
+        bad = om.replace_slice("beta", np.array([om.view("rho_ub").item() / 2.0]))
         with pytest.raises(ContractError):
             bundle.op.validate_omega(bad)
 
@@ -348,7 +348,7 @@ class TestSparseCodingBuild:
         bundle = build_sparse_coding_operator(inst, learnable=learnable)
         assert calls == [(8, 16)]
         floor = tasks.RHO1_MARGIN * 0.125 * spectral_norm_estimate(inst.Q) ** 2
-        rho1 = bundle.omega0.scalar("rho1") if learnable == "all" else bundle.op.rho1
+        rho1 = bundle.omega0.view("rho1").item() if learnable == "all" else bundle.op.rho1
         assert rho1 == floor
 
 
